@@ -84,11 +84,16 @@ pub trait ClusterBackend: std::fmt::Debug + Send {
     fn max_job_size(&self) -> u32;
 
     /// Register workload metadata for one job before any placement query
-    /// about it. Batch drivers call this for every job up front; the live
-    /// scheduler service calls it per `submit`. Idempotent — re-noting a
-    /// known job keeps the first registration. A single cluster has no
-    /// routing decisions to inform, so the default is a no-op.
+    /// about it. The driver calls this as it admits each job. Idempotent —
+    /// re-noting a known job keeps the first registration. A single
+    /// cluster has no routing decisions to inform, so the default is a
+    /// no-op.
     fn note_job(&mut self, _spec: &JobSpec) {}
+
+    /// Drop all routing state for a job that left the system for good
+    /// (finished, killed, or withdrawn), so per-job state stays O(active
+    /// jobs). The job holds no nodes by then. No-op by default.
+    fn forget_job(&mut self, _job: JobId) {}
 
     // ------------------------------------------------------------------
     // Aggregate accounting (upper bounds across shards)

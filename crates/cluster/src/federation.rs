@@ -226,8 +226,8 @@ pub struct Federation {
     policy: Arc<dyn PlacementPolicy>,
     /// Sticky job → shard assignment (first contact pins it).
     home: HashMap<JobId, usize>,
-    /// Trace-wide job metadata registered at construction, so routing
-    /// decisions need no driver-side plumbing.
+    /// Routing metadata of the admitted jobs ([`ClusterBackend::note_job`]);
+    /// like `home`, pruned when a job retires.
     meta: HashMap<JobId, JobMeta>,
     max_shard: u32,
     /// Total capacity fixed at construction; `check_invariants` verifies
@@ -236,10 +236,12 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// Build a federation for a trace. Panics unless the shard sizes sum
-    /// to exactly `system_size` — federation experiments compare against
-    /// the single-cluster run at the *same* total capacity.
-    pub fn new(cfg: &FederationConfig, system_size: u32, jobs: &[JobSpec]) -> Self {
+    /// Build an empty federation; jobs register through
+    /// [`ClusterBackend::note_job`] as they are admitted. Panics unless
+    /// the shard sizes sum to exactly `system_size` — federation
+    /// experiments compare against the single-cluster run at the *same*
+    /// total capacity.
+    pub fn new(cfg: &FederationConfig, system_size: u32) -> Self {
         assert!(
             !cfg.shards.is_empty(),
             "federation needs at least one shard"
@@ -249,25 +251,12 @@ impl Federation {
             system_size,
             "federation shards must sum to the trace's system size"
         );
-        let meta = jobs
-            .iter()
-            .map(|s| {
-                (
-                    s.id,
-                    JobMeta {
-                        kind: s.kind,
-                        size: s.size,
-                        site_hint: s.site_hint,
-                    },
-                )
-            })
-            .collect();
         Federation {
             shards: cfg.shards.iter().map(|s| Cluster::new(s.nodes)).collect(),
             names: cfg.shards.iter().map(|s| s.name.clone()).collect(),
             policy: Arc::clone(&cfg.policy),
             home: HashMap::new(),
-            meta,
+            meta: HashMap::new(),
             max_shard: cfg.shards.iter().map(|s| s.nodes).max().unwrap_or(0),
             configured_total: system_size,
         }
@@ -413,6 +402,16 @@ impl ClusterBackend for Federation {
             size: spec.size,
             site_hint: spec.site_hint,
         });
+    }
+
+    fn forget_job(&mut self, job: JobId) {
+        self.meta.remove(&job);
+        if let Some(s) = self.home.remove(&job) {
+            debug_assert!(
+                !self.shards[s].is_running(job) && self.shards[s].reserved_idle_count(job) == 0,
+                "forgetting job {job} while it still holds nodes on shard {s}"
+            );
+        }
     }
 
     fn free_count(&self) -> u32 {
@@ -865,8 +864,16 @@ mod tests {
         b.size(size).build()
     }
 
+    fn with_jobs(cfg: &FederationConfig, total: u32, jobs: &[JobSpec]) -> Federation {
+        let mut f = Federation::new(cfg, total);
+        for s in jobs {
+            f.note_job(s);
+        }
+        f
+    }
+
     fn fed(n: usize, total: u32, jobs: &[JobSpec]) -> Federation {
-        Federation::new(&FederationConfig::even_split(n, total), total, jobs)
+        with_jobs(&FederationConfig::even_split(n, total), total, jobs)
     }
 
     #[test]
@@ -961,10 +968,37 @@ mod tests {
     }
 
     #[test]
+    fn drained_run_leaves_no_per_job_state() {
+        // The driver's lifecycle for each job: note on admission, place
+        // (reservation, allocation, backfill), release, forget on
+        // retirement. Once every job has retired, routing state is empty:
+        // federated memory follows the active jobs, not the trace.
+        let mut m = spec(2, JobKind::Malleable, 6);
+        m.min_size = 2;
+        let jobs = [spec(1, JobKind::Rigid, 4), m, spec(9, JobKind::OnDemand, 5)];
+        let mut f = fed(2, 16, &jobs);
+        assert!(f.try_allocate_with_reserved(j(1), 4));
+        assert_eq!(ClusterBackend::reserve(&mut f, j(9), 5), 5);
+        f.try_allocate_backfill(j(2), 6, &mut |_| true)
+            .expect("fits");
+        assert_eq!(f.meta.len(), 3);
+        ClusterBackend::release(&mut f, j(2));
+        f.forget_job(j(2));
+        assert!(f.try_allocate_with_reserved(j(9), 5));
+        ClusterBackend::release(&mut f, j(9));
+        f.forget_job(j(9));
+        ClusterBackend::release(&mut f, j(1));
+        f.forget_job(j(1));
+        assert!(f.meta.is_empty(), "meta kept {} retired jobs", f.meta.len());
+        assert!(f.home.is_empty(), "home kept {} retired jobs", f.home.len());
+        assert!(f.check_invariants().is_ok());
+    }
+
+    #[test]
     fn least_loaded_spreads_jobs() {
         let jobs = [spec(1, JobKind::Rigid, 4), spec(2, JobKind::Rigid, 4)];
         let cfg = FederationConfig::even_split(2, 16).with_policy(LeastLoaded);
-        let mut f = Federation::new(&cfg, 16, &jobs);
+        let mut f = with_jobs(&cfg, 16, &jobs);
         assert!(f.try_allocate_with_reserved(j(1), 4));
         assert!(f.try_allocate_with_reserved(j(2), 4));
         assert_ne!(f.home_of(j(1)), f.home_of(j(2)));
@@ -979,7 +1013,7 @@ mod tests {
             spec(3, JobKind::Malleable, 2),
         ];
         let cfg = FederationConfig::even_split(3, 12).with_policy(ClassAffinity);
-        let mut f = Federation::new(&cfg, 12, &jobs);
+        let mut f = with_jobs(&cfg, 12, &jobs);
         assert!(f.try_allocate_with_reserved(j(1), 2));
         assert!(f.try_allocate_with_reserved(j(2), 2));
         assert!(f.try_allocate_with_reserved(j(3), 2));

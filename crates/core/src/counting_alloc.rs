@@ -9,11 +9,21 @@
 //! asserts that budget; a regression that sneaks a per-event allocation
 //! into the hot path (a rebuilt `Vec`, a per-pass `HashSet`) moves the
 //! measured ratio far more than the assertion's slack.
+//!
+//! Counts are per thread, so tests running in parallel (and the test
+//! harness itself) never leak into each other's budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: allocations during thread teardown must not panic.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// Forwards to the system allocator, counting `alloc`/`realloc` calls.
 /// Install with `#[global_allocator]` in a test binary.
@@ -23,7 +33,7 @@ pub struct CountingAlloc;
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,13 +42,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Heap allocations (plus reallocations) observed so far, process-wide.
-/// Meaningful only when [`CountingAlloc`] is the global allocator.
+/// Heap allocations (plus reallocations) made so far by the calling
+/// thread. Meaningful only when [`CountingAlloc`] is the global allocator.
 pub fn allocation_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }

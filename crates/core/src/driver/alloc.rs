@@ -300,17 +300,7 @@ impl<B: ClusterBackend> SimCore<B> {
         let shard = self.cluster.prepare_arrival(j);
 
         // Close the notice phase: stop collection/planning, stop squatting.
-        if let Some(ev) = self.timeout_ev.remove(&j) {
-            q.cancel(ev);
-        }
-        if let Some(evs) = self.cup_plans.remove(&j) {
-            for ev in evs {
-                q.cancel(ev);
-            }
-        }
-        self.remove_claim(j);
-        self.squattable.remove(&j);
-        self.noticed.remove(&j);
+        self.close_notice(j, q);
 
         // Evict squatters from this job's reserved nodes ("once the
         // on-demand job arrives, all these backfilled jobs have to be
@@ -469,7 +459,7 @@ mod tests {
     fn core_with_claims(system: u32, busy: u32, claims: &[(u64, u32, u8, u64)]) -> SimCore {
         let mut core = SimCore::new(SimConfig::with_mechanism(Mechanism::CUA_PAA), system);
         for &(id, target, _, _) in claims {
-            core.admit(
+            core.table.admit(
                 JobSpecBuilder::on_demand(id)
                     .size(target.min(system))
                     .work(SimDuration::from_secs(600))
@@ -478,7 +468,7 @@ mod tests {
             );
         }
         let filler_id = claims.iter().map(|c| c.0).max().unwrap_or(0) + 1;
-        core.admit(
+        core.table.admit(
             JobSpecBuilder::rigid(filler_id)
                 .size(system)
                 .work(SimDuration::from_secs(3_600))

@@ -242,18 +242,33 @@ impl<B: ClusterBackend> SimCore<B> {
         }
     }
 
-    /// Admit a job into the arena. The driver pump calls this exactly when
-    /// it injects the job's arrival events, so a job's state exists from
-    /// its first event (its notice, for noticed on-demand jobs) onwards.
-    pub fn admit(&mut self, spec: JobSpec) {
+    /// Whether arrival injection schedules advance-notice events: only
+    /// hybrid mechanisms whose hooks consume notices ever see them.
+    pub(super) fn schedules_notices(&self) -> bool {
+        self.hybrid() && self.hooks.uses_notices()
+    }
+
+    /// Admit a job and schedule its arrival events (notice, then submit)
+    /// on the arrival lane. The pump ([`super::pump`]) calls this in
+    /// `(submit, id)` order before the event horizon reaches the job, so
+    /// its state exists from its first event onwards and the backend
+    /// knows it before any placement query.
+    pub(super) fn inject(&mut self, spec: JobSpec, q: &mut EventQueue<Ev>) {
+        let id = spec.id;
+        if let (Some(notice), true) = (&spec.notice, self.schedules_notices()) {
+            q.schedule_arrival(notice.notice_time, Ev::Notice(id));
+        }
+        q.schedule_arrival(spec.submit, Ev::Submit(id));
+        self.cluster.note_job(&spec);
         self.table.admit(spec);
     }
 
     /// Retire a terminal (finished/killed) job: fold its measurement
     /// record into the streaming metrics accumulator (a no-op for the
-    /// retained recorder) and free its arena slot. Late events referencing
-    /// the id — stale failure draws, CUP preemption plans — are dropped by
-    /// the liveness guards in [`super::events`].
+    /// retained recorder), drop the backend's routing state for it, and
+    /// free its arena slot. Late events referencing the id — stale failure
+    /// draws, CUP preemption plans — are dropped by the liveness guards in
+    /// [`super::events`].
     pub(super) fn retire(&mut self, j: JobId) {
         if let Some(o) = self.outage.as_mut() {
             // A job retired mid-recovery (cancelled, or swept as
@@ -261,7 +276,46 @@ impl<B: ClusterBackend> SimCore<B> {
             o.evicted_at.remove(&j);
         }
         self.rec.retire(j);
+        self.cluster.forget_job(j);
         self.table.retire(j);
+    }
+
+    /// Retire a job that never started (or lost its run) as killed.
+    pub(super) fn kill_unstarted(&mut self, j: JobId, now: SimTime) {
+        self.rec.job_killed(j, now);
+        self.log(now, j, TimelineEvent::Killed);
+        self.retire(j);
+    }
+
+    /// End `j`'s notice phase: cancel its reservation timeout and CUP
+    /// plans, drop its collector, and stop squatting on its reservation.
+    /// The reservation itself stays (an arriving job launches on it).
+    pub(super) fn close_notice(&mut self, j: JobId, q: &mut EventQueue<Ev>) {
+        if let Some(ev) = self.timeout_ev.remove(&j) {
+            q.cancel(ev);
+        }
+        if let Some(evs) = self.cup_plans.remove(&j) {
+            for ev in evs {
+                q.cancel(ev);
+            }
+        }
+        self.remove_claim(j);
+        self.squattable.remove(&j);
+        self.noticed.remove(&j);
+    }
+
+    /// Unwind everything a job that is not running holds: its wait-queue
+    /// entry, its notice phase, its reservation, and any lease naming it
+    /// as a lender (so a later settle never looks it up once retired).
+    pub(super) fn withdraw(&mut self, j: JobId, q: &mut EventQueue<Ev>) {
+        if self.st(j).status == Status::Waiting {
+            // Unindex before the od_front flip changes the key class.
+            self.dequeue_waiting(j);
+            self.od_front.remove(&j);
+        }
+        self.close_notice(j, q);
+        self.cluster.release_reservation(j);
+        self.leases.forget_lender(j);
     }
 
     /// Whether `j` is still resident (admitted and not yet retired).

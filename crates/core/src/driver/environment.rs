@@ -54,11 +54,11 @@ use std::sync::{Arc, RwLock};
 pub struct TunableHooks {
     label: String,
     inner: RwLock<Arc<dyn MechanismHooks>>,
-    /// Captured once at construction: the driver reads `uses_notices`
-    /// exactly once (to decide whether notice events are scheduled at
-    /// all), so a mid-run swap could never retroactively apply anyway —
-    /// freezing it keeps the wrapper's answer consistent with what the
-    /// run was started with.
+    /// Captured once at construction: the driver asks `uses_notices` as
+    /// it injects each job (whether to schedule its notice) and as each
+    /// notice lands, so freezing the answer keeps a mid-run swap from
+    /// treating jobs differently by injection time — every job sees what
+    /// the run was started with.
     uses_notices: bool,
     throttle: RwLock<Option<u32>>,
 }

@@ -102,11 +102,7 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
                     // validates size ≤ system size), real on federations
                     // whose largest shard is smaller than the machine.
                     // Terminal on arrival, so retire the slot right away.
-                    let st = self.st_mut(j);
-                    st.status = Status::Killed;
-                    self.rec.job_killed(j, now);
-                    self.log(now, j, TimelineEvent::Killed);
-                    self.retire(j);
+                    self.kill_unstarted(j, now);
                 } else if spec.kind == JobKind::OnDemand && self.hybrid() {
                     self.on_od_arrival(j, now, q);
                 } else {
@@ -116,8 +112,7 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
                 }
             }
             Ev::Notice(j) => {
-                if self.hybrid()
-                    && self.hooks.uses_notices()
+                if self.schedules_notices()
                     && self
                         .st_if_live(j)
                         .is_some_and(|st| st.status == Status::Announced)
@@ -133,16 +128,9 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
                     .st_if_live(j)
                     .is_some_and(|st| st.status == Status::Announced)
                 {
-                    self.timeout_ev.remove(&j);
-                    if let Some(evs) = self.cup_plans.remove(&j) {
-                        for ev in evs {
-                            q.cancel(ev);
-                        }
-                    }
-                    self.remove_claim(j);
-                    self.squattable.remove(&j);
-                    self.noticed.remove(&j);
-                    self.cluster.release_reservation(j);
+                    // The job stays announced: it may still arrive, just
+                    // without the reservation.
+                    self.withdraw(j, q);
                     self.offer_free_nodes(now);
                     self.request_pass(now, q);
                 }

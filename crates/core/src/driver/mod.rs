@@ -4,6 +4,9 @@
 //!
 //! ## Layer map (see DESIGN.md §1–§3 for the full architecture)
 //!
+//! * `pump` — the one arrival pump: injects jobs in `(submit, id)` order
+//!   as the event horizon reaches them, for batch replay (refilled from a
+//!   [`JobSource`]) and the live [`SchedulerService`] alike.
 //! * `events` — the [`Ev`] enum and the epoch-guarded dispatch loop.
 //! * `alloc` — claims, the `offer_free_nodes` node-routing discipline,
 //!   lease settling, and on-demand notice/arrival orchestration.
@@ -27,6 +30,7 @@ pub mod hooks;
 mod outage;
 mod pass;
 mod preempt;
+mod pump;
 mod service;
 mod snapshot;
 #[cfg(test)]
@@ -51,10 +55,10 @@ pub use service::{replay_submission_log, CancelOutcome, JobStatus, SchedulerServ
 
 use crate::config::{Mechanism, SimConfig};
 use crate::timeline::Timeline;
-use hws_cluster::{Cluster, ClusterBackend, Federation};
+use hws_cluster::{ClusterBackend, Federation};
 use hws_metrics::{ClassBreakdown, Metrics, OutageReport, Recorder, ShardStat};
-use hws_sim::{Engine, EngineStats};
-use hws_workload::{JobSource, MaterializedSource, Trace, TraceConfig};
+use hws_sim::{Engine, EngineStats, SimTime};
+use hws_workload::{JobSource, MaterializedSource, Trace};
 
 /// Result of one simulation run.
 #[derive(Debug, Clone)]
@@ -87,6 +91,28 @@ pub struct SimOutcome {
     pub admitted_jobs: u64,
 }
 
+/// Fold a drained engine into the run's [`SimOutcome`]: the one place
+/// batch replay and [`SchedulerService::into_outcome`] report through.
+fn finish<B: ClusterBackend>(engine: Engine<SimCore<B>>) -> SimOutcome {
+    let stats = engine.stats();
+    let core = engine.into_sim();
+    SimOutcome {
+        metrics: Metrics::compute(&core.rec, core.cfg.instant_threshold),
+        engine: stats,
+        mechanism: core.cfg.mechanism,
+        shards: core.shard_report(),
+        // O(1) guard: two-class runs never pay for the breakdown.
+        classes: core
+            .rec
+            .saw_capability()
+            .then(|| ClassBreakdown::compute(&core.rec)),
+        outages: core.outage_report(),
+        peak_resident_jobs: core.jobs().peak_live(),
+        admitted_jobs: core.jobs().admitted(),
+        timeline: core.cfg.record_timeline.then_some(core.timeline),
+    }
+}
+
 /// Public façade: configure once, replay traces.
 pub struct Simulator;
 
@@ -95,136 +121,68 @@ impl Simulator {
     /// single cluster, or — when `cfg.federation` is set — on a
     /// federation of shards at the same total capacity.
     pub fn run_trace(cfg: &SimConfig, trace: &Trace) -> SimOutcome {
-        match &cfg.federation {
-            None => Self::run_core(
-                SimCore::new(cfg.clone(), trace.system_size),
-                MaterializedSource::new(trace),
-            ),
-            Some(fed) => {
-                let backend = Federation::new(fed, trace.system_size, &trace.jobs);
-                Self::run_core(
-                    SimCore::with_backend(cfg.clone(), backend),
-                    MaterializedSource::new(trace),
-                )
-            }
-        }
+        Self::run(cfg, MaterializedSource::new(trace), false)
     }
 
-    /// Replay a streaming [`JobSource`] under `cfg`. This is the O(active
-    /// jobs) entry point: arrival events are pulled from the source as
-    /// virtual time advances, per-job records fold into the metrics
-    /// accumulators as jobs retire, and resident memory tracks the live
-    /// window of the workload rather than its length.
+    /// Replay a streaming [`JobSource`] under `cfg`, on a single cluster
+    /// or a federation. This is the O(active jobs) entry point: arrival
+    /// events are pulled from the source as virtual time advances,
+    /// per-job records fold into the metrics accumulators as jobs retire,
+    /// and resident memory tracks the live window of the workload rather
+    /// than its length.
     ///
     /// Produces **bitwise-identical** metrics to [`Simulator::run_trace`]
     /// over the materialized equivalent of the same source.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.federation` is set: federated dispatch plans
-    /// placement from the full job list up front, which contradicts
-    /// streaming. Use [`Simulator::run_trace`] for federations.
     pub fn run_source<S: JobSource>(cfg: &SimConfig, source: S) -> SimOutcome {
-        assert!(
-            cfg.federation.is_none(),
-            "streaming replay does not support federation (placement needs the full job list)"
-        );
-        let system_size = source.system_size();
-        let mut core = SimCore::with_backend(cfg.clone(), Cluster::new(system_size));
-        core.rec = Recorder::streaming(system_size, cfg.instant_threshold);
-        Self::run_core(core, source)
+        Self::run(cfg, source, true)
     }
 
-    /// The backend- and source-generic run loop behind
-    /// [`Simulator::run_trace`] and [`Simulator::run_source`].
-    ///
-    /// ## The arrival pump
-    ///
-    /// Jobs are injected in source order, but only as far ahead as the
-    /// event horizon requires: with `L = source.max_notice_lead()`, a job
-    /// is injected once `submit - L <=` the queue's head timestamp (or the
-    /// queue is empty). Any job still in the source therefore has every
-    /// one of its arrival events strictly after the current head, so the
-    /// arrival lane's monotonic watermark is never violated, and same-
-    /// instant arrival/dynamic ties resolve exactly as the old pre-seeded
-    /// loop did (arrival-lane sequence numbers sort below dynamic ones).
-    fn run_core<B: ClusterBackend, S: JobSource>(core: SimCore<B>, mut source: S) -> SimOutcome {
-        assert_eq!(
-            core.cluster.total_nodes(),
-            source.system_size(),
-            "backend capacity must match the source's system size"
-        );
-        let schedule_notices = !core.cfg.mechanism.is_baseline() && core.hooks.uses_notices();
-        let mechanism = core.cfg.mechanism;
-        let lead = source.max_notice_lead();
+    /// Build the backend `cfg` asks for and drive the source through the
+    /// arrival pump ([`pump`]) until the last event. `streaming` folds
+    /// records as jobs retire instead of retaining them.
+    fn run<S: JobSource>(cfg: &SimConfig, source: S, streaming: bool) -> SimOutcome {
+        let system_size = source.system_size();
+        match &cfg.federation {
+            None => Self::run_core(SimCore::new(cfg.clone(), system_size), source, streaming),
+            Some(fed) => Self::run_core(
+                SimCore::with_backend(cfg.clone(), Federation::new(fed, system_size)),
+                source,
+                streaming,
+            ),
+        }
+    }
+
+    fn run_core<B: ClusterBackend, S: JobSource>(
+        mut core: SimCore<B>,
+        source: S,
+        streaming: bool,
+    ) -> SimOutcome {
+        if streaming {
+            core.rec = Recorder::streaming(source.system_size(), core.cfg.instant_threshold);
+        }
         let mut engine = Engine::new(core);
         outage::seed_outages(&mut engine);
-        let mut next = source.next_job();
-        loop {
-            // Pump: admit + schedule arrivals due before (or at) the next
-            // event to dispatch.
-            while let Some(spec) = next.take() {
-                if let Some(head) = engine.queue.peek_time() {
-                    if spec.submit.saturating_sub(lead) > head {
-                        next = Some(spec);
-                        break;
-                    }
-                }
-                let id = spec.id;
-                if let (Some(notice), true) = (&spec.notice, schedule_notices) {
-                    engine
-                        .queue
-                        .schedule_arrival(notice.notice_time, Ev::Notice(id));
-                }
-                engine.queue.schedule_arrival(spec.submit, Ev::Submit(id));
-                engine.sim.admit(spec);
-                next = source.next_job();
-            }
-            if !engine.step() {
-                debug_assert!(next.is_none(), "source outlived the event queue");
-                break;
-            }
-        }
-        let stats = engine.stats();
-        let core = engine.into_sim();
-        let metrics = Metrics::compute(&core.rec, core.cfg.instant_threshold);
-        SimOutcome {
-            metrics,
-            engine: stats,
-            mechanism,
-            shards: core.shard_report(),
-            // O(1) guard: two-class runs never pay for the breakdown.
-            classes: core
-                .rec
-                .saw_capability()
-                .then(|| ClassBreakdown::compute(&core.rec)),
-            outages: core.outage_report(),
-            peak_resident_jobs: core.jobs().peak_live(),
-            admitted_jobs: core.jobs().admitted(),
-            timeline: core.cfg.record_timeline.then_some(core.timeline),
-        }
+        pump::pump(
+            &mut engine,
+            &mut pump::Arrivals::default(),
+            SimTime::MAX,
+            true,
+            pump::source_feed(source),
+        );
+        finish(engine)
     }
 
-    /// Generate one trace per seed and replay each under `cfg`, fanning the
-    /// runs across CPU cores with scoped threads. Returns one outcome per
-    /// seed, in seed order.
+    /// Generate one trace per seed with `make_trace(seed)` and replay each
+    /// under `cfg`, fanning the runs across CPU cores with scoped threads.
+    /// Returns one outcome per seed, in seed order.
     ///
     /// Every run is an independent simulation over its own trace, so the
     /// per-seed metrics are **bitwise identical** to sequential
     /// [`Simulator::run_trace`] calls (wall-clock decision latencies are the
     /// one legitimate exception; disable `measure_decisions` for strict
-    /// equality). The figure/table binaries in `hws-bench` route through
-    /// this entry point.
-    pub fn run_sweep(cfg: &SimConfig, trace_cfg: &TraceConfig, seeds: &[u64]) -> Vec<SimOutcome> {
-        Simulator::run_sweep_with(cfg, seeds, |seed| trace_cfg.generate(seed))
-    }
-
-    /// Like [`Simulator::run_sweep`], but over an arbitrary trace factory:
-    /// `make_trace(seed)` is called once per seed from the worker threads.
-    /// This is how trace sources other than the synthetic generator — SWF
-    /// replays, recorded CSV traces — fan across cores with the same
-    /// bitwise-deterministic per-seed guarantee (the factory must be a pure
-    /// function of the seed).
+    /// equality), provided the factory is a pure function of the seed —
+    /// the synthetic generator, SWF replays, recorded CSV traces. The
+    /// figure/table binaries in `hws-bench` route through this entry point.
     pub fn run_sweep_with<F>(cfg: &SimConfig, seeds: &[u64], make_trace: F) -> Vec<SimOutcome>
     where
         F: Fn(u64) -> Trace + Sync,

@@ -397,27 +397,9 @@ impl<B: ClusterBackend> SimCore<B> {
             return;
         }
         for j in doomed {
-            // Unindex under the exact current key — before the od_front
-            // flip below would change the job's key class.
-            self.dequeue_waiting(j);
-            self.od_front.remove(&j);
-            self.remove_claim(j);
-            self.squattable.remove(&j);
-            self.noticed.remove(&j);
-            if let Some(ev) = self.timeout_ev.remove(&j) {
-                q.cancel(ev);
-            }
-            if let Some(evs) = self.cup_plans.remove(&j) {
-                for ev in evs {
-                    q.cancel(ev);
-                }
-            }
-            self.cluster.release_reservation(j);
-            self.st_mut(j).status = Status::Killed;
-            self.rec.job_killed(j, now);
-            self.log(now, j, TimelineEvent::Killed);
+            self.withdraw(j, q);
             self.outage.as_mut().expect("outage run").infeasible_killed += 1;
-            self.retire(j);
+            self.kill_unstarted(j, now);
         }
         self.offer_free_nodes(now);
     }

@@ -15,12 +15,11 @@
 //! Replaying a [`SubmissionLog`] through the service (ops applied at
 //! their timestamps, events stepped in between) produces **bitwise
 //! identical** metrics to materializing the same log into a trace and
-//! batch-replaying it — for every mechanism. The pump below keeps the
-//! guarantee the same way the batch pump does: submissions are injected
-//! in ascending `(submit, id)` order, and always before the event
-//! horizon reaches a job's earliest event, so arrival-lane sequence
-//! numbers tie-break same-instant events exactly as a pre-seeded run
-//! would.
+//! batch-replaying it — for every mechanism. Both run the same arrival
+//! pump (`super::pump`): submissions are injected in ascending
+//! `(submit, id)` order, and always before the event horizon reaches a
+//! job's earliest event, so arrival-lane sequence numbers tie-break
+//! same-instant events exactly as a pre-seeded run would.
 //!
 //! [`submit`]: SchedulerService::submit
 //! [`query`]: SchedulerService::query
@@ -31,14 +30,12 @@
 //! [`what_if`]: SchedulerService::what_if
 
 use super::core::SimCore;
-use super::events::Ev;
+use super::pump::{pump, Arrivals};
 use super::snapshot::{restore_engine, snapshot_engine};
-use super::SimOutcome;
+use super::{finish, SimOutcome};
 use crate::config::{Mechanism, SimConfig};
 use crate::jobstate::Status;
-use crate::timeline::TimelineEvent;
 use hws_cluster::{Cluster, Federation, NodeId, SnapshotBackend};
-use hws_metrics::{ClassBreakdown, Metrics};
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{Engine, SimTime};
 use hws_workload::{earliest_event, JobId, JobSpec, LogEntry, SubmissionLog, SubmitOp};
@@ -151,19 +148,15 @@ impl std::error::Error for SubmitError {}
 /// ```
 pub struct SchedulerService<B: SnapshotBackend = Cluster> {
     engine: Engine<SimCore<B>>,
-    /// Submitted jobs the scheduler has not seen yet, in the arrival
-    /// order the batch pump would use. Every buffered job's earliest
-    /// event is `>=` the engine's delivery watermark (enforced at submit
-    /// and maintained by the pump), so injection never violates the
-    /// arrival lane's monotonicity.
-    buffer: BTreeMap<(SimTime, JobId), JobSpec>,
+    /// Submitted jobs the scheduler has not seen yet. Every buffered
+    /// job's earliest event is `>=` the engine's delivery watermark
+    /// (enforced at submit and maintained by the pump), so injection never
+    /// violates the arrival lane's monotonicity.
+    buffer: Arrivals,
     /// Jobs withdrawn via [`SchedulerService::cancel`].
     cancelled: BTreeSet<JobId>,
     /// Every id ever submitted (live, retired, or cancelled).
     seen: BTreeSet<JobId>,
-    /// Whether notice events are scheduled for buffered jobs (mirrors the
-    /// batch pump's criterion; recomputed per config on restore).
-    schedule_notices: bool,
     /// Backend reconstruction context, kept for [`SchedulerService::what_if`]
     /// forks and exposed restores.
     ctx: B::Ctx,
@@ -188,9 +181,8 @@ impl SchedulerService<Cluster> {
 
 impl SchedulerService<Federation> {
     /// Open a session on a federation of shards (`cfg.federation` must be
-    /// set). Jobs are registered with the placement policy incrementally
-    /// as they are injected, which places each job exactly as the batch
-    /// driver's up-front registration would.
+    /// set). Jobs are registered with the placement policy as they are
+    /// injected, exactly as in batch replay.
     ///
     /// # Panics
     ///
@@ -200,7 +192,7 @@ impl SchedulerService<Federation> {
             .federation
             .clone()
             .expect("SchedulerService::federated needs cfg.federation");
-        let backend = Federation::new(&fed, system_size, &[]);
+        let backend = Federation::new(&fed, system_size);
         let core = SimCore::with_backend(cfg, backend);
         Self::from_core(core, fed)
     }
@@ -211,15 +203,13 @@ where
     B::Ctx: Clone,
 {
     fn from_core(core: SimCore<B>, ctx: B::Ctx) -> Self {
-        let schedule_notices = !core.cfg.mechanism.is_baseline() && core.hooks.uses_notices();
         let mut engine = Engine::new(core);
         super::outage::seed_outages(&mut engine);
         SchedulerService {
             engine,
-            buffer: BTreeMap::new(),
+            buffer: Arrivals::default(),
             cancelled: BTreeSet::new(),
             seen: BTreeSet::new(),
-            schedule_notices,
             ctx,
         }
     }
@@ -291,7 +281,7 @@ where
             return Err(SubmitError::PastDue { earliest, now });
         }
         self.seen.insert(id);
-        self.buffer.insert((spec.submit, id), spec);
+        self.buffer.push(spec);
         Ok(id)
     }
 
@@ -307,7 +297,7 @@ where
                 Status::Killed => JobStatus::Killed,
             };
         }
-        if self.buffer.values().any(|s| s.id == id) {
+        if self.buffer.iter().any(|s| s.id == id) {
             return JobStatus::Pending;
         }
         if self.cancelled.contains(&id) {
@@ -333,60 +323,23 @@ where
         if self.cancelled.contains(&id) {
             return CancelOutcome::Unknown;
         }
-        if let Some(key) = self
-            .buffer
-            .iter()
-            .find(|(_, s)| s.id == id)
-            .map(|(&k, _)| k)
-        {
-            self.buffer.remove(&key);
+        if self.buffer.remove(id) {
             self.cancelled.insert(id);
             return CancelOutcome::Buffered;
         }
         let now = self.engine.now();
         let Engine { queue, sim, .. } = &mut self.engine;
         match sim.jobs().get_state(id).map(|st| st.status) {
-            Some(Status::Announced) => {
-                // Mirror the Ev::ReservationTimeout cleanup, then retire:
-                // the still-pending arrival-lane Submit (and Notice) for
-                // this job will be dropped by the dispatch liveness guard.
-                if let Some(ev) = sim.timeout_ev.remove(&id) {
-                    queue.cancel(ev);
+            Some(status @ (Status::Announced | Status::Waiting)) => {
+                sim.withdraw(id, queue);
+                if status == Status::Waiting {
+                    sim.kill_unstarted(id, now);
+                } else {
+                    // Never submitted, so no record: the still-pending
+                    // arrival-lane Submit (and Notice) die against the
+                    // dispatch liveness guard.
+                    sim.retire(id);
                 }
-                if let Some(evs) = sim.cup_plans.remove(&id) {
-                    for ev in evs {
-                        queue.cancel(ev);
-                    }
-                }
-                sim.remove_claim(id);
-                sim.squattable.remove(&id);
-                sim.noticed.remove(&id);
-                sim.cluster.release_reservation(id);
-                sim.retire(id);
-                sim.offer_free_nodes(now);
-                sim.request_pass(now, queue);
-                self.cancelled.insert(id);
-                CancelOutcome::Cancelled
-            }
-            Some(Status::Waiting) => {
-                // Unindex before the od_front flip changes the key class.
-                sim.dequeue_waiting(id);
-                sim.od_front.remove(&id);
-                if let Some(ev) = sim.timeout_ev.remove(&id) {
-                    queue.cancel(ev);
-                }
-                if let Some(evs) = sim.cup_plans.remove(&id) {
-                    for ev in evs {
-                        queue.cancel(ev);
-                    }
-                }
-                sim.remove_claim(id);
-                sim.squattable.remove(&id);
-                sim.noticed.remove(&id);
-                sim.cluster.release_reservation(id);
-                sim.rec.job_killed(id, now);
-                sim.log(now, id, TimelineEvent::Killed);
-                sim.retire(id);
                 sim.offer_free_nodes(now);
                 sim.request_pass(now, queue);
                 self.cancelled.insert(id);
@@ -411,7 +364,7 @@ where
     /// and injecting buffered submissions as the horizon reaches them.
     /// Idempotent: a repeated call with the same `t` delivers nothing.
     pub fn step_until(&mut self, t: SimTime) {
-        self.pump(t, true);
+        self.advance(t, true);
     }
 
     /// Advance virtual time, delivering every event with `time < t`
@@ -419,87 +372,26 @@ where
     /// timestamped `t` apply after all strictly earlier events and before
     /// any event at `t`, matching the submission-log ordering contract.
     pub fn step_before(&mut self, t: SimTime) {
-        self.pump(t, false);
+        self.advance(t, false);
     }
 
     /// Deliver all remaining events (and buffered submissions) and fold
     /// the run into the same [`SimOutcome`] the batch driver reports.
     pub fn into_outcome(mut self) -> SimOutcome {
-        self.pump(SimTime::MAX, true);
-        let stats = self.engine.stats();
-        let core = self.engine.into_sim();
-        let metrics = Metrics::compute(&core.rec, core.cfg.instant_threshold);
-        SimOutcome {
-            metrics,
-            engine: stats,
-            mechanism: core.cfg.mechanism,
-            shards: core.shard_report(),
-            classes: core
-                .rec
-                .saw_capability()
-                .then(|| ClassBreakdown::compute(&core.rec)),
-            outages: core.outage_report(),
-            peak_resident_jobs: core.jobs().peak_live(),
-            admitted_jobs: core.jobs().admitted(),
-            timeline: core.cfg.record_timeline.then_some(core.timeline),
-        }
+        self.advance(SimTime::MAX, true);
+        finish(self.engine)
     }
 
-    /// The service pump: alternate injection and delivery up to the
-    /// horizon. Before each delivered event, every buffered job whose
-    /// earliest event the horizon has reached is injected — as a key-
-    /// ordered prefix, because `earliest_event` is not monotone in
-    /// `(submit, id)` order and the arrival lane must see submissions in
-    /// key order to reproduce the batch pump's tie-breaking.
-    fn pump(&mut self, horizon: SimTime, inclusive: bool) {
-        let within = |t: SimTime| t < horizon || (inclusive && t == horizon);
-        loop {
-            let next = self.engine.queue.peek_time().filter(|&t| within(t));
-            match next {
-                // Injection ahead of an event delivery may use an
-                // inclusive threshold even on an exclusive horizon: the
-                // event itself is strictly inside the horizon.
-                Some(ht) => self.inject_up_to(ht, true),
-                None => self.inject_up_to(horizon, inclusive),
-            }
-            match self.engine.queue.peek_time() {
-                Some(ht) if within(ht) => {
-                    self.engine.step();
-                }
-                _ => return,
-            }
-        }
-    }
-
-    /// Inject the longest buffer prefix whose last entry has
-    /// `earliest_event <= threshold` (`<` when `inclusive` is false).
-    fn inject_up_to(&mut self, threshold: SimTime, inclusive: bool) {
-        let due = |spec: &JobSpec| {
-            let e = earliest_event(spec);
-            e < threshold || (inclusive && e == threshold)
-        };
-        let last_due = self
-            .buffer
-            .iter()
-            .rev()
-            .find(|(_, s)| due(s))
-            .map(|(&k, _)| k);
-        let Some(last) = last_due else { return };
-        let keys: Vec<(SimTime, JobId)> = self.buffer.range(..=last).map(|(&k, _)| k).collect();
-        for key in keys {
-            let spec = self.buffer.remove(&key).expect("key just listed");
-            let id = spec.id;
-            if let (Some(notice), true) = (&spec.notice, self.schedule_notices) {
-                self.engine
-                    .queue
-                    .schedule_arrival(notice.notice_time, Ev::Notice(id));
-            }
-            self.engine
-                .queue
-                .schedule_arrival(spec.submit, Ev::Submit(id));
-            self.engine.sim.cluster.note_job(&spec);
-            self.engine.sim.admit(spec);
-        }
+    /// Run the shared arrival pump up to the horizon; the service feeds
+    /// the buffer only through [`SchedulerService::submit`].
+    fn advance(&mut self, horizon: SimTime, inclusive: bool) {
+        pump(
+            &mut self.engine,
+            &mut self.buffer,
+            horizon,
+            inclusive,
+            |_, _| {},
+        );
     }
 
     /// Serialize the entire session — engine, simulation state, buffered
@@ -512,7 +404,7 @@ where
         w.put_u8(SERVICE_SNAP_VERSION);
         w.put_bytes(&engine_image);
         w.put_len(self.buffer.len());
-        for spec in self.buffer.values() {
+        for spec in self.buffer.iter() {
             spec.encode_snap(&mut w);
         }
         w.put_len(self.cancelled.len());
@@ -549,29 +441,25 @@ where
         let engine_image = r.get_bytes()?;
         let engine = restore_engine::<B>(engine_image, cfg, &ctx)?;
         let n_buf = r.get_len()?;
-        let mut buffer = BTreeMap::new();
+        let mut buffer = Arrivals::default();
         for _ in 0..n_buf {
             let spec = JobSpec::decode_snap(&mut r)?;
-            let key = (spec.submit, spec.id);
-            if buffer.insert(key, spec).is_some() {
-                return Err(r.err(format!("duplicate buffered job {}", key.1)));
+            let id = spec.id;
+            if !buffer.push(spec) {
+                return Err(r.err(format!("duplicate buffered job {id}")));
             }
         }
         let cancelled = get_id_set(&mut r)?;
         let seen = get_id_set(&mut r)?;
-        for key in buffer.keys() {
-            if !seen.contains(&key.1) {
-                return Err(r.err(format!("buffered job {} missing from id history", key.1)));
-            }
+        if let Some(spec) = buffer.iter().find(|s| !seen.contains(&s.id)) {
+            return Err(r.err(format!("buffered job {} missing from id history", spec.id)));
         }
         r.expect_end()?;
-        let schedule_notices = !cfg.mechanism.is_baseline() && engine.sim.hooks().uses_notices();
         Ok(SchedulerService {
             engine,
             buffer,
             cancelled,
             seen,
-            schedule_notices,
             ctx,
         })
     }
@@ -606,7 +494,7 @@ where
             let mut fork = SchedulerService::<B>::restore(&image, &cfg, self.ctx.clone())
                 .expect("a just-taken snapshot always restores");
             fork.submit(probe.clone())?;
-            fork.pump(SimTime::MAX, true);
+            fork.advance(SimTime::MAX, true);
             if let Some(start) = fork
                 .engine
                 .sim

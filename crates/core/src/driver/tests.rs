@@ -565,10 +565,7 @@ fn scratch_capacity_released_after_queue_spike() {
     cfg.measure_decisions = false;
     let mut engine = Engine::new(SimCore::new(cfg, tr.system_size));
     for spec in tr.jobs.iter().cloned() {
-        engine
-            .queue
-            .schedule_arrival(spec.submit, Ev::Submit(spec.id));
-        engine.sim.admit(spec);
+        engine.sim.inject(spec, &mut engine.queue);
     }
     while engine.step() {}
     let core = engine.into_sim();
@@ -586,4 +583,28 @@ fn scratch_capacity_released_after_queue_spike() {
         core.scratch.keys.capacity() > 0,
         "scratch was not recycled at all"
     );
+}
+
+#[test]
+fn federated_pump_run_forgets_retired_jobs() {
+    // Federations stream through the same pump as single clusters; once
+    // the run drains, no retired job keeps a home pin in the backend.
+    let tr = TraceConfig::tiny().generate(5);
+    let fed = hws_cluster::FederationConfig::even_split(2, tr.system_size);
+    let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA).federated(fed.clone());
+    cfg.paranoid_checks = true;
+    let core = SimCore::with_backend(cfg, Federation::new(&fed, tr.system_size));
+    let mut engine = Engine::new(core);
+    pump::pump(
+        &mut engine,
+        &mut pump::Arrivals::default(),
+        SimTime::MAX,
+        true,
+        pump::source_feed(MaterializedSource::new(&tr)),
+    );
+    assert_eq!(engine.sim.jobs().live(), 0);
+    assert_eq!(engine.sim.jobs().admitted(), tr.jobs.len() as u64);
+    for spec in &tr.jobs {
+        assert_eq!(engine.sim.backend().home_of(spec.id), None, "{}", spec.id);
+    }
 }

@@ -36,7 +36,7 @@ fn run_sweep_matches_sequential_bitwise() {
         let mut cfg = SimConfig::with_mechanism(mechanism);
         cfg.measure_decisions = false; // wall-clock latencies are not simulated state
         let seeds = [11u64, 12, 13, 14, 15];
-        let swept = Simulator::run_sweep(&cfg, &tcfg, &seeds);
+        let swept = Simulator::run_sweep_with(&cfg, &seeds, |s| tcfg.generate(s));
         assert_eq!(swept.len(), seeds.len());
         for (out, &seed) in swept.iter().zip(&seeds) {
             let sequential = Simulator::run_trace(&cfg, &tcfg.generate(seed));
@@ -48,7 +48,9 @@ fn run_sweep_matches_sequential_bitwise() {
 
 #[test]
 fn run_sweep_empty_seed_list() {
-    let out = Simulator::run_sweep(&SimConfig::baseline(), &TraceConfig::tiny(), &[]);
+    let out = Simulator::run_sweep_with(&SimConfig::baseline(), &[], |s| {
+        TraceConfig::tiny().generate(s)
+    });
     assert!(out.is_empty());
 }
 

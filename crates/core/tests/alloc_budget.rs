@@ -5,14 +5,16 @@
 //!
 //! The budgets carry slack — they are tripwires for structural regressions
 //! (a per-pass `HashSet`, a rebuilt key cache, a per-notice snapshot
-//! `Vec`), not exact counts.
+//! `Vec`, a per-injection buffer), not exact counts.
 #![cfg(feature = "count-allocs")]
 
 use hws_core::counting_alloc::{allocation_count, CountingAlloc};
-use hws_core::{Mechanism, SimConfig, Simulator};
+use hws_core::{replay_submission_log, Mechanism, SimConfig, SimOutcome, Simulator};
 use hws_sim::{EventQueue, SimDuration, SimTime};
 use hws_workload::job::JobSpecBuilder;
-use hws_workload::{JobId, TraceConfig};
+use hws_workload::{
+    to_swf, JobId, SubmissionLog, SwfExportConfig, SwfStreamSource, Trace, TraceConfig,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -72,28 +74,66 @@ fn job_table_steady_state_is_allocation_free() {
     assert_eq!(grew, 0, "warm admit/lookup/retire allocated {grew} times");
 }
 
-/// End-to-end tripwire: replaying a multi-thousand-job hybrid workload
-/// must stay under a small per-event allocation budget. The driver's
-/// steady-state event handling recycles its buffers; what remains is
-/// bookkeeping that scales with decisions (claims, leases, per-od plans),
-/// not with queue depth.
-#[test]
-fn per_event_allocation_budget_holds() {
-    let trace = TraceConfig::tiny().with_jobs(2_000).generate(11);
+/// The end-to-end workload: a multi-thousand-job hybrid trace under CUP&SPAA.
+fn budget_workload() -> (SimConfig, Trace) {
     let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
     cfg.measure_decisions = false;
-    // Warm-up run: fault in lazy statics, grow thread-local caches.
-    let _ = Simulator::run_trace(&cfg, &trace);
+    (cfg, TraceConfig::tiny().with_jobs(2_000).generate(11))
+}
+
+/// Allocations per delivered event of a warm run of `replay`: a first
+/// run faults in lazy statics and grows thread-local caches.
+fn allocations_per_event(label: &str, replay: impl Fn() -> SimOutcome) -> f64 {
+    let _ = replay();
     let before = allocation_count();
-    let outcome = Simulator::run_trace(&cfg, &trace);
+    let outcome = replay();
     let allocs = allocation_count() - before;
     let events = outcome.engine.delivered.max(1);
     let per_event = allocs as f64 / events as f64;
-    eprintln!("measured {per_event:.3} allocations/event ({allocs} over {events} events)");
-    // Measured ~0.63/event on the arena + recycled-scratch driver; the
-    // pre-arena driver (per-pass HashSet + key cache) sat well above 2.
+    eprintln!("{label}: measured {per_event:.3} allocations/event ({allocs} over {events} events)");
+    per_event
+}
+
+/// End-to-end tripwires: replaying the workload must stay under a small
+/// per-event allocation budget on each entry point of the shared arrival
+/// pump. The driver's steady-state event handling recycles its buffers;
+/// what remains is bookkeeping that scales with decisions (claims,
+/// leases, per-od plans), not with queue depth, plus per-job parsing on
+/// the streamed path and the id history on the service path.
+#[test]
+fn per_event_allocation_budget_holds() {
+    let (cfg, trace) = budget_workload();
+    let per_event = allocations_per_event("run_trace", || Simulator::run_trace(&cfg, &trace));
+    // The pre-arena driver (per-pass HashSet + key cache) sat well above 2.
     assert!(
         per_event < 2.0,
-        "hot path allocated {allocs} times over {events} events ({per_event:.2}/event)"
+        "run_trace: {per_event:.2} allocations/event"
+    );
+}
+
+#[test]
+fn streamed_replay_allocation_budget_holds() {
+    let (cfg, trace) = budget_workload();
+    let swf = to_swf(&trace, &SwfExportConfig::default());
+    let per_event = allocations_per_event("run_source", || {
+        let source = SwfStreamSource::from_reader(swf.as_bytes()).expect("own export streams");
+        Simulator::run_source(&cfg, source)
+    });
+    assert!(
+        per_event < 2.0,
+        "run_source: {per_event:.2} allocations/event"
+    );
+}
+
+#[test]
+fn service_replay_allocation_budget_holds() {
+    let (cfg, trace) = budget_workload();
+    let log = SubmissionLog::from_trace(&trace);
+    let per_event = allocations_per_event("replay_submission_log", || {
+        replay_submission_log(&cfg, &log).expect("log replays")
+    });
+    assert!(
+        per_event < 2.0,
+        "replay_submission_log: {per_event:.2} allocations/event"
     );
 }

@@ -313,6 +313,37 @@ fn in_flight_cancels_keep_invariants() {
     assert_eq!(outcome.admitted_jobs, 3);
 }
 
+/// Cancelling a waiting job that an on-demand arrival preempted: the job
+/// is a lender in the borrower's lease book, so the cancel must drop it
+/// there too — otherwise the borrower's completion settles its leases and
+/// looks up a job that no longer exists.
+#[test]
+fn cancelling_a_preempted_lender_keeps_the_run_alive() {
+    let mut svc = SchedulerService::new(cfg_for(Mechanism::N_PAA), 8);
+    let lender = JobSpecBuilder::rigid(1)
+        .submit_at(SimTime::ZERO)
+        .size(8)
+        .work(SimDuration::from_hours(1))
+        .estimate(SimDuration::from_hours(1))
+        .build();
+    let borrower = JobSpecBuilder::on_demand(2)
+        .submit_at(SimTime::from_secs(100))
+        .size(8)
+        .work(SimDuration::from_secs(600))
+        .estimate(SimDuration::from_secs(600))
+        .build();
+    svc.submit(lender.clone()).unwrap();
+    svc.submit(borrower.clone()).unwrap();
+    svc.step_until(SimTime::from_secs(200));
+    assert_eq!(svc.query(borrower.id), JobStatus::Running);
+    assert_eq!(svc.query(lender.id), JobStatus::Waiting, "PAA preempted it");
+
+    assert_eq!(svc.cancel(lender.id), CancelOutcome::Cancelled);
+    let outcome = svc.into_outcome();
+    assert_eq!(outcome.metrics.completed_jobs, 1);
+    assert_eq!(outcome.metrics.killed_jobs, 1);
+}
+
 /// The service clock mirrors `Engine::run_until`: inclusive horizon,
 /// idempotent repeats, exclusive stepping for op ordering.
 #[test]

@@ -7,7 +7,9 @@
 //! [`SwfStreamSource`], and replayed with [`Simulator::run_source`]; every
 //! metric and engine counter must equal the materialized
 //! [`Simulator::run_trace`] result exactly (float equality, not epsilon).
+//! A 2-shard federation streams under the same contract.
 
+use hws_cluster::FederationConfig;
 use hws_core::{Mechanism, SimConfig, Simulator};
 use hws_sim::SimDuration;
 use hws_workload::job::JobSpecBuilder;
@@ -29,22 +31,25 @@ fn stream_of(trace: &Trace) -> SwfStreamSource<std::io::BufReader<&[u8]>> {
     SwfStreamSource::from_reader(std::io::BufReader::new(leaked)).expect("own export streams")
 }
 
-fn assert_identical(trace: &Trace, mechanism: Mechanism) {
-    let cfg = cfg_for(mechanism);
-    let materialized = Simulator::run_trace(&cfg, trace);
-    let streamed = Simulator::run_source(&cfg, stream_of(trace));
+fn assert_identical(trace: &Trace, cfg: &SimConfig, label: &str) {
+    let materialized = Simulator::run_trace(cfg, trace);
+    let streamed = Simulator::run_source(cfg, stream_of(trace));
     assert_eq!(
         materialized.metrics, streamed.metrics,
-        "metrics diverge for {mechanism:?}"
+        "metrics diverge for {label}"
     );
     assert_eq!(
         materialized.engine, streamed.engine,
-        "engine counters diverge for {mechanism:?}"
+        "engine counters diverge for {label}"
     );
     assert_eq!(materialized.classes, streamed.classes);
     assert_eq!(
+        materialized.shards, streamed.shards,
+        "shards diverge for {label}"
+    );
+    assert_eq!(
         materialized.peak_resident_jobs, streamed.peak_resident_jobs,
-        "resident high-water marks diverge for {mechanism:?}"
+        "resident high-water marks diverge for {label}"
     );
     assert_eq!(streamed.admitted_jobs, trace.jobs.len() as u64);
 }
@@ -53,13 +58,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Export → stream → replay equals materialized replay, bitwise, for
-    /// every mechanism, across generated workloads.
+    /// every mechanism and a 2-shard federation, across generated
+    /// workloads.
     #[test]
     fn streaming_replay_is_bitwise_identical(seed in 0..1_000u64, jobs in 30..120u32) {
         let trace = TraceConfig::tiny().with_jobs(jobs).generate(seed);
         for mechanism in Mechanism::ALL_SIX {
-            assert_identical(&trace, mechanism);
+            assert_identical(&trace, &cfg_for(mechanism), mechanism.name());
         }
+        let fed = cfg_for(Mechanism::CUA_SPAA)
+            .federated(FederationConfig::even_split(2, trace.system_size));
+        assert_identical(&trace, &fed, "2-shard federation");
     }
 }
 
@@ -83,7 +92,7 @@ fn baseline_streams_identically() {
 fn capability_classes_stream_identically() {
     let trace = TraceConfig::tiny().with_capability_frac(0.2).generate(3);
     for mechanism in Mechanism::ALL_SIX {
-        assert_identical(&trace, mechanism);
+        assert_identical(&trace, &cfg_for(mechanism), mechanism.name());
     }
 }
 

@@ -15,7 +15,7 @@
 //!
 //! Both fan the independent simulation cells across CPU cores through
 //! [`hws_sim::par_map`] — the same slot pattern as
-//! `Simulator::run_sweep` — and fold results in candidate/seed index
+//! `Simulator::run_sweep_with` — and fold results in candidate/seed index
 //! order, so a parallel search is **bitwise identical** to a sequential
 //! one, and two runs of the same (space, seeds) produce byte-identical
 //! [`Leaderboard`] artifacts. Wall-clock decision latencies are forced

@@ -1,7 +1,7 @@
 //! Deterministic fan-out: run an index-addressed batch of independent
 //! tasks across CPU cores and return the results **in index order**.
 //!
-//! This is the slot pattern behind `Simulator::run_sweep*` and the
+//! This is the slot pattern behind `Simulator::run_sweep_with` and the
 //! `hws-search` tuners: a work-stealing counter hands indices to scoped
 //! worker threads, each result lands in its own pre-allocated slot, and
 //! the collected output is ordered by index — so the result vector is

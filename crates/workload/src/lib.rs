@@ -34,7 +34,7 @@ pub use job::{JobClass, JobKind, JobSpec, NoticeCategory, NoticeSpec};
 pub use knobs::{BackfillLevel, KnobVector, PlacementChoice, CKPT_MULT_MAX, CKPT_MULT_MIN};
 pub use outage::{MaintenanceWindow, OutageEvent, OutageKind, OutageSchedule};
 pub use source::{JobSource, MaterializedSource, SwfStreamSource};
-pub use sublog::{earliest_event, LiveSource, LogEntry, SubmissionLog, SubmitOp};
+pub use sublog::{earliest_event, LogEntry, SubmissionLog, SubmitOp};
 pub use swf::{
     import_swf, import_swf_reader, to_swf, to_swf_writer, SwfError, SwfExportConfig,
     SwfImportConfig,

@@ -24,12 +24,10 @@
 //! reaches the scheduler and provably perturbs nothing. A cancel at any
 //! later timestamp hits a job already in flight (announced, queued, or
 //! running); that is precisely the live-service feature, and it has no
-//! batch equivalent: [`LiveSource::new`] and
-//! [`SubmissionLog::materialize`] reject such logs rather than silently
-//! approximating them.
+//! batch equivalent: [`SubmissionLog::materialize`] rejects such logs
+//! rather than silently approximating them.
 
 use crate::job::{JobSpec, NoticeCategory, NoticeSpec};
-use crate::source::JobSource;
 use crate::trace::Trace;
 use crate::{JobClass, JobId, JobKind, ProjectId};
 use hws_sim::{SimDuration, SimTime};
@@ -163,17 +161,6 @@ impl SubmissionLog {
     /// scheduler state and has no trace equivalent; replay those logs
     /// through `SchedulerService` instead.
     pub fn materialize(&self) -> Result<Trace, String> {
-        Ok(Trace::new(
-            self.system_size,
-            self.horizon,
-            self.surviving_jobs()?,
-        ))
-    }
-
-    /// Jobs that actually reach the scheduler (submits minus buffered
-    /// cancels), in `(submit, id)` order. See [`SubmissionLog::materialize`]
-    /// for the error contract.
-    fn surviving_jobs(&self) -> Result<Vec<JobSpec>, String> {
         let mut jobs: HashMap<u64, JobSpec> = HashMap::new();
         for (i, e) in self.entries.iter().enumerate() {
             match &e.op {
@@ -191,7 +178,7 @@ impl SubmissionLog {
                     } else {
                         return Err(format!(
                             "op {i}: cancel of {id} at {} hits a job in flight (earliest \
-                             event {}); a JobSource cannot express in-flight cancellation \
+                             event {}); a trace cannot express in-flight cancellation \
                              — replay through SchedulerService",
                             e.at,
                             earliest_event(spec)
@@ -202,7 +189,7 @@ impl SubmissionLog {
         }
         let mut jobs: Vec<JobSpec> = jobs.into_values().collect();
         jobs.sort_by_key(|j| (j.submit, j.id.0));
-        Ok(jobs)
+        Ok(Trace::new(self.system_size, self.horizon, jobs))
     }
 
     pub fn system_size(&self) -> u32 {
@@ -416,50 +403,6 @@ impl SubmissionLog {
     }
 }
 
-/// [`JobSource`] view of a [`SubmissionLog`]: yields the log's surviving
-/// jobs (submits minus buffered cancels) in `(submit, id)` order, so any
-/// batch driver can replay a service workload. Construction fails for
-/// in-flight cancels a source cannot express — see the module docs.
-pub struct LiveSource {
-    system_size: u32,
-    lead: SimDuration,
-    jobs: std::vec::IntoIter<JobSpec>,
-}
-
-impl LiveSource {
-    /// # Errors
-    ///
-    /// An in-flight (non-buffered) cancel, which has no source-level
-    /// equivalent.
-    pub fn new(log: &SubmissionLog) -> Result<Self, String> {
-        let jobs = log.surviving_jobs()?;
-        let lead = jobs
-            .iter()
-            .filter_map(|j| j.notice.map(|n| j.submit.since(n.notice_time)))
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        Ok(LiveSource {
-            system_size: log.system_size,
-            lead,
-            jobs: jobs.into_iter(),
-        })
-    }
-}
-
-impl JobSource for LiveSource {
-    fn system_size(&self) -> u32 {
-        self.system_size
-    }
-
-    fn max_notice_lead(&self) -> SimDuration {
-        self.lead
-    }
-
-    fn next_job(&mut self) -> Option<JobSpec> {
-        self.jobs.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,17 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn live_source_matches_materialized_trace() {
-        let tr = TraceConfig::tiny().generate(3);
-        let log = SubmissionLog::from_trace(&tr);
-        let mut src = LiveSource::new(&log).expect("pure submits");
-        assert_eq!(src.system_size(), tr.system_size);
-        assert_eq!(src.max_notice_lead(), tr.max_notice_lead());
-        let jobs: Vec<_> = std::iter::from_fn(|| src.next_job()).collect();
-        assert_eq!(jobs, tr.jobs);
-    }
-
-    #[test]
     fn buffered_cancel_drops_the_job() {
         // A cancel at the same instant as its submit op withdraws the job
         // before the scheduler ever sees it.
@@ -630,10 +562,7 @@ mod tests {
         )
         .expect("valid");
         let tr = log.materialize().expect("buffered cancel materializes");
-        assert_eq!(tr.jobs, vec![keeper.clone()]);
-        let mut src = LiveSource::new(&log).expect("buffered cancel streams");
-        assert_eq!(src.next_job(), Some(keeper));
-        assert_eq!(src.next_job(), None);
+        assert_eq!(tr.jobs, vec![keeper]);
     }
 
     #[test]
@@ -656,7 +585,6 @@ mod tests {
         .expect("valid log — the service can replay it");
         let err = log.materialize().unwrap_err();
         assert!(err.contains("in flight"), "{err}");
-        assert!(LiveSource::new(&log).is_err());
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //!
 //! Every table and figure of the paper regenerates from `hws-bench`
 //! binaries (`cargo run -p hws-bench --bin fig6 --release`), which fan
-//! seeds across cores via [`hws_core::Simulator::run_sweep`]; DESIGN.md §7
+//! seeds across cores via [`hws_core::Simulator::run_sweep_with`]; DESIGN.md §7
 //! describes the sweep/bench plumbing and the recorded latency baseline
 //! (`BENCH_decision_latency.json`).
 
@@ -90,8 +90,8 @@ pub mod prelude {
     pub use hws_sim::{SimDuration, SimTime};
     pub use hws_workload::{
         job::JobSpecBuilder, BackfillLevel, JobClass, JobId, JobKind, JobSpec, KnobVector,
-        LiveSource, LogEntry, NoticeCategory, NoticeMix, PlacementChoice, SubmissionLog, SubmitOp,
-        Trace, TraceConfig,
+        LogEntry, NoticeCategory, NoticeMix, PlacementChoice, SubmissionLog, SubmitOp, Trace,
+        TraceConfig,
     };
 }
 

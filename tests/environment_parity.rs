@@ -59,11 +59,13 @@ fn assert_outcome_eq(env: &SimOutcome, batch: &SimOutcome, what: &str) {
         env.admitted_jobs, batch.admitted_jobs,
         "{what}: admitted job count diverged"
     );
-    // `peak_resident_jobs` is deliberately not compared: arena residency
-    // is a property of the submission pump (the service pre-buffers the
-    // whole trace; the batch pump injects lazily), not of the schedule —
-    // the same exclusion the service parity contract makes
-    // (`crates/core/tests/service_live.rs`).
+    // `peak_resident_jobs` is deliberately not compared. Both runs share
+    // one arrival pump, but whenever the event queue runs dry the pump
+    // injects every buffered job due by its horizon: the next decision
+    // point for an episode, the whole lookahead buffer for batch replay.
+    // Arena residency therefore depends on how the run is stepped, not
+    // on the schedule — the same exclusion the service parity contract
+    // makes (`crates/core/tests/service_live.rs`).
 }
 
 #[test]
