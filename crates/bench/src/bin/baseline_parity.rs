@@ -1,98 +1,38 @@
-//! **Baseline parity gate** — diffs freshly regenerated `BENCH_*.json`
+//! **Baseline parity gate** — checks freshly regenerated `BENCH_*.json`
 //! files against the committed baselines at the workspace root, failing
 //! loudly (with the regeneration recipe) on any drift.
 //!
-//! The CI `baseline-parity` job re-runs `swf_replay`, `throughput`,
-//! `federated`, `capability`, `service_replay`, `outage_replay`, and
-//! `policy_search` at quick scale with the baseline seed count, pointing their
-//! `HWS_*_JSON` overrides at a scratch directory, then invokes this binary
-//! with that directory:
+//! The gate loops over the registry in `hws_bench::baseline` and applies
+//! one comparator to every file: rows match by their declared key, every
+//! column not declared wall-clock must keep its committed text, and every
+//! committed row must be regenerated (the archive baseline's million-job
+//! `full` rows are declared exempt: CI records only the quick profile).
+//! `BENCH_decision_latency.json` is criterion output and is not gated.
+//!
+//! The CI `baseline-parity` job regenerates every registry binary at
+//! quick scale into one directory, then invokes this binary with it:
 //!
 //! ```text
-//! HWS_SCALE=quick HWS_SEEDS=10 HWS_SWF_REPLAY_JSON=regen/BENCH_swf_replay.json \
+//! HWS_SCALE=quick HWS_SEEDS=10 HWS_BASELINE_DIR=regen \
 //!     cargo run --release -p hws-bench --bin swf_replay
-//! # ... same for throughput and federated ...
+//! # ... same for every other registry binary ...
 //! cargo run --release -p hws-bench --bin baseline_parity -- regen
 //! ```
 //!
-//! Comparison rules per file:
-//!
-//! * `BENCH_swf_replay.json`, `BENCH_federated.json`,
-//!   `BENCH_capability.json`, `BENCH_outages.json`,
-//!   `BENCH_policy_search.json` — byte-for-byte: every recorded field is
-//!   a deterministic simulation output (outage injection rides the event
-//!   queue, and the policy-search leaderboard folds seeded rewards in
-//!   index order, so ranks and fingerprints are as reproducible as
-//!   turnaround times).
-//! * `BENCH_simulator_throughput.json` — field-wise on the deterministic
-//!   columns (`source`, `mechanism`, `jobs`, `seeds`,
-//!   `metrics_fingerprint`, `avg_turnaround_h`, `utilization`); the
-//!   wall-clock columns legitimately vary between machines.
-//! * `BENCH_service.json` — field-wise on the deterministic columns
-//!   (`mechanism`, `source`, `jobs`, `seeds`, `metrics_fingerprint`);
-//!   the submit/query/what-if latency percentiles are wall-clock and
-//!   exempt.
-//! * `BENCH_archive_replay.json` — field-wise on the deterministic
-//!   columns (`jobs`, `seeds`, `events`, `metrics_fingerprint`,
-//!   `peak_resident_jobs`), row-matched by `(profile, mechanism)`.
-//!   Committed rows with no regenerated counterpart are skipped with a
-//!   note: CI regenerates only the quick profile (`HWS_SCALE=quick`), so
-//!   the million-job `full` rows are exercised only when the baseline is
-//!   re-recorded. A missing regen file skips the whole comparison the
-//!   same way, keeping the binary usable on partial regen directories.
-//!
-//! `BENCH_decision_latency.json` is pure wall-clock and is *not* gated.
-//!
 //! ## `--perf` mode
 //!
-//! With `--perf`, the deterministic comparisons above are replaced by a
-//! soft throughput gate: every regenerated `events_per_sec` must stay at
-//! or above [`PERF_FLOOR`] × the committed value, for the throughput rows
-//! (matched by `(source, mechanism)`) and the archive rows (matched by
-//! `(profile, mechanism)`). Wall-clock numbers vary between machines, so
-//! the floor is deliberately loose — it exists to catch the pathological
-//! regression (an accidental O(Q log Q) reintroduction), not a noisy few
-//! percent. Missing regen files are skipped with a note so the gate is
-//! usable on partial regen directories. The CI `perf-regression` job runs
-//! this mode on every PR.
+//! With `--perf`, only baselines with an `events_per_sec` column are
+//! checked, with the same row matching, and the column comparison becomes
+//! a soft floor: every regenerated `events_per_sec` must stay at or above
+//! `PERF_FLOOR` × the committed value. Wall-clock numbers vary between
+//! machines, so the floor is deliberately loose — it exists to catch the
+//! pathological regression (an accidental O(Q log Q) reintroduction), not
+//! a noisy few percent. The CI `perf-regression` job runs this mode.
 
+use hws_bench::baseline::{Verdict, BASELINES, PERF_COLUMN, PERF_FLOOR};
+use hws_bench::workspace_root;
 use std::path::{Path, PathBuf};
 use std::process::exit;
-
-/// `--perf` mode floor: regenerated `events_per_sec` must be at least this
-/// fraction of the committed baseline (i.e. fail on a >25% drop).
-const PERF_FLOOR: f64 = 0.75;
-
-/// Deterministic columns of the throughput baseline.
-const THROUGHPUT_KEYS: [&str; 7] = [
-    "source",
-    "mechanism",
-    "jobs",
-    "seeds",
-    "metrics_fingerprint",
-    "avg_turnaround_h",
-    "utilization",
-];
-
-/// Deterministic columns of the archive-replay baseline (the remaining
-/// columns — throughput and RSS — are wall-clock).
-const ARCHIVE_KEYS: [&str; 5] = [
-    "jobs",
-    "seeds",
-    "events",
-    "metrics_fingerprint",
-    "peak_resident_jobs",
-];
-
-/// Deterministic columns of the live-service baseline (the latency
-/// percentiles are wall-clock).
-const SERVICE_KEYS: [&str; 5] = [
-    "mechanism",
-    "source",
-    "jobs",
-    "seeds",
-    "metrics_fingerprint",
-];
 
 fn main() {
     let mut perf = false;
@@ -106,311 +46,72 @@ fn main() {
     }
     let regen_dir = dir.unwrap_or_else(|| PathBuf::from("regen"));
     let root = workspace_root();
-    if perf {
-        perf_gate(&root, &regen_dir);
-        return;
-    }
-    let mut failures = Vec::new();
+    let mode = if perf {
+        "baseline-parity --perf"
+    } else {
+        "baseline-parity"
+    };
 
-    for file in [
-        "BENCH_swf_replay.json",
-        "BENCH_federated.json",
-        "BENCH_capability.json",
-        "BENCH_outages.json",
-        "BENCH_policy_search.json",
-    ] {
-        if let Err(e) = compare_bytes(&root.join(file), &regen_dir.join(file)) {
-            failures.push((file, e));
+    let mut failed = Vec::new();
+    for b in BASELINES
+        .iter()
+        .filter(|b| !perf || b.columns().contains(&PERF_COLUMN))
+    {
+        let verdict = match (read(&root.join(b.file)), read(&regen_dir.join(b.file))) {
+            (Ok(committed), Ok(regenerated)) => b.check(&committed, &regenerated, perf),
+            (Err(e), _) | (_, Err(e)) => Verdict {
+                failures: vec![e],
+                notes: Vec::new(),
+            },
+        };
+        for note in &verdict.notes {
+            println!("{mode}: note: {note}");
+        }
+        for why in &verdict.failures {
+            eprintln!("{mode} FAILED: {why}\n");
+        }
+        if !verdict.failures.is_empty() {
+            failed.push(b);
         }
     }
-    if let Err(e) = compare_fields(
-        &root.join("BENCH_simulator_throughput.json"),
-        &regen_dir.join("BENCH_simulator_throughput.json"),
-        &THROUGHPUT_KEYS,
-    ) {
-        failures.push(("BENCH_simulator_throughput.json", e));
-    }
-    if let Err(e) = compare_fields(
-        &root.join("BENCH_service.json"),
-        &regen_dir.join("BENCH_service.json"),
-        &SERVICE_KEYS,
-    ) {
-        failures.push(("BENCH_service.json", e));
-    }
-    if let Err(e) = compare_archive(
-        &root.join("BENCH_archive_replay.json"),
-        &regen_dir.join("BENCH_archive_replay.json"),
-    ) {
-        failures.push(("BENCH_archive_replay.json", e));
-    }
 
-    if failures.is_empty() {
-        println!("baseline-parity: all committed BENCH_*.json baselines reproduced");
+    if failed.is_empty() {
+        if perf {
+            println!(
+                "{mode}: regenerated {PERF_COLUMN} within {:.0}% of every committed row",
+                (1.0 - PERF_FLOOR) * 100.0
+            );
+        } else {
+            println!("{mode}: all committed BENCH_*.json baselines reproduced");
+        }
         return;
     }
-    for (file, why) in &failures {
-        eprintln!("baseline-parity FAILED for {file}:\n{why}\n");
-    }
-    eprintln!(
+    let recipes: Vec<String> = failed.iter().map(|b| format!("\t{}", b.recipe())).collect();
+    let cause = if perf {
+        format!(
+            "Regenerated {PERF_COLUMN} fell more than {:.0}% below the committed baseline.\n\
+             If the slowdown is *intended* (a deliberate trade for correctness or a feature)",
+            (1.0 - PERF_FLOOR) * 100.0
+        )
+    } else {
         "The committed baselines no longer match what the simulator produces.\n\
-         If the drift is *intended* (a deliberate behavioral change), regenerate and commit:\n\
+         If the drift is *intended* (a deliberate behavioral change)"
+            .to_string()
+    };
+    eprintln!(
+        "{cause}, re-record the affected baselines and commit them:\n\
          \n\
-         \tHWS_SCALE=quick HWS_SEEDS=10 cargo run --release -p hws-bench --bin swf_replay\n\
-         \tHWS_SCALE=quick HWS_SEEDS=10 cargo run --release -p hws-bench --bin throughput\n\
-         \tHWS_SCALE=quick HWS_SEEDS=10 cargo run --release -p hws-bench --bin federated\n\
-         \tHWS_SCALE=quick HWS_SEEDS=10 cargo run --release -p hws-bench --bin capability\n\
-         \tHWS_SCALE=quick HWS_SEEDS=10 cargo run --release -p hws-bench --bin service_replay\n\
-         \tHWS_SCALE=quick HWS_SEEDS=10 cargo run --release -p hws-bench --bin outage_replay\n\
-         \tHWS_SCALE=quick HWS_SEEDS=10 cargo run --release -p hws-bench --bin policy_search\n\
-         \tHWS_SCALE=full HWS_SEEDS=2 cargo run --release -p hws-bench --bin archive_replay\n\
+         {}\n\
          \n\
          (each binary rewrites its BENCH_*.json at the workspace root), and explain the\n\
-         metric movement in the PR description. If the drift is *unintended*, the change\n\
-         broke determinism or scheduling behavior — fix it instead."
+         movement in the PR description. If it is *unintended*, fix the change instead:\n\
+         a drift means it broke determinism or scheduling behavior; a slowdown is usually\n\
+         per-event work that used to be per-pass (DESIGN.md §15).",
+        recipes.join("\n")
     );
     exit(1);
-}
-
-/// Workspace root, next to the committed baselines.
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// `--perf` mode (see the module docs): soft `events_per_sec` floor on the
-/// throughput and archive-replay baselines.
-fn perf_gate(root: &Path, regen_dir: &Path) {
-    let mut failures = Vec::new();
-    for (file, row_key) in [
-        (
-            "BENCH_simulator_throughput.json",
-            &["source", "mechanism"] as &[&str],
-        ),
-        ("BENCH_archive_replay.json", &["profile", "mechanism"]),
-    ] {
-        if let Err(e) = compare_perf(&root.join(file), &regen_dir.join(file), row_key) {
-            failures.push((file, e));
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "baseline-parity --perf: regenerated events_per_sec within {:.0}% of every \
-             committed baseline row",
-            (1.0 - PERF_FLOOR) * 100.0
-        );
-        return;
-    }
-    for (file, why) in &failures {
-        eprintln!("baseline-parity --perf FAILED for {file}:\n{why}\n");
-    }
-    eprintln!(
-        "Regenerated events_per_sec fell more than {:.0}% below the committed baseline.\n\
-         If the slowdown is *intended* (a deliberate trade for correctness or a feature),\n\
-         re-record the affected baselines and commit them:\n\
-         \n\
-         \tHWS_SCALE=quick HWS_SEEDS=10 cargo run --release -p hws-bench --bin throughput\n\
-         \tHWS_SCALE=full HWS_SEEDS=2 cargo run --release -p hws-bench --bin archive_replay\n\
-         \n\
-         and explain the movement in the PR description. If it is *unintended*, profile the\n\
-         change — the usual culprit is per-event work that used to be per-pass (see\n\
-         DESIGN.md §15 for the queue-maintenance asymptotics this gate protects).",
-        (1.0 - PERF_FLOOR) * 100.0
-    );
-    exit(1);
-}
-
-/// Soft throughput comparison for one baseline file: every regenerated row
-/// (matched to its committed counterpart by `row_key`) must keep
-/// `events_per_sec >= PERF_FLOOR ×` the committed value. Regen may be
-/// partial: committed-only rows and a missing regen file are skipped with
-/// a note.
-fn compare_perf(committed: &Path, regenerated: &Path, row_key: &[&str]) -> Result<(), String> {
-    let committed_json = read(committed)?;
-    let regenerated_json = match read(regenerated) {
-        Ok(json) => json,
-        Err(_) => {
-            println!(
-                "baseline-parity --perf: note: {} not regenerated; skipped",
-                regenerated.display()
-            );
-            return Ok(());
-        }
-    };
-    let key_of = |row: &&str| -> Vec<String> {
-        row_key
-            .iter()
-            .map(|k| field(row, k).unwrap_or("<missing>").to_string())
-            .collect()
-    };
-    let committed_rows = rows(&committed_json);
-    let mut checked = 0usize;
-    for rb in rows(&regenerated_json) {
-        let key = key_of(&rb);
-        let Some(ra) = committed_rows.iter().find(|ra| key_of(ra) == key) else {
-            return Err(format!(
-                "regenerated row {key:?} has no committed counterpart"
-            ));
-        };
-        let parse = |row: &str, which: &str| -> Result<f64, String> {
-            field(row, "events_per_sec")
-                .and_then(|v| v.parse::<f64>().ok())
-                .ok_or_else(|| format!("row {key:?}: {which} events_per_sec missing"))
-        };
-        let va = parse(ra, "committed")?;
-        let vb = parse(rb, "regenerated")?;
-        if vb < va * PERF_FLOOR {
-            return Err(format!(
-                "row {key:?}: events_per_sec regressed beyond the {:.0}% floor\n  \
-                 committed:   {va:.0}\n  regenerated: {vb:.0}  ({:.1}% of committed)",
-                (1.0 - PERF_FLOOR) * 100.0,
-                vb / va * 100.0
-            ));
-        }
-        checked += 1;
-    }
-    let unchecked = committed_rows.len().saturating_sub(checked);
-    if unchecked > 0 {
-        println!(
-            "baseline-parity --perf: note: {unchecked} committed rows of {} not \
-             regenerated; checked the other {checked}",
-            committed.file_name().unwrap_or_default().to_string_lossy()
-        );
-    }
-    Ok(())
 }
 
 fn read(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-}
-
-fn compare_bytes(committed: &Path, regenerated: &Path) -> Result<(), String> {
-    let a = read(committed)?;
-    let b = read(regenerated)?;
-    if a == b {
-        return Ok(());
-    }
-    // Point at the first differing row to make the failure actionable.
-    for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-        if la != lb {
-            return Err(format!(
-                "first drift at line {}:\n  committed:   {la}\n  regenerated: {lb}",
-                i + 1
-            ));
-        }
-    }
-    Err(format!(
-        "row count drifted: committed {} lines, regenerated {} lines",
-        a.lines().count(),
-        b.lines().count()
-    ))
-}
-
-/// Field-wise parity on the deterministic columns of a baseline whose
-/// remaining columns are wall-clock (throughput, service latency).
-fn compare_fields(committed: &Path, regenerated: &Path, keys: &[&str]) -> Result<(), String> {
-    let committed_json = read(committed)?;
-    let regenerated_json = read(regenerated)?;
-    let a = rows(&committed_json);
-    let b = rows(&regenerated_json);
-    if a.len() != b.len() {
-        return Err(format!(
-            "row count drifted: committed {}, regenerated {}",
-            a.len(),
-            b.len()
-        ));
-    }
-    for (i, (ra, rb)) in a.iter().zip(&b).enumerate() {
-        for &key in keys {
-            let va = field(ra, key);
-            let vb = field(rb, key);
-            if va != vb {
-                return Err(format!(
-                    "row {i}: {key} drifted\n  committed:   {}\n  regenerated: {}",
-                    va.unwrap_or("<missing>"),
-                    vb.unwrap_or("<missing>")
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Archive-replay parity: deterministic fields, row-matched by
-/// `(profile, mechanism)`. Regeneration is allowed to be partial (see the
-/// module docs): committed-only rows and a missing regen file are skipped
-/// with a note, but a regenerated row must have a committed counterpart
-/// and match it on every deterministic column.
-fn compare_archive(committed: &Path, regenerated: &Path) -> Result<(), String> {
-    let committed_json = read(committed)?;
-    let regenerated_json = match read(regenerated) {
-        Ok(json) => json,
-        Err(_) => {
-            println!(
-                "baseline-parity: note: {} not regenerated; skipping archive comparison",
-                regenerated.display()
-            );
-            return Ok(());
-        }
-    };
-    let key_of = |row: &&str| -> (String, String) {
-        (
-            field(row, "profile").unwrap_or("<missing>").to_string(),
-            field(row, "mechanism").unwrap_or("<missing>").to_string(),
-        )
-    };
-    let committed_rows = rows(&committed_json);
-    for rb in rows(&regenerated_json) {
-        let key = key_of(&rb);
-        let Some(ra) = committed_rows.iter().find(|ra| key_of(ra) == key) else {
-            return Err(format!(
-                "regenerated row {key:?} has no committed counterpart"
-            ));
-        };
-        for col in ARCHIVE_KEYS {
-            let va = field(ra, col);
-            let vb = field(rb, col);
-            if va != vb {
-                return Err(format!(
-                    "row {key:?}: {col} drifted\n  committed:   {}\n  regenerated: {}",
-                    va.unwrap_or("<missing>"),
-                    vb.unwrap_or("<missing>")
-                ));
-            }
-        }
-    }
-    let unchecked = committed_rows
-        .iter()
-        .filter(|ra| {
-            let key = key_of(ra);
-            !rows(&regenerated_json).iter().any(|rb| key_of(rb) == key)
-        })
-        .count();
-    if unchecked > 0 {
-        println!(
-            "baseline-parity: note: {unchecked} committed archive rows (full profile) \
-             not regenerated; checked the rest"
-        );
-    }
-    Ok(())
-}
-
-/// The one-object-per-line rows our own JSON writers emit.
-fn rows(json: &str) -> Vec<&str> {
-    json.lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with('{'))
-        .collect()
-}
-
-/// Extract `"key": value` from a single-line JSON object (our writers emit
-/// flat rows; no nesting, no escaped quotes in values).
-fn field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = row.find(&pat)? + pat.len();
-    let rest = &row[start..];
-    let end = if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.find('"')? + 2
-    } else {
-        rest.find([',', '}'])?
-    };
-    Some(&rest[..end])
 }

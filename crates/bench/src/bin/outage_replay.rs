@@ -10,12 +10,11 @@
 //! binary asserts none is lost: completed + estimate-kills must equal the
 //! trace, and the infeasibility sweep must kill nothing.
 //!
-//! Writes `BENCH_outages.json` at the workspace root (override with
-//! `HWS_OUTAGE_REPLAY_JSON=path`). Every recorded column is a
-//! deterministic simulation output — lost node-hours, interruption and
-//! recovery counts, recovery latency — so `baseline_parity` gates the
-//! file byte-for-byte. `HWS_OUTAGE_PARANOID=1` additionally runs the
-//! O(n)-scan cluster cross-validation plus the outage-specific
+//! Writes `BENCH_outages.json` (see `hws_bench::baseline`). Every
+//! recorded column is a deterministic simulation output — lost
+//! node-hours, interruption and recovery counts, recovery latency — so
+//! `baseline_parity` gates all of them. `HWS_PARANOID=1` additionally runs
+//! the O(n)-scan cluster cross-validation plus the outage-specific
 //! live-capacity invariants on every event (the CI smoke does).
 //!
 //! ```text
@@ -23,17 +22,18 @@
 //! HWS_SWF=theta.swf HWS_SWF_PPN=64 cargo run --release -p hws-bench --bin outage_replay
 //! ```
 
-use hws_bench::{bundled_swf_fixture, metrics_fingerprint, seeds_from_env, TraceSource};
+use hws_bench::baseline::{Row, OUTAGES};
+use hws_bench::{
+    bundled_swf_fixture, metrics_fingerprint, paranoid_from_env, seeds_from_env, TraceSource,
+};
 use hws_core::{Mechanism, SimConfig, SimOutcome, Simulator};
 use hws_metrics::{OutageReport, Table};
 use hws_sim::SimTime;
 use hws_workload::{MaintenanceWindow, OutageSchedule, SwfImportConfig, Trace};
-use std::fmt::Write as _;
-use std::path::PathBuf;
 
 fn main() {
     let seeds = seeds_from_env();
-    let paranoid = std::env::var("HWS_OUTAGE_PARANOID").is_ok_and(|v| v == "1");
+    let paranoid = paranoid_from_env();
     let source = TraceSource::swf_from_env()
         .unwrap_or_else(|| TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default()));
     let probe = source.make_trace(0);
@@ -123,24 +123,35 @@ fn main() {
     );
     println!("{}", t.render());
 
-    let json_path = std::env::var("HWS_OUTAGE_REPLAY_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| default_json_path());
-    let label = match &source {
-        TraceSource::SwfFile { path, .. } => path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| source.describe()),
-        _ => source.describe(),
-    };
-    let json = results_to_json(&label, probe.len(), seeds, &rows);
-    match std::fs::write(&json_path, json) {
-        Ok(()) => println!("wrote {} mechanisms to {}", rows.len(), json_path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
-    }
+    let label = source.label();
+    let json_rows: Vec<Row> = rows
+        .iter()
+        .map(|(m, fp, rep, completed, killed)| {
+            Row::new()
+                .col("mechanism", m.name())
+                .col("source", label.as_str())
+                .col("jobs", probe.len())
+                .col("seeds", seeds)
+                .fingerprint("metrics_fingerprint", *fp)
+                .col("events_applied", u64::from(rep.events_applied))
+                .col("nodes_down", rep.nodes_down)
+                .col("nodes_drained", rep.nodes_drained)
+                .col("nodes_rejoined", rep.nodes_rejoined)
+                .col("interrupted_jobs", rep.interrupted_jobs)
+                .col("shrunk_jobs", rep.shrunk_jobs)
+                .col("infeasible_killed", rep.infeasible_killed)
+                .col("lost_node_hours", rep.lost_node_seconds as f64 / 3600.0)
+                .col(
+                    "degraded_wall_hours",
+                    rep.degraded_wall_seconds as f64 / 3600.0,
+                )
+                .col("recoveries", rep.recoveries)
+                .col("mean_recovery_latency_s", rep.mean_recovery_latency_secs())
+                .col("completed_jobs", *completed)
+                .col("killed_jobs", *killed)
+        })
+        .collect();
+    OUTAGES.write(&json_rows);
 }
 
 /// Two full-rejoin maintenance windows scaled to the trace: a hard one
@@ -184,47 +195,4 @@ fn fold(agg: &mut OutageReport, rep: &OutageReport) {
     agg.degraded_wall_seconds += rep.degraded_wall_seconds;
     agg.recoveries += rep.recoveries;
     agg.recovery_latency_seconds += rep.recovery_latency_seconds;
-}
-
-/// Workspace root, next to the other committed baselines.
-fn default_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_outages.json")
-}
-
-fn results_to_json(
-    label: &str,
-    jobs: usize,
-    seeds: u64,
-    rows: &[(Mechanism, u64, OutageReport, usize, usize)],
-) -> String {
-    let mut out = String::from("[\n");
-    for (i, (m, fp, rep, completed, killed)) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "  {{\"mechanism\": \"{}\", \"source\": \"{}\", \"jobs\": {jobs}, \"seeds\": {seeds}, \
-             \"metrics_fingerprint\": \"{fp:016x}\", \
-             \"events_applied\": {}, \"nodes_down\": {}, \"nodes_drained\": {}, \
-             \"nodes_rejoined\": {}, \"interrupted_jobs\": {}, \"shrunk_jobs\": {}, \
-             \"infeasible_killed\": {}, \"lost_node_hours\": {:.3}, \
-             \"degraded_wall_hours\": {:.3}, \"recoveries\": {}, \
-             \"mean_recovery_latency_s\": {:.3}, \
-             \"completed_jobs\": {completed}, \"killed_jobs\": {killed}}}{comma}",
-            m.name(),
-            label.replace('"', "'"),
-            rep.events_applied,
-            rep.nodes_down,
-            rep.nodes_drained,
-            rep.nodes_rejoined,
-            rep.interrupted_jobs,
-            rep.shrunk_jobs,
-            rep.infeasible_killed,
-            rep.lost_node_seconds as f64 / 3600.0,
-            rep.degraded_wall_seconds as f64 / 3600.0,
-            rep.recoveries,
-            rep.mean_recovery_latency_secs(),
-        );
-    }
-    out.push_str("]\n");
-    out
 }

@@ -20,16 +20,16 @@
 //!    batch replay **bitwise** (the facade the tuner is built on adds
 //!    nothing).
 //!
-//! Writes `BENCH_policy_search.json` at the workspace root (override
-//! with `HWS_POLICY_SEARCH_JSON=path`). Every recorded field is
-//! deterministic, so the CI `baseline-parity` job compares the file
-//! byte-for-byte. The committed baseline is recorded at
-//! `HWS_SCALE=quick` with the default 10 seeds:
+//! Writes `BENCH_policy_search.json` (see `hws_bench::baseline`). Every
+//! recorded column is deterministic, so the CI `baseline-parity` job gates
+//! all of them. The committed baseline is recorded at `HWS_SCALE=quick`
+//! with the default 10 seeds:
 //!
 //! ```text
 //! HWS_SCALE=quick cargo run --release -p hws-bench --bin policy_search
 //! ```
 
+use hws_bench::baseline::{Row, POLICY_SEARCH};
 use hws_bench::{seeds_from_env, Scale};
 use hws_core::{Action, EnvSpec, Environment, Mechanism, SimConfig, Simulator};
 use hws_metrics::{RewardSpec, Table};
@@ -38,8 +38,6 @@ use hws_search::{
 };
 use hws_sim::SimDuration;
 use hws_workload::{BackfillLevel, Trace};
-use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Capability fraction tagged onto every trace (class-weighted rewards
 /// need both classes present).
@@ -188,58 +186,21 @@ fn main() {
     );
     println!("{}", t.render());
 
-    let json_path = std::env::var("HWS_POLICY_SEARCH_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| default_json_path());
-    match std::fs::write(&json_path, to_json(&[&grid, &tournament])) {
-        Ok(()) => {
-            let rows: usize = [&grid, &tournament].iter().map(|l| l.rows.len()).sum();
-            println!("wrote {rows} rows to {}", json_path.display());
-        }
-        Err(e) => {
-            eprintln!("could not write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Workspace root, next to the other `BENCH_*.json` baselines.
-fn default_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_policy_search.json")
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn to_json(boards: &[&Leaderboard]) -> String {
-    let mut out = String::from("[\n");
-    let total: usize = boards.iter().map(|l| l.rows.len()).sum();
-    let mut n = 0usize;
-    for lb in boards {
-        for row in &lb.rows {
-            n += 1;
-            let comma = if n == total { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "  {{\"search\": \"{}\", \"reward\": \"{}\", \"rank\": {}, \
-                 \"mechanism\": \"{}\", \"knobs\": \"{}\", \"seeds\": {}, \
-                 \"mean_reward\": {}, \"fingerprint\": \"{:016x}\"}}{comma}",
-                lb.search,
-                lb.reward,
-                row.rank,
-                row.mechanism,
-                row.knobs.to_text(),
-                row.seeds,
-                json_f64(row.mean_reward),
-                row.fingerprint,
-            );
-        }
-    }
-    out.push_str("]\n");
-    out
+    let json_rows: Vec<Row> = [&grid, &tournament]
+        .into_iter()
+        .flat_map(|lb| {
+            lb.rows.iter().map(|row| {
+                Row::new()
+                    .col("search", lb.search.as_str())
+                    .col("reward", lb.reward.as_str())
+                    .col("rank", row.rank)
+                    .col("mechanism", row.mechanism.as_str())
+                    .col("knobs", row.knobs.to_text())
+                    .col("seeds", row.seeds)
+                    .col("mean_reward", row.mean_reward)
+                    .fingerprint("fingerprint", row.fingerprint)
+            })
+        })
+        .collect();
+    POLICY_SEARCH.write(&json_rows);
 }

@@ -10,27 +10,27 @@
 //! `Simulator::run_trace` — the PR's parity oracle, re-run here at
 //! fixture scale on every CI push.
 //!
-//! Writes `BENCH_service.json` at the workspace root (override with
-//! `HWS_SERVICE_REPLAY_JSON=path`). The `metrics_fingerprint` column is
-//! deterministic and gated by `baseline_parity`; the p50/p99 latency
-//! columns are wall-clock and exempt. `HWS_SERVICE_PARANOID=1` enables
-//! the O(n)-scan cross-validating cluster accounting in every run (the
-//! CI smoke does; the recorded baseline does not need it — paranoid
-//! checks assert, they never change behavior).
+//! Writes `BENCH_service.json` (see `hws_bench::baseline`). The
+//! `metrics_fingerprint` column is deterministic and gated by
+//! `baseline_parity`; the p50/p99 latency columns are wall-clock and
+//! exempt. `HWS_PARANOID=1` enables the O(n)-scan cross-validating cluster
+//! accounting in every run (the CI smoke does; the recorded baseline does
+//! not need it — paranoid checks assert, they never change behavior).
 //!
 //! ```text
 //! cargo run --release -p hws-bench --bin service_replay              # bundled fixture
 //! HWS_SWF=theta.swf HWS_SWF_PPN=64 cargo run --release -p hws-bench --bin service_replay
 //! ```
 
-use hws_bench::{bundled_swf_fixture, metrics_fingerprint, seeds_from_env, TraceSource};
+use hws_bench::baseline::{Row, SERVICE};
+use hws_bench::{
+    bundled_swf_fixture, metrics_fingerprint, paranoid_from_env, seeds_from_env, TraceSource,
+};
 use hws_core::{Mechanism, SchedulerService, SimConfig, SimOutcome, Simulator};
 use hws_metrics::Table;
 use hws_sim::SimDuration;
 use hws_workload::job::JobSpecBuilder;
 use hws_workload::{SubmissionLog, SubmitOp, SwfImportConfig};
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Probe ids live far above any trace id so a forecast can never collide
@@ -47,7 +47,7 @@ struct Latencies {
 
 fn main() {
     let seeds = seeds_from_env();
-    let paranoid = std::env::var("HWS_SERVICE_PARANOID").is_ok_and(|v| v == "1");
+    let paranoid = paranoid_from_env();
     let source = TraceSource::swf_from_env()
         .unwrap_or_else(|| TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default()));
     let probe = source.make_trace(0);
@@ -139,24 +139,25 @@ fn main() {
     );
     println!("{}", t.render());
 
-    let json_path = std::env::var("HWS_SERVICE_REPLAY_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| default_json_path());
-    let label = match &source {
-        TraceSource::SwfFile { path, .. } => path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| source.describe()),
-        _ => source.describe(),
-    };
-    let json = results_to_json(&label, probe.len(), seeds, &rows);
-    match std::fs::write(&json_path, json) {
-        Ok(()) => println!("wrote {} mechanisms to {}", rows.len(), json_path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
-    }
+    let label = source.label();
+    let json_rows: Vec<Row> = rows
+        .iter()
+        .map(|(m, fp, lat)| {
+            Row::new()
+                .col("mechanism", m.name())
+                .col("source", label.as_str())
+                .col("jobs", probe.len())
+                .col("seeds", seeds)
+                .fingerprint("metrics_fingerprint", *fp)
+                .col("submit_p50_us", pct(&lat.submit, 0.50))
+                .col("submit_p99_us", pct(&lat.submit, 0.99))
+                .col("query_p50_us", pct(&lat.query, 0.50))
+                .col("query_p99_us", pct(&lat.query, 0.99))
+                .col("what_if_p50_us", pct(&lat.what_if, 0.50))
+                .col("what_if_p99_us", pct(&lat.what_if, 0.99))
+        })
+        .collect();
+    SERVICE.write(&json_rows);
 }
 
 /// Apply `log` to a fresh service entry by entry, sampling submit/query
@@ -226,39 +227,4 @@ fn pct(samples: &[f64], q: f64) -> f64 {
     let mut v = samples.to_vec();
     v.sort_by(|a, b| a.total_cmp(b));
     v[((v.len() - 1) as f64 * q).round() as usize]
-}
-
-/// Workspace root, next to the other committed baselines.
-fn default_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json")
-}
-
-fn results_to_json(
-    label: &str,
-    jobs: usize,
-    seeds: u64,
-    rows: &[(Mechanism, u64, Latencies)],
-) -> String {
-    let mut out = String::from("[\n");
-    for (i, (m, fp, lat)) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "  {{\"mechanism\": \"{}\", \"source\": \"{}\", \"jobs\": {jobs}, \"seeds\": {seeds}, \
-             \"metrics_fingerprint\": \"{fp:016x}\", \
-             \"submit_p50_us\": {:.1}, \"submit_p99_us\": {:.1}, \
-             \"query_p50_us\": {:.1}, \"query_p99_us\": {:.1}, \
-             \"what_if_p50_us\": {:.1}, \"what_if_p99_us\": {:.1}}}{comma}",
-            m.name(),
-            label.replace('"', "'"),
-            pct(&lat.submit, 0.50),
-            pct(&lat.submit, 0.99),
-            pct(&lat.query, 0.50),
-            pct(&lat.query, 0.99),
-            pct(&lat.what_if, 0.50),
-            pct(&lat.what_if, 0.99),
-        );
-    }
-    out.push_str("]\n");
-    out
 }

@@ -17,8 +17,16 @@
 //!   seed (the seed drives the §IV-A class/notice assignment, mirroring
 //!   the paper's "ten randomly generated traces" protocol). `HWS_SWF_PPN`
 //!   sets processors per node for logs that count processors.
+//! * `HWS_BASELINE_DIR=dir` — where the baseline binaries write their
+//!   `BENCH_*.json` (default: the workspace root; see [`baseline`]).
+//! * `HWS_PARANOID=1` — `service_replay` and `outage_replay` run with the
+//!   O(n)-scan cross-validating cluster accounting.
+//!
+//! A malformed `HWS_SCALE` or `HWS_SEEDS` exits with a message naming the
+//! variable and its accepted values.
 
 pub mod archive;
+pub mod baseline;
 
 pub use archive::{
     archive_dir, archive_path, ensure_archive, peak_rss_bytes, reset_peak_rss, ArchiveProfile,
@@ -30,6 +38,7 @@ use hws_sim::SimDuration;
 use hws_workload::{import_swf_reader, NoticeMix, SwfImportConfig, Trace, TraceConfig};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Experiment scale selected via `HWS_SCALE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,12 +52,26 @@ pub enum Scale {
 }
 
 impl Scale {
-    pub fn from_env() -> Scale {
-        match std::env::var("HWS_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Standard,
+    const ALL: [Scale; 3] = [Scale::Quick, Scale::Standard, Scale::Full];
+
+    /// The `HWS_SCALE` spelling of this scale.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Full => "full",
+            Scale::Standard => "standard",
+            Scale::Quick => "quick",
         }
+    }
+
+    /// Parse an `HWS_SCALE` value.
+    fn parse(s: &str) -> Option<Scale> {
+        Scale::ALL.into_iter().find(|scale| scale.name() == s)
+    }
+
+    /// `HWS_SCALE`, defaulting to [`Scale::Standard`] when unset; exits on
+    /// any other spelling.
+    pub fn from_env() -> Scale {
+        env_knob("HWS_SCALE", Scale::parse, "quick, standard or full").unwrap_or(Scale::Standard)
     }
 
     /// The Theta-shaped trace configuration at this scale.
@@ -80,12 +103,39 @@ pub fn seeds_from_env() -> u64 {
 
 /// `HWS_SEEDS` with a caller-chosen default, for binaries whose natural
 /// seed count differs from the paper's 10 (the million-job archive replay
-/// records 2).
+/// records 2). Exits unless the value is a positive integer.
 pub fn seeds_from_env_or(default: u64) -> u64 {
-    std::env::var("HWS_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    env_knob("HWS_SEEDS", parse_seeds, "a positive integer").unwrap_or(default)
+}
+
+/// Parse an `HWS_SEEDS` value: a positive integer.
+fn parse_seeds(s: &str) -> Option<u64> {
+    s.parse().ok().filter(|&n| n > 0)
+}
+
+/// `HWS_PARANOID=1`: run with the O(n)-scan cross-validating cluster
+/// accounting.
+pub fn paranoid_from_env() -> bool {
+    std::env::var("HWS_PARANOID").is_ok_and(|v| v == "1")
+}
+
+/// Environment variable `name` through `parse`: `None` when unset or
+/// empty; exits with a message naming `name` and `accepted` when the value
+/// does not parse.
+fn env_knob<T>(name: &str, parse: impl Fn(&str) -> Option<T>, accepted: &str) -> Option<T> {
+    let raw = std::env::var_os(name).filter(|v| !v.is_empty())?;
+    let value = raw.to_string_lossy();
+    let parsed = parse(&value);
+    if parsed.is_none() {
+        eprintln!("{name}={value:?} is not valid: expected {accepted}");
+        std::process::exit(2);
+    }
+    parsed
+}
+
+/// The workspace root, where the committed `BENCH_*.json` baselines live.
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Where a figure binary gets its per-seed traces from: the calibrated
@@ -200,6 +250,70 @@ impl TraceSource {
             TraceSource::SwfFile { path, .. } => format!("SWF replay of {}", path.display()),
         }
     }
+
+    /// The `source` column of a baseline row: the SWF file name (not its
+    /// path, so the baseline is machine-independent), else
+    /// [`TraceSource::describe`].
+    pub fn label(&self) -> String {
+        match self {
+            TraceSource::SwfFile { path, .. } => path.file_name().map_or_else(
+                || self.describe(),
+                |name| name.to_string_lossy().into_owned(),
+            ),
+            TraceSource::Synthetic(_) => self.describe(),
+        }
+    }
+}
+
+/// A [`sweep_verified`] result: the per-seed outcomes, the wall time of
+/// the parallel sweep, and the summed wall time of the sequential
+/// `run_trace` calls that verified it (trace building excluded).
+pub struct VerifiedSweep {
+    pub outcomes: Vec<SimOutcome>,
+    pub par_s: f64,
+    pub seq_s: f64,
+}
+
+/// Replay `seeds` sequentially, then sweep them in parallel with
+/// [`Simulator::run_sweep_with`], and assert each seed's metrics and
+/// engine counters bitwise equal between the two.
+pub fn sweep_verified<F>(cfg: &SimConfig, seeds: &[u64], factory: F) -> VerifiedSweep
+where
+    F: Fn(u64) -> Trace + Sync,
+{
+    let mut seq_s = 0.0;
+    let sequential: Vec<SimOutcome> = seeds
+        .iter()
+        .map(|&seed| {
+            let trace = factory(seed);
+            let t = Instant::now();
+            let outcome = Simulator::run_trace(cfg, &trace);
+            seq_s += t.elapsed().as_secs_f64();
+            outcome
+        })
+        .collect();
+    let t = Instant::now();
+    let outcomes = Simulator::run_sweep_with(cfg, seeds, &factory);
+    let par_s = t.elapsed().as_secs_f64();
+    for ((swept, sequential), seed) in outcomes.iter().zip(&sequential).zip(seeds) {
+        assert_eq!(
+            swept.metrics,
+            sequential.metrics,
+            "{} seed {seed}: parallel sweep diverged from sequential replay",
+            cfg.mechanism.name()
+        );
+        assert_eq!(
+            swept.engine,
+            sequential.engine,
+            "{} seed {seed}: engine stats diverged from sequential replay",
+            cfg.mechanism.name()
+        );
+    }
+    VerifiedSweep {
+        outcomes,
+        par_s,
+        seq_s,
+    }
 }
 
 /// Run `cfg` over `seeds` traces drawn from `source` in parallel and
@@ -296,6 +410,33 @@ mod tests {
     }
 
     #[test]
+    fn scale_parses_only_its_three_names() {
+        for scale in Scale::ALL {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+        }
+        for bad in ["fulll", "Quick", "", " quick", "standard\n"] {
+            assert_eq!(Scale::parse(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn seeds_parse_as_positive_integers() {
+        assert_eq!(parse_seeds("1"), Some(1));
+        assert_eq!(parse_seeds("10"), Some(10));
+        for bad in ["0", "two", "-1", "2.5", "", " 3"] {
+            assert_eq!(parse_seeds(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn swf_label_is_the_file_name() {
+        let src = TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default());
+        assert_eq!(src.label(), "theta_quick.swf");
+        let syn = TraceSource::Synthetic(TraceConfig::tiny());
+        assert_eq!(syn.label(), syn.describe());
+    }
+
+    #[test]
     fn scaled_configs_preserve_system_size() {
         for s in [Scale::Full, Scale::Standard, Scale::Quick] {
             let c = s.trace_config();
@@ -362,13 +503,8 @@ mod tests {
         let src = TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default());
         let mut cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
         cfg.measure_decisions = false;
-        let seeds = [0u64, 1];
-        let swept = Simulator::run_sweep_with(&cfg, &seeds, |s| src.make_trace(s));
-        for (out, &seed) in swept.iter().zip(&seeds) {
-            let sequential = Simulator::run_trace(&cfg, &src.make_trace(seed));
-            assert_eq!(out.metrics, sequential.metrics, "seed {seed}");
-            assert_eq!(out.engine, sequential.engine, "seed {seed}");
-        }
+        let sweep = sweep_verified(&cfg, &[0, 1], |s| src.make_trace(s));
+        assert_eq!(sweep.outcomes.len(), 2);
     }
 
     #[test]
