@@ -1071,4 +1071,30 @@ mod tests {
         assert_eq!(ClusterBackend::free_count(&f), c.free_count());
         assert!(f.check_invariants().is_ok());
     }
+
+    #[test]
+    fn check_invariants_rejects_every_shard_corruption() {
+        // The cluster corruption cases, planted on shard 1 of a 2-shard
+        // federation whose home pins match the shard's jobs.
+        let planted = |corrupt: fn(&mut Cluster)| {
+            let mut f = fed(2, 56, &[]);
+            let mut c = crate::corruption::fixture();
+            corrupt(&mut c);
+            f.shards[1] = c;
+            for id in [1, 2, 3, 8, 9] {
+                f.home.insert(j(id), 1);
+            }
+            f
+        };
+        assert!(planted(|_| {}).check_invariants().is_ok());
+        for &(what, corrupt, expect) in crate::corruption::CASES {
+            match planted(corrupt).check_invariants() {
+                Ok(()) => panic!("{what}: corrupt federation passed"),
+                Err(e) => assert!(
+                    e.contains("shard 1") && e.contains(expect),
+                    "{what}: error {e:?} lacks shard 1 / {expect:?}"
+                ),
+            }
+        }
+    }
 }

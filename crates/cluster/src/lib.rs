@@ -241,8 +241,8 @@ impl Cluster {
     }
 
     /// Reference implementation of [`Cluster::split_of`] by scanning the
-    /// job's allocation. Used by [`Cluster::check_invariants`] and the
-    /// property-test oracle; the scheduler hot path never calls it.
+    /// job's allocation. Used by the property-test oracle; the scheduler
+    /// hot path never calls it.
     pub fn split_of_scanned(&self, job: JobId) -> (u32, u32) {
         let mut plain = 0;
         let mut squatted = 0;
@@ -268,8 +268,8 @@ impl Cluster {
     }
 
     /// Reference implementation of [`Cluster::squatters`] by scanning all
-    /// nodes. Used by [`Cluster::check_invariants`] and the property-test
-    /// oracle; the scheduler hot path never calls it.
+    /// nodes. Used by the property-test oracle; the scheduler hot path
+    /// never calls it.
     pub fn squatters_scanned(&self, holder: JobId) -> Vec<(JobId, u32)> {
         let mut counts: HashMap<JobId, u32> = HashMap::new();
         for st in &self.nodes {
@@ -815,37 +815,105 @@ impl Cluster {
     // Invariants
     // ------------------------------------------------------------------
 
-    /// Full-scan consistency check; O(nodes + jobs). Used by tests and the
-    /// simulator's debug assertions, and by `paranoid_checks` mode to
-    /// cross-validate the incremental `(plain, squatted)` counters, the
-    /// squatter index, and the reserved-idle total against the authoritative
-    /// per-node states.
+    /// Full-scan consistency check; O(nodes + Σ list lengths + jobs).
+    /// Used by tests, by snapshot restore, and by `paranoid_checks` mode
+    /// per event to cross-validate the node lists, the incremental
+    /// `(plain, squatted)` counters, the squatter index, and the
+    /// reserved-idle total against the authoritative per-node states.
+    ///
+    /// One pass over the free list, the allocations and the idle
+    /// reservations claims each listed node in a bitmap — in range,
+    /// listed once, in a state naming the list's owner — so the node
+    /// scan tests list membership in O(1). Returns `Err`, never panics,
+    /// on any corrupt state.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let mut listed = vec![false; self.nodes.len()];
+        for &id in &self.free_list {
+            if claim(&self.nodes, &mut listed, id).map_err(|e| format!("free list: {e}"))?
+                != NodeState::Free
+            {
+                return Err(format!("free-list node {id} not Free"));
+            }
+        }
+        if self.splits.len() != self.alloc.len() {
+            return Err(format!(
+                "splits tracks {} jobs, alloc {}",
+                self.splits.len(),
+                self.alloc.len()
+            ));
+        }
+        for (&job, list) in &self.alloc {
+            let mut plain = 0;
+            let mut squatted = 0;
+            for &id in list {
+                match claim(&self.nodes, &mut listed, id)
+                    .map_err(|e| format!("{job}'s allocation list: {e}"))?
+                {
+                    NodeState::Busy { job: j } if j == job => plain += 1,
+                    NodeState::ReservedBusy { job: j, .. } if j == job => squatted += 1,
+                    st => {
+                        return Err(format!(
+                            "{job}'s allocation lists node {id} in state {st:?}"
+                        ))
+                    }
+                }
+            }
+            let split = self
+                .splits
+                .get(&job)
+                .ok_or_else(|| format!("no split counters for allocated {job}"))?;
+            if (split.plain, split.squatted) != (plain, squatted) {
+                return Err(format!(
+                    "split counters for {job}: ({}, {}) != scanned ({plain}, {squatted})",
+                    split.plain, split.squatted
+                ));
+            }
+        }
+        for (&holder, idle) in &self.reserved_idle {
+            for &id in idle {
+                let st = claim(&self.nodes, &mut listed, id)
+                    .map_err(|e| format!("{holder}'s idle list: {e}"))?;
+                if st != (NodeState::Reserved { holder }) {
+                    return Err(format!("idle-reserved node {id} not Reserved for {holder}"));
+                }
+            }
+        }
+        // Every listed node is now known to name its list's owner, so an
+        // unlisted busy or reserved node is exactly one its owner's list
+        // is missing.
         let mut busy = 0u32;
         let mut reserved = 0u32;
         let mut down = 0u32;
-        for (i, st) in self.nodes.iter().enumerate() {
-            match st {
+        let mut scanned_squats: HashMap<JobId, BTreeMap<JobId, u32>> = HashMap::new();
+        for (i, (st, &on_list)) in self.nodes.iter().zip(&listed).enumerate() {
+            match *st {
                 NodeState::Free => {}
                 NodeState::Down => down += 1,
                 NodeState::Busy { job } | NodeState::ReservedBusy { job, .. } => {
                     busy += 1;
-                    let nodes = self
-                        .alloc
-                        .get(job)
-                        .ok_or_else(|| format!("node {i} busy for unallocated {job}"))?;
-                    if !nodes.contains(&NodeId(i as u32)) {
-                        return Err(format!("node {i} not in {job}'s allocation list"));
+                    if !on_list {
+                        return Err(if self.alloc.contains_key(&job) {
+                            format!("node {i} not in {job}'s allocation list")
+                        } else {
+                            format!("node {i} busy for unallocated {job}")
+                        });
+                    }
+                    if let NodeState::ReservedBusy { holder, .. } = *st {
+                        *scanned_squats
+                            .entry(holder)
+                            .or_default()
+                            .entry(job)
+                            .or_default() += 1;
                     }
                 }
                 NodeState::Reserved { holder } => {
                     reserved += 1;
-                    let idle = self
-                        .reserved_idle
-                        .get(holder)
-                        .ok_or_else(|| format!("node {i} reserved for untracked {holder}"))?;
-                    if !idle.contains(&NodeId(i as u32)) {
-                        return Err(format!("node {i} missing from {holder}'s idle list"));
+                    if !on_list {
+                        return Err(if self.reserved_idle.contains_key(&holder) {
+                            format!("node {i} missing from {holder}'s idle list")
+                        } else {
+                            format!("node {i} reserved for untracked {holder}")
+                        });
                     }
                 }
             }
@@ -874,56 +942,12 @@ impl Cluster {
                 Some(_) => {}
             }
         }
-        let alloc_total: usize = self.alloc.values().map(|v| v.len()).sum();
-        if alloc_total as u32 != busy {
-            return Err(format!(
-                "alloc index ({alloc_total}) != busy nodes ({busy})"
-            ));
-        }
-        for id in &self.free_list {
-            if self.nodes[id.index()] != NodeState::Free {
-                return Err(format!("free-list node {id} not Free"));
-            }
-        }
-        for (h, idle) in &self.reserved_idle {
-            for id in idle {
-                if self.nodes[id.index()] != (NodeState::Reserved { holder: *h }) {
-                    return Err(format!("idle-reserved node {id} not Reserved for {h}"));
-                }
-            }
-        }
         // Incremental accounting vs. full scan.
         if self.reserved_idle_total != reserved {
             return Err(format!(
                 "reserved_idle_total counter {} != scanned {reserved}",
                 self.reserved_idle_total
             ));
-        }
-        if self.splits.len() != self.alloc.len() {
-            return Err(format!(
-                "splits tracks {} jobs, alloc {}",
-                self.splits.len(),
-                self.alloc.len()
-            ));
-        }
-        for (&job, &split) in &self.splits {
-            let (plain, squatted) = self.split_of_scanned(job);
-            if (split.plain, split.squatted) != (plain, squatted) {
-                return Err(format!(
-                    "split counters for {job}: ({}, {}) != scanned ({plain}, {squatted})",
-                    split.plain, split.squatted
-                ));
-            }
-        }
-        let mut scanned_squats: HashMap<JobId, BTreeMap<JobId, u32>> = HashMap::new();
-        for st in &self.nodes {
-            if let NodeState::ReservedBusy { holder, job } = st {
-                *scanned_squats
-                    .entry(*holder)
-                    .or_default()
-                    .entry(*job)
-                    .or_default() += 1;
-            }
         }
         if self.squatter_index != scanned_squats {
             return Err(format!(
@@ -933,6 +957,153 @@ impl Cluster {
         }
         Ok(())
     }
+}
+
+/// Claim one listed node for [`Cluster::check_invariants`]: it must be in
+/// range and not already claimed by any list. Returns its state.
+fn claim(nodes: &[NodeState], listed: &mut [bool], id: NodeId) -> Result<NodeState, String> {
+    let Some(&st) = nodes.get(id.index()) else {
+        return Err(format!("node {id} out of range"));
+    };
+    if std::mem::replace(&mut listed[id.index()], true) {
+        return Err(format!("node {id} listed twice"));
+    }
+    Ok(st)
+}
+
+/// One-field corruptions of a known cluster, shared by the cluster and
+/// federation tests: [`Cluster::check_invariants`] must reject each with
+/// an `Err` (never a panic) whose text names the broken condition.
+#[cfg(test)]
+pub(crate) mod corruption {
+    use super::*;
+
+    fn j(n: u64) -> JobId {
+        JobId(n)
+    }
+
+    /// 28 nodes: J1 runs on 4 plain nodes, J2 on 3, J3 on 2 plain plus 1
+    /// squatted on J9's reservation; J8 holds 3 idle reserved nodes, J9
+    /// holds 2; 13 nodes are free.
+    pub(crate) fn fixture() -> Cluster {
+        let mut c = Cluster::new(28);
+        c.allocate(j(1), 4).expect("fits");
+        c.allocate(j(2), 3).expect("fits");
+        c.reserve(j(8), 3);
+        c.reserve(j(9), 3);
+        c.allocate(j(5), 13).expect("fits");
+        c.allocate_backfill(j(3), 3, |h| h == j(9)).expect("fits");
+        c.release(j(5));
+        assert_eq!(c.split_of(j(3)), (2, 1));
+        assert_eq!(c.free_count(), 13);
+        c.check_invariants().expect("sane fixture");
+        c
+    }
+
+    /// Move one node id onto `job`'s allocation list, keeping its split
+    /// counters in step so only the list itself is wrong.
+    fn push_plain(c: &mut Cluster, job: JobId, id: NodeId) {
+        c.alloc.get_mut(&job).expect("running").push(id);
+        c.splits.get_mut(&job).expect("running").plain += 1;
+    }
+
+    fn pop_plain(c: &mut Cluster, job: JobId) -> NodeId {
+        let id = c.alloc.get_mut(&job).expect("running").remove(0);
+        assert_eq!(c.nodes[id.index()], NodeState::Busy { job });
+        c.splits.get_mut(&job).expect("running").plain -= 1;
+        id
+    }
+
+    pub(crate) type Case = (&'static str, fn(&mut Cluster), &'static str);
+
+    /// `(what, corruption, substring the error must contain)`.
+    pub(crate) const CASES: &[Case] = &[
+        (
+            "busy node missing from its job's list",
+            |c| {
+                pop_plain(c, j(1));
+            },
+            "not in J1's allocation list",
+        ),
+        (
+            "busy node whose job has no allocation",
+            |c| {
+                c.alloc.remove(&j(2));
+                c.splits.remove(&j(2));
+            },
+            "busy for unallocated J2",
+        ),
+        (
+            "duplicate id in an allocation list",
+            |c| {
+                let id = c.alloc[&j(1)][0];
+                push_plain(c, j(1), id);
+            },
+            "listed twice",
+        ),
+        (
+            "allocation list naming a Free node",
+            |c| {
+                let id = c.free_list.pop().expect("free node");
+                push_plain(c, j(1), id);
+            },
+            "in state Free",
+        ),
+        (
+            "allocation list naming a node busy for another job",
+            |c| {
+                let id = pop_plain(c, j(2));
+                push_plain(c, j(1), id);
+            },
+            "in state Busy",
+        ),
+        (
+            "out-of-range id in an allocation list",
+            |c| push_plain(c, j(1), NodeId(28)),
+            "out of range",
+        ),
+        (
+            "out-of-range id on the free list",
+            |c| c.free_list.push(NodeId(u32::MAX)),
+            "out of range",
+        ),
+        (
+            "duplicate id on the free list",
+            |c| {
+                let id = c.free_list[0];
+                c.free_list.push(id);
+            },
+            "listed twice",
+        ),
+        (
+            "reserved node missing from its holder's idle list",
+            |c| {
+                c.reserved_idle.get_mut(&j(8)).expect("holder").pop();
+                c.reserved_idle_total -= 1;
+            },
+            "missing from J8's idle list",
+        ),
+        (
+            "idle list naming a node reserved for another holder",
+            |c| {
+                let id = c.reserved_idle.get_mut(&j(9)).expect("holder").pop();
+                c.reserved_idle.get_mut(&j(8)).expect("holder").extend(id);
+            },
+            "not Reserved for J8",
+        ),
+        (
+            "split counters off by one",
+            |c| c.splits.get_mut(&j(3)).expect("running").squatted += 1,
+            "split counters for J3",
+        ),
+        (
+            "squatter index missing a squatter",
+            |c| {
+                c.squatter_index.remove(&j(9));
+            },
+            "squatter index",
+        ),
+    ];
 }
 
 #[cfg(test)]
@@ -1133,5 +1304,17 @@ mod tests {
         let out = c.release(j(42));
         assert_eq!(out, ReleaseOutcome::default());
         checked(&c);
+    }
+
+    #[test]
+    fn check_invariants_rejects_every_corruption() {
+        for &(what, corrupt, expect) in corruption::CASES {
+            let mut c = corruption::fixture();
+            corrupt(&mut c);
+            match c.check_invariants() {
+                Ok(()) => panic!("{what}: corrupt cluster passed"),
+                Err(e) => assert!(e.contains(expect), "{what}: error {e:?} lacks {expect:?}"),
+            }
+        }
     }
 }

@@ -168,6 +168,7 @@ impl Simulator {
             SimTime::MAX,
             true,
             pump::source_feed(source),
+            |_| false,
         );
         finish(engine)
     }

@@ -112,13 +112,16 @@ impl Arrivals {
 /// injecting buffered jobs as the rule in the module docs requires.
 /// `refill` runs before each injection with the next deliverable event's
 /// time (`None` when nothing is left inside the horizon) and may top up
-/// the buffer.
+/// the buffer. `stop` runs after each delivered event; the pump returns
+/// early once it answers `true` (what-if forks stop when their probe's
+/// answer is fixed; every other caller passes `|_| false`).
 pub(super) fn pump<B: ClusterBackend>(
     engine: &mut Engine<SimCore<B>>,
     arrivals: &mut Arrivals,
     horizon: SimTime,
     inclusive: bool,
     mut refill: impl FnMut(&mut Arrivals, Option<SimTime>),
+    mut stop: impl FnMut(&SimCore<B>) -> bool,
 ) {
     let within = |t: SimTime| t < horizon || (inclusive && t == horizon);
     loop {
@@ -132,6 +135,9 @@ pub(super) fn pump<B: ClusterBackend>(
             Some(h) => {
                 arrivals.inject_due(h, true, engine);
                 engine.step();
+                if stop(&engine.sim) {
+                    return;
+                }
             }
             // Nothing to deliver: inject up to the horizon, then look
             // again — the new head may call for a refill first.

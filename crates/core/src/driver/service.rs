@@ -391,6 +391,7 @@ where
             horizon,
             inclusive,
             |_, _| {},
+            |_| false,
         );
     }
 
@@ -468,9 +469,12 @@ where
     /// hybrid mechanisms, without perturbing the live session.
     ///
     /// Each fork restores the current snapshot under one mechanism,
-    /// submits `probe`, and drains to completion; the map holds the
-    /// probe's first start per mechanism (a mechanism is absent when the
-    /// probe never starts there, e.g. it exceeds every shard). Already
+    /// submits `probe`, and runs until the probe starts or retires
+    /// without starting (or nothing is left to deliver). A first start is
+    /// written once and never moves, so the answer is bitwise the one a
+    /// drain to completion would give. The map holds the probe's first
+    /// start per mechanism (a mechanism is absent when the probe never
+    /// starts there, e.g. it exceeds every shard). Already
     /// in-flight jobs keep whatever treatment the live mechanism gave
     /// them — the forecast answers "what if the mechanism changed *now*",
     /// not "what if history were different".
@@ -494,14 +498,24 @@ where
             let mut fork = SchedulerService::<B>::restore(&image, &cfg, self.ctx.clone())
                 .expect("a just-taken snapshot always restores");
             fork.submit(probe.clone())?;
-            fork.advance(SimTime::MAX, true);
-            if let Some(start) = fork
-                .engine
-                .sim
-                .rec
-                .get(probe.id)
-                .and_then(|r| r.first_start)
-            {
+            let id = probe.id;
+            // The record appears at the probe's submit; a started probe
+            // has its answer, and one gone from the job table without a
+            // start never gets one.
+            let answered = |sim: &SimCore<B>| {
+                sim.rec
+                    .get(id)
+                    .is_some_and(|r| r.first_start.is_some() || sim.jobs().get_state(id).is_none())
+            };
+            pump(
+                &mut fork.engine,
+                &mut fork.buffer,
+                SimTime::MAX,
+                true,
+                |_, _| {},
+                answered,
+            );
+            if let Some(start) = fork.engine.sim.rec.get(id).and_then(|r| r.first_start) {
                 forecast.insert(m, start);
             }
         }

@@ -601,10 +601,231 @@ fn federated_pump_run_forgets_retired_jobs() {
         SimTime::MAX,
         true,
         pump::source_feed(MaterializedSource::new(&tr)),
+        |_| false,
     );
     assert_eq!(engine.sim.jobs().live(), 0);
     assert_eq!(engine.sim.jobs().admitted(), tr.jobs.len() as u64);
     for spec in &tr.jobs {
         assert_eq!(engine.sim.backend().home_of(spec.id), None, "{}", spec.id);
+    }
+}
+
+// ---------------------------------------------------------------------
+// What-if early stop vs. the drain-to-end oracle
+// ---------------------------------------------------------------------
+
+mod what_if_oracle {
+    use super::*;
+    use hws_cluster::{FederationConfig, SnapshotBackend};
+    use hws_workload::{LogEntry, SubmissionLog, SubmitOp};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    const PROBE: u64 = 1 << 40;
+
+    fn session_cfg(m: Mechanism) -> SimConfig {
+        let mut cfg = SimConfig::with_mechanism(m);
+        cfg.measure_decisions = false;
+        cfg.paranoid_checks = true;
+        cfg
+    }
+
+    /// The forecast `what_if` promises, computed the slow way: each fork
+    /// restores, submits the probe, and drains every event before the
+    /// probe's first start is read.
+    fn drain_to_end<B: SnapshotBackend>(
+        svc: &SchedulerService<B>,
+        ctx: &B::Ctx,
+        probe: &JobSpec,
+    ) -> BTreeMap<Mechanism, SimTime>
+    where
+        B::Ctx: Clone,
+    {
+        let image = svc.snapshot();
+        let mut forecast = BTreeMap::new();
+        for m in Mechanism::ALL_SIX {
+            let cfg = SimConfig {
+                mechanism: m,
+                hooks: None,
+                measure_decisions: false,
+                ..svc.config().clone()
+            };
+            let mut fork =
+                SchedulerService::<B>::restore(&image, &cfg, ctx.clone()).expect("fresh snapshot");
+            fork.submit(probe.clone()).expect("probe is submittable");
+            fork.step_until(SimTime::MAX);
+            assert!(!fork.events_pending(), "drain left events behind");
+            if let Some(start) = fork
+                .core_mut()
+                .rec
+                .get(probe.id)
+                .and_then(|r| r.first_start)
+            {
+                forecast.insert(m, start);
+            }
+        }
+        forecast
+    }
+
+    /// Forecast `probe` both ways and require bitwise agreement; returns
+    /// the forecast.
+    fn assert_oracle<B: SnapshotBackend>(
+        svc: &SchedulerService<B>,
+        ctx: &B::Ctx,
+        probe: &JobSpec,
+        label: &str,
+    ) -> BTreeMap<Mechanism, SimTime>
+    where
+        B::Ctx: Clone,
+    {
+        let fast = svc.what_if(probe).expect("probe is submittable");
+        assert_eq!(fast, drain_to_end(svc, ctx, probe), "{label}");
+        fast
+    }
+
+    /// A buffered cancel right after every `stride`-th submit.
+    fn with_buffered_cancels(log: &SubmissionLog, stride: usize) -> SubmissionLog {
+        let mut entries: Vec<LogEntry> = Vec::new();
+        for (nth, e) in log.entries().iter().enumerate() {
+            entries.push(e.clone());
+            if let SubmitOp::Submit(spec) = &e.op {
+                if nth % stride == stride - 1 {
+                    entries.push(LogEntry {
+                        at: e.at,
+                        op: SubmitOp::Cancel(spec.id),
+                    });
+                }
+            }
+        }
+        SubmissionLog::new(log.system_size(), log.horizon(), entries).expect("valid cancels")
+    }
+
+    /// Probes at `now`: one small job (starts now on an idle node), one
+    /// whole-shard job (queued behind whatever runs), an on-demand job
+    /// announced now and submitted later, a small rigid one submitted
+    /// later, and — when shards are smaller than the machine — one no
+    /// shard can host.
+    fn probes(now: SimTime, system: u32, max_shard: u32) -> Vec<JobSpec> {
+        let rigid = |k: u64, at: SimTime, size: u32| {
+            JobSpecBuilder::rigid(PROBE + k)
+                .submit_at(at)
+                .size(size)
+                .work(d(1_800))
+                .estimate(d(3_600))
+                .build()
+        };
+        let mut v = vec![
+            rigid(0, now, 1),
+            rigid(1, now, max_shard),
+            JobSpecBuilder::on_demand(PROBE + 2)
+                .submit_at(now + d(1_200))
+                .notice(now, now + d(1_200))
+                .size(max_shard / 2)
+                .work(d(900))
+                .estimate(d(1_800))
+                .build(),
+            rigid(3, now + d(7_200), 4),
+        ];
+        if max_shard < system {
+            v.push(rigid(4, now, max_shard + 1));
+        }
+        v
+    }
+
+    fn drive<B: SnapshotBackend>(svc: &mut SchedulerService<B>, log: &SubmissionLog, cut: usize)
+    where
+        B::Ctx: Clone,
+    {
+        for e in &log.entries()[..cut] {
+            svc.apply(e).expect("log entry applies");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// `what_if` (forks stop once the probe starts or retires) equals
+        /// the drain-to-end forecast bitwise, at random cut points of
+        /// random tiny sessions, with and without buffered cancels, on one
+        /// cluster and on a 2-shard federation.
+        #[test]
+        fn what_if_equals_drain_to_end(
+            seed in 0..1_000u64,
+            jobs in 15..50u32,
+            cut_frac in 0..=100u32,
+            cancels in 0..2u32,
+            m in 0..6usize,
+        ) {
+            let trace = TraceConfig::tiny().with_jobs(jobs).generate(seed);
+            let mut log = SubmissionLog::from_trace(&trace);
+            if cancels == 1 {
+                log = with_buffered_cancels(&log, 4);
+            }
+            let cut = log.len() * cut_frac as usize / 100;
+            let system = log.system_size();
+            let cfg = session_cfg(Mechanism::ALL_SIX[m]);
+
+            let mut svc = SchedulerService::new(cfg.clone(), system);
+            drive(&mut svc, &log, cut);
+            for p in probes(svc.now(), system, system) {
+                assert_oracle(&svc, &(), &p, &format!("cluster, probe {}", p.id));
+            }
+
+            let fed = FederationConfig::even_split(2, system);
+            let max_shard = fed.shards.iter().map(|s| s.nodes).max().expect("shards");
+            let mut svc =
+                SchedulerService::<Federation>::federated(cfg.federated(fed.clone()), system);
+            drive(&mut svc, &log, cut);
+            for p in probes(svc.now(), system, max_shard) {
+                assert_oracle(&svc, &fed, &p, &format!("federation, probe {}", p.id));
+            }
+        }
+    }
+
+    /// Each probe class the early stop distinguishes actually occurs —
+    /// starts now, queued behind a running job, future submit, never
+    /// placeable — and matches the drain-to-end forecast.
+    #[test]
+    fn what_if_probe_classes_match_drain_to_end() {
+        let cfg = session_cfg(Mechanism::CUA_SPAA);
+        let mut svc = SchedulerService::new(cfg.clone(), 64);
+        let now = svc.now();
+        let probe = |k: u64, at: SimTime, size: u32| {
+            JobSpecBuilder::rigid(PROBE + k)
+                .submit_at(at)
+                .size(size)
+                .work(d(600))
+                .estimate(d(1_200))
+                .build()
+        };
+
+        let starts_now = assert_oracle(&svc, &(), &probe(0, now, 8), "idle machine");
+        assert_eq!(starts_now.len(), 6);
+        assert!(starts_now.values().all(|&s| s == now));
+
+        let later = now + d(5_000);
+        let future = assert_oracle(&svc, &(), &probe(1, later, 8), "future submit");
+        assert!(future.len() == 6 && future.values().all(|&s| s == later));
+
+        let blocker = JobSpecBuilder::rigid(1)
+            .size(64)
+            .work(d(3_600))
+            .estimate(d(7_200))
+            .build();
+        svc.submit(blocker).expect("submittable");
+        svc.step_until(t(10));
+        let queued = assert_oracle(&svc, &(), &probe(2, svc.now(), 8), "full machine");
+        assert_eq!(queued.len(), 6);
+        assert!(queued.values().all(|&s| s >= t(3_600)));
+
+        let fed = FederationConfig::even_split(2, 64);
+        let svc = SchedulerService::<Federation>::federated(cfg.federated(fed.clone()), 64);
+        let absent = assert_oracle(
+            &svc,
+            &fed,
+            &probe(3, svc.now(), 40),
+            "larger than any shard",
+        );
+        assert!(absent.is_empty(), "an unplaceable probe has no forecast");
     }
 }
