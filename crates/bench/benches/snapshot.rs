@@ -19,8 +19,7 @@ const THETA_NODES: u32 = 4_392;
 fn mid_fixture_session() -> (SchedulerService, SimConfig) {
     let trace = TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default()).make_trace(0);
     let log = SubmissionLog::from_trace(&trace);
-    let mut cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
     let mut svc = SchedulerService::new(cfg.clone(), log.system_size());
     for e in &log.entries()[..log.len() / 2] {
         svc.apply(e).expect("log entry applies");

@@ -46,11 +46,7 @@ fn run_cell(
     reference: Option<&SimOutcome>,
     table: &mut Table,
 ) -> Row {
-    let mut cfg = SimConfig::with_mechanism(m);
-    // Wall-clock decision latencies are the one non-simulated metric; drop
-    // them so the streamed outcome is a pure function of the archive.
-    cfg.measure_decisions = false;
-
+    let cfg = SimConfig::with_mechanism(m);
     let mut outcomes = Vec::with_capacity(archives.len());
     let mut wall_s = 0.0;
     // Max over seeds of the per-run peak RSS delta watermark.
@@ -177,11 +173,9 @@ fn main() {
         });
 
         for m in Mechanism::ALL_SIX {
-            let materialized = reference.as_ref().map(|trace| {
-                let mut cfg = SimConfig::with_mechanism(m);
-                cfg.measure_decisions = false;
-                Simulator::run_trace(&cfg, trace)
-            });
+            let materialized = reference
+                .as_ref()
+                .map(|trace| Simulator::run_trace(&SimConfig::with_mechanism(m), trace));
             rows.push(run_cell(
                 profile,
                 m,

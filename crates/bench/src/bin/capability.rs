@@ -41,19 +41,14 @@ const FRACS: [f64; 3] = [0.0, 0.25, 0.5];
 /// zero fraction — the bitwise plain-mechanism parity oracle. Adds the
 /// cell's line to `table` and returns its baseline row.
 fn run_cell(m: Mechanism, source: &str, traces: &[Trace], frac: f64, table: &mut Table) -> Row {
-    let mut cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(m));
-    // Wall-clock decision latencies are the one non-simulated metric; drop
-    // them so parallel == sequential == plain-path holds bitwise.
-    cfg.measure_decisions = false;
-
+    let cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(m));
     let seeds: Vec<u64> = (0..traces.len() as u64).collect();
     let sequential = sweep_verified(&cfg, &seeds, |s| traces[s as usize].clone()).outcomes;
 
     if frac == 0.0 {
         // The key oracle: zero capability jobs ≡ the plain two-class
         // mechanism path, bitwise.
-        let mut plain_cfg = SimConfig::with_mechanism(m);
-        plain_cfg.measure_decisions = false;
+        let plain_cfg = SimConfig::with_mechanism(m);
         for (i, (tr, c)) in traces.iter().zip(&sequential).enumerate() {
             assert_eq!(tr.count_class(JobClass::Capability), 0);
             let plain = Simulator::run_trace(&plain_cfg, tr);

@@ -46,10 +46,7 @@ fn run_cell(
     fed: &FederationConfig,
     table: &mut Table,
 ) -> Row {
-    let mut cfg = SimConfig::with_mechanism(m);
-    // Wall-clock decision latencies are the one non-simulated metric; drop
-    // them so parallel == sequential == single-cluster holds bitwise.
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_mechanism(m);
     let fed_cfg = cfg.clone().federated(fed.clone());
 
     let seeds: Vec<u64> = (0..traces.len() as u64).collect();

@@ -64,8 +64,6 @@ fn main() {
     let mut rows: Vec<(Mechanism, u64, Latencies)> = Vec::new();
     for m in Mechanism::ALL_SIX {
         let mut cfg = SimConfig::with_mechanism(m);
-        // Deterministic fingerprint: no wall-clock decision sampling.
-        cfg.measure_decisions = false;
         cfg.paranoid_checks = paranoid;
         let mut lat = Latencies::default();
         let mut outcomes: Vec<SimOutcome> = Vec::new();

@@ -39,11 +39,7 @@ fn main() {
     let seed_list: Vec<u64> = (0..seeds).collect();
     let mut rows: Vec<(Mechanism, Metrics)> = Vec::new();
     for m in Mechanism::ALL_SIX {
-        let mut cfg = SimConfig::with_mechanism(m);
-        // Wall-clock decision latencies are the one non-simulated metric;
-        // drop them so parallel == sequential holds bitwise and the JSON
-        // baseline is machine-independent.
-        cfg.measure_decisions = false;
+        let cfg = SimConfig::with_mechanism(m);
         let sweep = sweep_verified(&cfg, &seed_list, |s| source.make_trace(s));
         let mut avg = MetricsAvg::new();
         for outcome in &sweep.outcomes {

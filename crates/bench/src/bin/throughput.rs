@@ -40,11 +40,7 @@ use hws_workload::{SwfImportConfig, Trace};
 /// self-check on seed 0. Adds the cell's line to `table` and returns its
 /// baseline row.
 fn run_cell(m: Mechanism, source: &str, traces: &[Trace], seeds: u64, table: &mut Table) -> Row {
-    let mut cfg = SimConfig::with_mechanism(m);
-    // Wall-clock decision latencies are the one non-simulated metric; drop
-    // them so parallel == sequential == paranoid holds bitwise.
-    cfg.measure_decisions = false;
-
+    let cfg = SimConfig::with_mechanism(m);
     // The parallel window includes one trace clone per seed; the
     // sequential one times `run_trace` alone.
     let seed_list: Vec<u64> = (0..seeds).collect();

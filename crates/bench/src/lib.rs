@@ -2,9 +2,10 @@
 //!
 //! One binary per table/figure of the paper (see `src/bin/`), plus shared
 //! plumbing: the [`TraceSource`] abstraction (synthetic generator or SWF
-//! replay), multi-seed parallel execution, and result aggregation. The
-//! Criterion benches under `benches/` cover Observation 10 (decision
-//! latency) and simulator/backfill throughput.
+//! replay), multi-seed parallel execution, result aggregation, and the
+//! [`DecisionTimer`] behind `fig6`'s Observation 10 (decision latency)
+//! line. The Criterion benches under `benches/` cover per-decision kernels
+//! and simulator/backfill throughput.
 //!
 //! Scale knobs (environment variables, so `cargo bench`/CI stay fast):
 //!
@@ -27,13 +28,16 @@
 
 pub mod archive;
 pub mod baseline;
+pub mod decision_timer;
 
 pub use archive::{
     archive_dir, archive_path, ensure_archive, peak_rss_bytes, reset_peak_rss, ArchiveProfile,
 };
+pub use decision_timer::{DecisionLatency, DecisionTimer};
 
 use hws_core::{Mechanism, SimConfig, SimOutcome, Simulator};
 use hws_metrics::{Metrics, MetricsAvg};
+use hws_search::fnv1a;
 use hws_sim::SimDuration;
 use hws_workload::{import_swf_reader, NoticeMix, SwfImportConfig, Trace, TraceConfig};
 use std::fmt::Write as _;
@@ -339,32 +343,24 @@ pub fn run_averaged(sim_cfg: &SimConfig, trace_cfg: &TraceConfig, seeds: u64) ->
 }
 
 /// Run every (mechanism × workload) cell of Fig. 6 and return
-/// `(workload name, mechanism, averaged metrics)` rows.
+/// `(workload name, mechanism, averaged metrics)` rows. Every decision of
+/// every run is timed into `timer` (Observation 10).
 pub fn run_fig6_grid(
     source: &TraceSource,
     seeds: u64,
     mechanisms: &[Mechanism],
+    timer: &DecisionTimer,
 ) -> Vec<(&'static str, Mechanism, Metrics)> {
     let mut rows = Vec::new();
     for (wname, mix) in NoticeMix::TABLE3 {
         let wsource = source.clone().with_notice_mix(mix);
         for &m in mechanisms {
-            let scfg = SimConfig::with_mechanism(m);
+            let mut scfg = SimConfig::with_mechanism(m);
+            timer.install(&mut scfg);
             rows.push((wname, m, run_averaged_source(&scfg, &wsource, seeds)));
         }
     }
     rows
-}
-
-/// FNV-1a over arbitrary bytes; the workspace's standard cheap stable
-/// hash for behavioral fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// FNV-1a over the `Debug` rendering of every per-seed metrics struct: an
@@ -501,8 +497,7 @@ mod tests {
         // The swf_replay acceptance bar, at test scale: parallel sweeping
         // over the imported fixture must not perturb any per-seed metric.
         let src = TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default());
-        let mut cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
-        cfg.measure_decisions = false;
+        let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
         let sweep = sweep_verified(&cfg, &[0, 1], |s| src.make_trace(s));
         assert_eq!(sweep.outcomes.len(), 2);
     }
@@ -516,8 +511,7 @@ mod tests {
         let src = TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default());
         let trace = src.make_trace(0);
         let swf = hws_workload::to_swf(&trace, &hws_workload::SwfExportConfig::default());
-        let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
-        cfg.measure_decisions = false;
+        let cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
         let materialized = Simulator::run_trace(&cfg, &trace);
         let streamed = Simulator::run_source(
             &cfg,

@@ -180,7 +180,9 @@ pub struct SimConfig {
     pub instant_threshold: SimDuration,
     pub victim_order: VictimOrder,
     pub shrink_strategy: ShrinkStrategy,
-    /// Record wall-clock decision latency (Observation 10).
+    /// No effect: nothing reads it. Kept only because `perfbench/` still
+    /// assigns it; removed together with those writes (ROADMAP 7d).
+    #[doc(hidden)]
     pub measure_decisions: bool,
     /// Verify cluster invariants after every event (slow; tests only).
     pub paranoid_checks: bool,
@@ -226,7 +228,7 @@ impl Default for SimConfig {
             instant_threshold: SimDuration::from_secs(120),
             victim_order: VictimOrder::Overhead,
             shrink_strategy: ShrinkStrategy::EvenWaterFill,
-            measure_decisions: true,
+            measure_decisions: false,
             paranoid_checks: false,
             record_timeline: false,
             hooks: None,

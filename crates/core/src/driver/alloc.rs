@@ -115,7 +115,6 @@ impl<B: ClusterBackend> SimCore<B> {
     /// hooks collect, reserve free nodes and register a collector; the
     /// hooks' prediction plan (CUP) schedules cheap preemptions.
     pub(super) fn on_notice(&mut self, j: JobId, now: SimTime, q: &mut EventQueue<Ev>) {
-        let started = std::time::Instant::now();
         let spec = self.spec(j).clone();
         let notice = spec.notice.expect("notice event without notice spec");
         debug_assert_eq!(self.st(j).status, Status::Announced);
@@ -193,9 +192,6 @@ impl<B: ClusterBackend> SimCore<B> {
             Ev::ReservationTimeout(j),
         );
         self.timeout_ev.insert(j, ev);
-        if self.cfg.measure_decisions {
-            self.rec.add_decision(started.elapsed());
-        }
     }
 
     /// Running jobs eligible as preemption victims (never on-demand jobs,
@@ -290,7 +286,6 @@ impl<B: ClusterBackend> SimCore<B> {
 
     /// Actual arrival of an on-demand job (§III-B2).
     pub(super) fn on_od_arrival(&mut self, j: JobId, now: SimTime, q: &mut EventQueue<Ev>) {
-        let started = std::time::Instant::now();
         let spec = self.spec(j).clone();
         let need = spec.size;
 
@@ -385,9 +380,6 @@ impl<B: ClusterBackend> SimCore<B> {
         self.enqueue_waiting(j);
         self.offer_free_nodes(now);
         self.request_pass(now, q);
-        if self.cfg.measure_decisions {
-            self.rec.add_decision(started.elapsed());
-        }
     }
 
     /// Execute an arrival plan: shrinks first, then preemptions, recording

@@ -179,11 +179,10 @@ impl Simulator {
     ///
     /// Every run is an independent simulation over its own trace, so the
     /// per-seed metrics are **bitwise identical** to sequential
-    /// [`Simulator::run_trace`] calls (wall-clock decision latencies are the
-    /// one legitimate exception; disable `measure_decisions` for strict
-    /// equality), provided the factory is a pure function of the seed —
-    /// the synthetic generator, SWF replays, recorded CSV traces. The
-    /// figure/table binaries in `hws-bench` route through this entry point.
+    /// [`Simulator::run_trace`] calls, provided the factory is a pure
+    /// function of the seed — the synthetic generator, SWF replays,
+    /// recorded CSV traces. The figure/table binaries in `hws-bench` route
+    /// through this entry point.
     pub fn run_sweep_with<F>(cfg: &SimConfig, seeds: &[u64], make_trace: F) -> Vec<SimOutcome>
     where
         F: Fn(u64) -> Trace + Sync,

@@ -490,9 +490,6 @@ where
             let cfg = SimConfig {
                 mechanism: m,
                 hooks: None,
-                // Wall-clock decision timing is meaningless in a
-                // speculative fork; keep forks fully deterministic.
-                measure_decisions: false,
                 ..self.engine.sim.cfg.clone()
             };
             let mut fork = SchedulerService::<B>::restore(&image, &cfg, self.ctx.clone())

@@ -1,7 +1,7 @@
 //! Whole-simulation snapshot/restore: the byte format behind
 //! [`super::SchedulerService::snapshot`].
 //!
-//! ## Format (version 1)
+//! ## Format
 //!
 //! One version byte, then the engine scalars (`now`, `delivered`), the
 //! event queue (entries sorted by `(time, seq)` plus the dynamic-lane
@@ -42,7 +42,9 @@ use std::collections::{BTreeSet, HashMap};
 /// epoch, and restore *rebuilds* the index by recomputing every key from
 /// the restored specs, `od_front`, and that epoch — a byte fixed point,
 /// because recomputed keys reproduce the recorded order exactly.
-const SNAP_VERSION: u8 = 3;
+/// Version 4 dropped the recorder's wall-clock decision samples: the
+/// image is now a pure function of the simulated state.
+const SNAP_VERSION: u8 = 4;
 
 // ---------------------------------------------------------------------
 // Event codec.

@@ -76,9 +76,10 @@ fn job_table_steady_state_is_allocation_free() {
 
 /// The end-to-end workload: a multi-thousand-job hybrid trace under CUP&SPAA.
 fn budget_workload() -> (SimConfig, Trace) {
-    let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
-    cfg.measure_decisions = false;
-    (cfg, TraceConfig::tiny().with_jobs(2_000).generate(11))
+    (
+        SimConfig::with_mechanism(Mechanism::CUP_SPAA),
+        TraceConfig::tiny().with_jobs(2_000).generate(11),
+    )
 }
 
 /// Allocations per delivered event of a warm run of `replay`: a first

@@ -14,7 +14,7 @@
 //!    session (snapshot bytes unchanged).
 //! 4. **Cancel semantics** — buffered / announced / waiting / too-late.
 
-use hws_cluster::{Federation, FederationConfig, SnapshotBackend};
+use hws_cluster::{Cluster, Federation, FederationConfig, SnapshotBackend};
 use hws_core::{
     replay_submission_log, CancelOutcome, CapabilityAware, JobStatus, Mechanism, SchedulerService,
     SimConfig, SimOutcome, Simulator,
@@ -26,7 +26,6 @@ use proptest::prelude::*;
 
 fn cfg_for(mechanism: Mechanism) -> SimConfig {
     let mut cfg = SimConfig::with_mechanism(mechanism);
-    cfg.measure_decisions = false;
     // Every contract here also runs the O(n)-scan cross-validating
     // cluster accounting: the logs are small enough that paranoia is
     // nearly free, and a restore that corrupted occupancy must trip an
@@ -135,7 +134,6 @@ fn assert_snapshot_transparent(cfg: &SimConfig, log: &SubmissionLog, cut: usize,
 
 fn capability_cfg() -> SimConfig {
     let mut cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::CUP_SPAA));
-    cfg.measure_decisions = false;
     cfg.paranoid_checks = true;
     cfg
 }
@@ -152,8 +150,7 @@ proptest! {
         let log = SubmissionLog::from_trace(&trace);
         let cancelled = with_buffered_cancels(&log, 5);
         {
-            let mut cfg = SimConfig::baseline();
-            cfg.measure_decisions = false;
+            let cfg = SimConfig::baseline();
             assert_parity(&cfg, &log, "baseline");
             assert_parity(&cfg, &cancelled, "baseline+cancels");
         }
@@ -180,6 +177,45 @@ proptest! {
             .federated(FederationConfig::even_split(2, log.system_size()));
         assert_snapshot_transparent(&fed, &log, cut, "2-shard federation");
     }
+}
+
+/// Under the plain default config, two sessions over the same log
+/// snapshot to identical bytes, mid-run and drained: no wall-clock value
+/// reaches the image.
+#[test]
+fn default_config_sessions_snapshot_identically() {
+    let trace = TraceConfig::tiny().with_jobs(60).generate(5);
+    let log = SubmissionLog::from_trace(&trace);
+    let session = || {
+        let mut svc = SchedulerService::new(SimConfig::default(), log.system_size());
+        for e in log.entries() {
+            svc.apply(e).expect("entry applies");
+        }
+        let applied = svc.snapshot();
+        svc.step_until(SimTime::MAX);
+        (applied, svc.snapshot())
+    };
+    assert_eq!(session(), session());
+}
+
+/// An image in the previous engine format (version 3) is refused with an
+/// error naming both versions — never a panic.
+#[test]
+fn version_3_engine_image_is_rejected() {
+    let cfg = SimConfig::default();
+    let mut bytes = SchedulerService::new(cfg.clone(), 64).snapshot();
+    // The service version byte, the engine image's u64 length prefix,
+    // then the engine version byte.
+    assert_eq!(bytes[9], 4, "engine image version");
+    bytes[9] = 3;
+    let Err(err) = SchedulerService::<Cluster>::restore(&bytes, &cfg, ()) else {
+        panic!("a version-3 image restored");
+    };
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 3") && msg.contains("reads 4"),
+        "{msg}"
+    );
 }
 
 /// What-if forks must not perturb the live session: the snapshot image is

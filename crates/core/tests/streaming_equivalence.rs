@@ -16,14 +16,6 @@ use hws_workload::job::JobSpecBuilder;
 use hws_workload::{to_swf, SwfExportConfig, SwfStreamSource, Trace, TraceConfig};
 use proptest::prelude::*;
 
-/// Wall-clock decision latencies are the one documented exception to
-/// bitwise equality; everything else must match exactly.
-fn cfg_for(mechanism: Mechanism) -> SimConfig {
-    let mut cfg = SimConfig::with_mechanism(mechanism);
-    cfg.measure_decisions = false;
-    cfg
-}
-
 /// Stream `trace` back out of its own embedded SWF export.
 fn stream_of(trace: &Trace) -> SwfStreamSource<std::io::BufReader<&[u8]>> {
     let swf = to_swf(trace, &SwfExportConfig::default());
@@ -64,9 +56,9 @@ proptest! {
     fn streaming_replay_is_bitwise_identical(seed in 0..1_000u64, jobs in 30..120u32) {
         let trace = TraceConfig::tiny().with_jobs(jobs).generate(seed);
         for mechanism in Mechanism::ALL_SIX {
-            assert_identical(&trace, &cfg_for(mechanism), mechanism.name());
+            assert_identical(&trace, &SimConfig::with_mechanism(mechanism), mechanism.name());
         }
-        let fed = cfg_for(Mechanism::CUA_SPAA)
+        let fed = SimConfig::with_mechanism(Mechanism::CUA_SPAA)
             .federated(FederationConfig::even_split(2, trace.system_size));
         assert_identical(&trace, &fed, "2-shard federation");
     }
@@ -78,8 +70,7 @@ proptest! {
 #[test]
 fn baseline_streams_identically() {
     let trace = TraceConfig::tiny().generate(7);
-    let mut cfg = SimConfig::baseline();
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::baseline();
     let materialized = Simulator::run_trace(&cfg, &trace);
     let streamed = Simulator::run_source(&cfg, stream_of(&trace));
     assert_eq!(materialized.metrics, streamed.metrics);
@@ -92,7 +83,11 @@ fn baseline_streams_identically() {
 fn capability_classes_stream_identically() {
     let trace = TraceConfig::tiny().with_capability_frac(0.2).generate(3);
     for mechanism in Mechanism::ALL_SIX {
-        assert_identical(&trace, &cfg_for(mechanism), mechanism.name());
+        assert_identical(
+            &trace,
+            &SimConfig::with_mechanism(mechanism),
+            mechanism.name(),
+        );
     }
 }
 
@@ -123,7 +118,7 @@ fn peak_resident_jobs_tracks_live_window_not_trace_length() {
     let total = jobs.len() as u64;
     let trace = Trace::new(64, SimDuration::from_days(BURSTS + 1), jobs);
 
-    let cfg = cfg_for(Mechanism::CUA_PAA);
+    let cfg = SimConfig::with_mechanism(Mechanism::CUA_PAA);
     let materialized = Simulator::run_trace(&cfg, &trace);
     let streamed = Simulator::run_source(&cfg, stream_of(&trace));
 

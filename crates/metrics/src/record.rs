@@ -177,8 +177,6 @@ pub struct Recorder {
     wasted_node_seconds: u128,
     first_submit: Option<SimTime>,
     last_finish: Option<SimTime>,
-    /// Wall-clock cost of each scheduler decision (Observation 10).
-    decision_nanos: Vec<u64>,
     /// Any capability-class job submitted? Lets two-class runs skip the
     /// per-class breakdown entirely.
     saw_capability: bool,
@@ -194,7 +192,6 @@ impl Recorder {
             wasted_node_seconds: 0,
             first_submit: None,
             last_finish: None,
-            decision_nanos: Vec::new(),
             saw_capability: false,
         }
     }
@@ -387,11 +384,6 @@ impl Recorder {
         self.wasted_node_seconds += u128::from(nodes) * u128::from(dur.as_secs());
     }
 
-    /// Record the wall-clock cost of one mechanism decision.
-    pub fn add_decision(&mut self, elapsed: std::time::Duration) {
-        self.decision_nanos.push(elapsed.as_nanos() as u64);
-    }
-
     fn rec(&mut self, id: JobId) -> &mut JobRecord {
         self.records
             .get_mut(&id)
@@ -426,10 +418,6 @@ impl Recorder {
         Some((self.first_submit?, self.last_finish?))
     }
 
-    pub fn decision_nanos(&self) -> &[u64] {
-        &self.decision_nanos
-    }
-
     /// Whether any capability-class job was submitted — an O(1) guard so
     /// two-class runs never pay for a per-class breakdown.
     pub fn saw_capability(&self) -> bool {
@@ -437,8 +425,8 @@ impl Recorder {
     }
 
     /// Serialize a **retaining** recorder: every record (sorted by job
-    /// id), the occupancy/waste accumulators, the run span, and the
-    /// decision-cost samples, byte-exact. Streaming recorders hold partial
+    /// id), the occupancy/waste accumulators and the run span,
+    /// byte-exact. Streaming recorders hold partial
     /// float folds that cannot round-trip losslessly mid-stream, so the
     /// live scheduler service (the snapshot consumer) always retains.
     ///
@@ -464,10 +452,6 @@ impl Recorder {
         w.put_u64((self.wasted_node_seconds >> 64) as u64);
         w.put_opt_u64(self.first_submit.map(|t| t.0));
         w.put_opt_u64(self.last_finish.map(|t| t.0));
-        w.put_len(self.decision_nanos.len());
-        for n in &self.decision_nanos {
-            w.put_u64(*n);
-        }
         w.put_bool(self.saw_capability);
     }
 
@@ -490,14 +474,6 @@ impl Recorder {
         let wasted = u128::from(r.get_u64()?) | (u128::from(r.get_u64()?) << 64);
         let first_submit = r.get_opt_u64()?.map(SimTime);
         let last_finish = r.get_opt_u64()?.map(SimTime);
-        let n_dec = r.get_len()?;
-        if n_dec > r.remaining() / 8 {
-            return Err(r.err(format!("implausible decision count {n_dec}")));
-        }
-        let mut decision_nanos = Vec::with_capacity(n_dec);
-        for _ in 0..n_dec {
-            decision_nanos.push(r.get_u64()?);
-        }
         let saw_capability = r.get_bool()?;
         Ok(Recorder {
             system_size,
@@ -507,7 +483,6 @@ impl Recorder {
             wasted_node_seconds: wasted,
             first_submit,
             last_finish,
-            decision_nanos,
             saw_capability,
         })
     }
@@ -636,13 +611,6 @@ mod tests {
         assert!(lines[2].starts_with("1,rigid,no-notice,4,100,200,500,100,400,"));
     }
 
-    #[test]
-    fn decisions_recorded() {
-        let mut r = Recorder::new(1);
-        r.add_decision(std::time::Duration::from_micros(5));
-        assert_eq!(r.decision_nanos(), &[5_000]);
-    }
-
     fn busy_recorder() -> Recorder {
         let mut r = Recorder::new(128);
         r.job_submitted_full(
@@ -664,7 +632,6 @@ mod tests {
         r.job_killed(JobId(7), t(700));
         r.add_occupancy(16, SimDuration::from_secs(445));
         r.add_waste(4, SimDuration::from_secs(20));
-        r.add_decision(std::time::Duration::from_nanos(1234));
         r
     }
 
@@ -687,7 +654,6 @@ mod tests {
         assert_eq!(back.occupied_node_seconds(), r.occupied_node_seconds());
         assert_eq!(back.wasted_node_seconds(), r.wasted_node_seconds());
         assert_eq!(back.span(), r.span());
-        assert_eq!(back.decision_nanos(), r.decision_nanos());
         assert_eq!(back.saw_capability(), r.saw_capability());
         assert_eq!(encode(&back), bytes, "re-encode must reproduce the bytes");
         assert_eq!(back.jobs_csv(), r.jobs_csv());

@@ -35,11 +35,6 @@ pub struct Metrics {
     pub completed_jobs: usize,
     pub killed_jobs: usize,
     pub span_hours: f64,
-    /// Mean / p99 / max wall-clock cost of a mechanism decision, in
-    /// microseconds (Observation 10: must stay far below 10 ms).
-    pub decision_mean_us: f64,
-    pub decision_p99_us: f64,
-    pub decision_max_us: f64,
     /// Mean queueing delay before the first start, hours.
     pub avg_wait_h: f64,
     /// Mean bounded slowdown (10-second runtime floor).
@@ -160,7 +155,7 @@ impl MetricsAcc {
     }
 
     /// Combine the folded per-job state with the recorder's run-level
-    /// aggregates (span, occupancy, decision latencies) into the report.
+    /// aggregates (span, occupancy) into the report.
     pub fn finish(&self, rec: &Recorder) -> Metrics {
         let instant_by_category = self
             .cat_inst
@@ -204,20 +199,6 @@ impl MetricsAcc {
             0.0
         };
 
-        let mut d: Vec<u64> = rec.decision_nanos().to_vec();
-        d.sort_unstable();
-        let decision_mean_us = if d.is_empty() {
-            0.0
-        } else {
-            d.iter().sum::<u64>() as f64 / d.len() as f64 / 1_000.0
-        };
-        let decision_p99_us = if d.is_empty() {
-            0.0
-        } else {
-            d[(d.len() - 1).min(d.len() * 99 / 100)] as f64 / 1_000.0
-        };
-        let decision_max_us = d.last().copied().unwrap_or(0) as f64 / 1_000.0;
-
         Metrics {
             avg_turnaround_h: if self.n_completed > 0 {
                 self.sum_tat / self.n_completed as f64
@@ -242,9 +223,6 @@ impl MetricsAcc {
             completed_jobs: self.n_completed,
             killed_jobs: self.killed,
             span_hours,
-            decision_mean_us,
-            decision_p99_us,
-            decision_max_us,
             avg_wait_h: if self.wait_n > 0 {
                 self.wait_sum / self.wait_n as f64
             } else {
@@ -334,9 +312,6 @@ impl MetricsAvg {
             m.completed_jobs as f64,
             m.killed_jobs as f64,
             m.span_hours,
-            m.decision_mean_us,
-            m.decision_p99_us,
-            m.decision_max_us,
             m.rigid.completed as f64,
             m.on_demand.completed as f64,
             m.malleable.completed as f64,
@@ -377,17 +352,17 @@ impl MetricsAvg {
         Metrics {
             avg_turnaround_h: a[0],
             rigid: KindStats {
-                completed: a[16] as usize,
+                completed: a[13] as usize,
                 avg_turnaround_h: a[1],
                 preemption_ratio: a[8],
             },
             on_demand: KindStats {
-                completed: a[17] as usize,
+                completed: a[14] as usize,
                 avg_turnaround_h: a[2],
-                preemption_ratio: a[19],
+                preemption_ratio: a[16],
             },
             malleable: KindStats {
-                completed: a[18] as usize,
+                completed: a[15] as usize,
                 avg_turnaround_h: a[3],
                 preemption_ratio: a[9],
             },
@@ -398,13 +373,10 @@ impl MetricsAvg {
             completed_jobs: a[10] as usize,
             killed_jobs: a[11] as usize,
             span_hours: a[12],
-            decision_mean_us: a[13],
-            decision_p99_us: a[14],
-            decision_max_us: a[15],
-            avg_wait_h: a[20],
-            avg_bounded_slowdown: a[21],
-            instant_by_category: [a[22], a[23], a[24], a[25]],
-            total_failures: a[26] as u64,
+            avg_wait_h: a[17],
+            avg_bounded_slowdown: a[18],
+            instant_by_category: [a[19], a[20], a[21], a[22]],
+            total_failures: a[23] as u64,
         }
     }
 }
@@ -501,15 +473,34 @@ mod tests {
     }
 
     #[test]
-    fn decision_percentiles() {
-        let mut rec = Recorder::new(10);
-        for us in 1..=100u64 {
-            rec.add_decision(std::time::Duration::from_micros(us));
-        }
-        let m = Metrics::compute(&rec, threshold());
-        assert!((m.decision_mean_us - 50.5).abs() < 1e-9);
-        assert!((m.decision_max_us - 100.0).abs() < 1e-9);
-        assert!(m.decision_p99_us >= 99.0);
+    fn mean_of_one_sample_reproduces_every_field() {
+        // Distinct values in every slot: a swapped positional index in
+        // `MetricsAvg::mean` puts a value in the wrong field.
+        let kind = |c, base| KindStats {
+            completed: c,
+            avg_turnaround_h: base + 0.25,
+            preemption_ratio: base + 0.5,
+        };
+        let m = Metrics {
+            avg_turnaround_h: 1.5,
+            rigid: kind(2, 3.0),
+            on_demand: kind(4, 5.0),
+            malleable: kind(6, 7.0),
+            instant_start_rate: 8.5,
+            strict_instant_rate: 9.5,
+            utilization: 10.5,
+            raw_occupancy: 11.5,
+            completed_jobs: 12,
+            killed_jobs: 13,
+            span_hours: 14.5,
+            avg_wait_h: 15.5,
+            avg_bounded_slowdown: 16.5,
+            instant_by_category: [17.5, 18.5, 19.5, 20.5],
+            total_failures: 21,
+        };
+        let mut avg = MetricsAvg::new();
+        avg.push(&m);
+        assert_eq!(avg.mean(), m);
     }
 
     #[test]

@@ -13,9 +13,9 @@ use std::fmt::Write as _;
 
 const HEADER: &str = "; HWS-Leaderboard: 1";
 
-/// 64-bit FNV-1a (the workspace's standard fingerprint hash; see
-/// `hws_bench::fnv1a` — reimplemented here because `hws-bench` sits
-/// *above* this crate in the dependency order).
+/// 64-bit FNV-1a: the workspace's standard cheap, stable hash for
+/// behavioral fingerprints (leaderboards here, `BENCH_*.json` rows via
+/// `hws_bench::metrics_fingerprint`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

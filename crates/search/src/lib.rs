@@ -18,8 +18,7 @@
 //! `Simulator::run_sweep_with` — and fold results in candidate/seed index
 //! order, so a parallel search is **bitwise identical** to a sequential
 //! one, and two runs of the same (space, seeds) produce byte-identical
-//! [`Leaderboard`] artifacts. Wall-clock decision latencies are forced
-//! off for every candidate to keep the claim exact.
+//! [`Leaderboard`] artifacts.
 
 pub mod leaderboard;
 pub mod space;

@@ -1,10 +1,9 @@
 //! Grid and tournament search over a [`SearchSpace`].
 //!
 //! Both tuners reduce to the same deterministic kernel: materialise
-//! every candidate into a `SimConfig` (wall-clock decision measurement
-//! forced off — latencies must never leak into the artifact), evaluate
-//! (candidate, seed) cells through [`hws_sim::par_map`] or a sequential
-//! loop, and fold rewards in candidate/seed index order. Because the
+//! every candidate into a `SimConfig`, evaluate (candidate, seed) cells
+//! through [`hws_sim::par_map`] or a sequential loop, and fold rewards in
+//! candidate/seed index order. Because the
 //! fan-out returns results in index order regardless of thread
 //! scheduling, `parallel == sequential` holds **bitwise**, and the
 //! emitted [`Leaderboard`] text is byte-identical across runs of the
@@ -107,18 +106,11 @@ where
     }
 }
 
-/// Materialise every candidate over `base`, with decision-latency
-/// measurement forced off (wall-clock must never enter the artifact).
+/// Materialise every candidate over `base`.
 fn materialize(candidates: &[Candidate], base: &SimConfig) -> Result<Vec<SimConfig>, String> {
     candidates
         .iter()
-        .map(|c| {
-            let mut cfg = c
-                .to_config(base)
-                .map_err(|e| format!("{}: {e}", c.label()))?;
-            cfg.measure_decisions = false;
-            Ok(cfg)
-        })
+        .map(|c| c.to_config(base).map_err(|e| format!("{}: {e}", c.label())))
         .collect()
 }
 

@@ -25,12 +25,6 @@ fn make_trace(seed: u64) -> Trace {
     trace
 }
 
-fn quiet_base() -> SimConfig {
-    let mut cfg = SimConfig::baseline();
-    cfg.measure_decisions = false;
-    cfg
-}
-
 fn small_space() -> SearchSpace {
     SearchSpace {
         mechanisms: vec![Mechanism::N_PAA, Mechanism::CUA_SPAA],
@@ -45,7 +39,7 @@ fn small_space() -> SearchSpace {
 fn grid_search_is_byte_reproducible() {
     let space = small_space();
     let cfg = SearchConfig::new(
-        quiet_base(),
+        SimConfig::baseline(),
         RewardSpec::neg_bounded_slowdown(),
         vec![0, 1, 2],
     );
@@ -63,7 +57,7 @@ fn grid_search_is_byte_reproducible() {
 fn grid_parallel_is_bitwise_sequential() {
     let space = small_space();
     let par = SearchConfig::new(
-        quiet_base(),
+        SimConfig::baseline(),
         RewardSpec::class_weighted(1.0, 3.0),
         vec![0, 1],
     );
@@ -76,7 +70,7 @@ fn grid_parallel_is_bitwise_sequential() {
 #[test]
 fn tournament_is_byte_reproducible_and_parallel_matches_sequential() {
     let space = small_space();
-    let par = TournamentConfig::new(quiet_base(), RewardSpec::utilization(), 3, 2);
+    let par = TournamentConfig::new(SimConfig::baseline(), RewardSpec::utilization(), 3, 2);
     let seq = par.clone().sequential();
     let a = tournament_search(&space, &par, make_trace).expect("parallel");
     let b = tournament_search(&space, &par, make_trace).expect("parallel again");
@@ -92,7 +86,11 @@ fn tournament_is_byte_reproducible_and_parallel_matches_sequential() {
 #[test]
 fn leaderboards_are_well_formed_and_round_trip() {
     let space = small_space();
-    let cfg = SearchConfig::new(quiet_base(), RewardSpec::blend(1.0, 10.0), vec![0, 1]);
+    let cfg = SearchConfig::new(
+        SimConfig::baseline(),
+        RewardSpec::blend(1.0, 10.0),
+        vec![0, 1],
+    );
     let lb = grid_search(&space, &cfg, make_trace).expect("grid");
 
     // Every candidate ranked exactly once, best first.
@@ -119,7 +117,12 @@ fn leaderboards_are_well_formed_and_round_trip() {
 #[test]
 fn tournament_spends_more_seeds_on_survivors() {
     let space = small_space();
-    let cfg = TournamentConfig::new(quiet_base(), RewardSpec::neg_bounded_slowdown(), 3, 2);
+    let cfg = TournamentConfig::new(
+        SimConfig::baseline(),
+        RewardSpec::neg_bounded_slowdown(),
+        3,
+        2,
+    );
     let lb = tournament_search(&space, &cfg, make_trace).expect("tournament");
     assert_eq!(lb.rows.len(), space.len(), "every candidate stays ranked");
     let first = lb.rows.first().expect("winner");
@@ -143,15 +146,16 @@ fn identity_candidate_runs_bitwise_equal_to_plain_mechanism_config() {
             mechanism: m,
             knobs: KnobVector::identity(),
         };
-        let cfg = candidate.to_config(&quiet_base()).expect("materialise");
+        let cfg = candidate
+            .to_config(&SimConfig::baseline())
+            .expect("materialise");
         assert!(
             cfg.hooks.is_none(),
             "identity candidate must carry no hooks"
         );
         let got = Simulator::run_trace(&cfg, &trace);
 
-        let mut plain = SimConfig::with_mechanism(m);
-        plain.measure_decisions = false;
+        let plain = SimConfig::with_mechanism(m);
         let want = Simulator::run_trace(&plain, &trace);
         assert_eq!(got.metrics, want.metrics, "{}", m.name());
         assert_eq!(got.engine, want.engine, "{}", m.name());
@@ -162,24 +166,24 @@ fn identity_candidate_runs_bitwise_equal_to_plain_mechanism_config() {
 #[test]
 fn tuner_input_validation_rejects_degenerate_requests() {
     let space = small_space();
-    let no_seeds = SearchConfig::new(quiet_base(), RewardSpec::utilization(), vec![]);
+    let no_seeds = SearchConfig::new(SimConfig::baseline(), RewardSpec::utilization(), vec![]);
     assert!(grid_search(&space, &no_seeds, make_trace)
         .unwrap_err()
         .contains("seed"));
 
-    let no_rounds = TournamentConfig::new(quiet_base(), RewardSpec::utilization(), 0, 2);
+    let no_rounds = TournamentConfig::new(SimConfig::baseline(), RewardSpec::utilization(), 0, 2);
     assert!(tournament_search(&space, &no_rounds, make_trace)
         .unwrap_err()
         .contains("round"));
 
-    let no_spr = TournamentConfig::new(quiet_base(), RewardSpec::utilization(), 2, 0);
+    let no_spr = TournamentConfig::new(SimConfig::baseline(), RewardSpec::utilization(), 2, 0);
     assert!(tournament_search(&space, &no_spr, make_trace)
         .unwrap_err()
         .contains("seed"));
 
     let mut bad = small_space();
     bad.mechanisms.push(Mechanism::Custom);
-    let cfg = SearchConfig::new(quiet_base(), RewardSpec::utilization(), vec![0]);
+    let cfg = SearchConfig::new(SimConfig::baseline(), RewardSpec::utilization(), vec![0]);
     assert!(grid_search(&bad, &cfg, make_trace)
         .unwrap_err()
         .contains("Custom"));

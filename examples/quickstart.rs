@@ -43,10 +43,6 @@ fn main() {
         m.rigid.preemption_ratio * 100.0,
         m.malleable.preemption_ratio * 100.0
     );
-    println!(
-        "  scheduler decisions   {:>7.1} µs mean ({:.1} µs max)",
-        m.decision_mean_us, m.decision_max_us
-    );
 
     // 3. Compare with the plain FCFS/EASY baseline (Table II).
     let base = Simulator::run_trace(&SimConfig::baseline(), &trace);
