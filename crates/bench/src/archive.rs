@@ -15,7 +15,7 @@
 //! (0.81 × capacity ÷ 10⁶ jobs ≈ 37 k node-seconds per job — about a
 //! minute on a mid-sized allocation). The archive is a throughput and
 //! memory stress corpus, not a fidelity corpus: fidelity baselines stay
-//! with `swf_replay`/`throughput` at the paper's job counts.
+//! with `swf_replay`/`replay_matrix` at the paper's job counts.
 //!
 //! | profile | jobs | horizon | role |
 //! |---|---|---|---|

@@ -76,7 +76,7 @@ pub const SWF_REPLAY: Baseline = Baseline {
 /// `BENCH_simulator_throughput.json`: end-to-end jobs/s and events/s.
 pub const THROUGHPUT: Baseline = Baseline {
     file: "BENCH_simulator_throughput.json",
-    bin: "throughput",
+    bin: "replay_matrix",
     scale: Scale::Quick,
     seeds: 10,
     key: "source mechanism",
@@ -89,7 +89,7 @@ pub const THROUGHPUT: Baseline = Baseline {
 /// `BENCH_federated.json`: 1/2/4-shard federations under three placements.
 pub const FEDERATED: Baseline = Baseline {
     file: "BENCH_federated.json",
-    bin: "federated",
+    bin: "replay_matrix",
     scale: Scale::Quick,
     seeds: 10,
     key: "source shards policy mechanism",
@@ -102,7 +102,7 @@ pub const FEDERATED: Baseline = Baseline {
 /// `BENCH_capability.json`: capability/capacity co-scheduling sweep.
 pub const CAPABILITY: Baseline = Baseline {
     file: "BENCH_capability.json",
-    bin: "capability",
+    bin: "replay_matrix",
     scale: Scale::Quick,
     seeds: 10,
     key: "source capability_frac mechanism",
@@ -740,6 +740,15 @@ mod tests {
         let slow = ARCHIVE_REPLAY.render(&[archive_row("quick", "N&PAA", 740.0)]);
         let v = ARCHIVE_REPLAY.check(&committed, &slow, true);
         assert!(v.failures[0].contains("events_per_sec regressed"));
+    }
+
+    #[test]
+    fn every_registry_bin_is_a_bench_binary() {
+        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for b in &BASELINES {
+            let source = bins.join(format!("{}.rs", b.bin));
+            assert!(source.is_file(), "{}: no {}", b.file, source.display());
+        }
     }
 
     #[test]

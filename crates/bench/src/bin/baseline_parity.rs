@@ -86,7 +86,13 @@ fn main() {
         }
         return;
     }
-    let recipes: Vec<String> = failed.iter().map(|b| format!("\t{}", b.recipe())).collect();
+    // Several files can share one binary: print each recipe once.
+    let mut recipes: Vec<String> = Vec::new();
+    for recipe in failed.iter().map(|b| format!("\t{}", b.recipe())) {
+        if !recipes.contains(&recipe) {
+            recipes.push(recipe);
+        }
+    }
     let cause = if perf {
         format!(
             "Regenerated {PERF_COLUMN} fell more than {:.0}% below the committed baseline.\n\

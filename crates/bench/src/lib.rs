@@ -300,17 +300,13 @@ where
     let outcomes = Simulator::run_sweep_with(cfg, seeds, &factory);
     let par_s = t.elapsed().as_secs_f64();
     for ((swept, sequential), seed) in outcomes.iter().zip(&sequential).zip(seeds) {
-        assert_eq!(
-            swept.metrics,
-            sequential.metrics,
-            "{} seed {seed}: parallel sweep diverged from sequential replay",
-            cfg.mechanism.name()
-        );
-        assert_eq!(
-            swept.engine,
-            sequential.engine,
-            "{} seed {seed}: engine stats diverged from sequential replay",
-            cfg.mechanism.name()
+        assert_same_run(
+            swept,
+            sequential,
+            &format!(
+                "{} seed {seed}: parallel sweep vs sequential replay",
+                cfg.mechanism.name()
+            ),
         );
     }
     VerifiedSweep {
@@ -318,6 +314,16 @@ where
         par_s,
         seq_s,
     }
+}
+
+/// Assert that `got` reproduces `want` bitwise: every metric and every
+/// engine counter. The one comparison behind every replay oracle
+/// (`sweep_verified`'s parallel-vs-sequential check and `replay_matrix`'s
+/// paranoid, 1-shard and zero-capability checks); `what` names the pair
+/// in the panic message.
+pub fn assert_same_run(got: &SimOutcome, want: &SimOutcome, what: &str) {
+    assert_eq!(got.metrics, want.metrics, "{what}: metrics diverged");
+    assert_eq!(got.engine, want.engine, "{what}: engine stats diverged");
 }
 
 /// Run `cfg` over `seeds` traces drawn from `source` in parallel and
@@ -520,6 +526,18 @@ mod tests {
         assert_eq!(materialized.metrics, streamed.metrics);
         assert_eq!(materialized.engine, streamed.engine);
         assert_eq!(streamed.admitted_jobs, trace.len() as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "engine stats diverged")]
+    fn same_run_check_sees_a_lone_engine_counter() {
+        // Equal metrics are not enough: an oracle that reuses one reference
+        // outcome must still fail when only an engine counter moved.
+        let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
+        let want = Simulator::run_trace(&cfg, &TraceConfig::tiny().generate(0));
+        let mut got = want.clone();
+        got.engine.cancelled += 1;
+        assert_same_run(&got, &want, "lone counter");
     }
 
     #[test]

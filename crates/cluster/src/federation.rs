@@ -22,7 +22,7 @@
 //!   submission.
 //!
 //! A one-shard federation is behaviorally *identical* to a bare
-//! [`Cluster`] — the refactor-safety oracle the `federated` bench binary
+//! [`Cluster`] — the refactor-safety oracle the `replay_matrix` bench binary
 //! and the federation proptests pin bitwise.
 
 use crate::backend::ClusterBackend;
@@ -1048,7 +1048,7 @@ mod tests {
     #[test]
     fn single_shard_federation_mirrors_bare_cluster() {
         // Operation-level parity: the end-to-end bitwise oracle lives in
-        // the `federated` bench binary and tests/federation.rs.
+        // the `replay_matrix` bench binary and tests/federation.rs.
         let jobs = [
             spec(1, JobKind::Rigid, 4),
             spec(2, JobKind::Malleable, 6),

@@ -401,7 +401,7 @@ impl<N: NoticePolicy, A: ArrivalPolicy> MechanismHooks for Composed<N, A> {
 /// On a trace with **no capability jobs every decision reduces to the
 /// inner mechanism's**, which is what keeps zero-capability runs bitwise
 /// identical to the two-class path (pinned by `tests/capability.rs` and
-/// the `capability` bench binary).
+/// the `replay_matrix` bench binary).
 ///
 /// ```
 /// use hws_core::{CapabilityAware, Mechanism, SimConfig, Simulator};

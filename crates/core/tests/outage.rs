@@ -406,3 +406,58 @@ fn oversized_jobs_block_then_die_at_the_horizon() {
     assert_eq!(out.outages.expect("events applied").infeasible_killed, 1);
     assert_eq!(out.metrics.killed_jobs, 1);
 }
+
+/// Whole-shard admin ops on a live federation: `drain_shard` takes the
+/// shard's free nodes down at once and its busy ones as their jobs end,
+/// `rejoin_shard` brings every node back, out-of-range shards are
+/// refused, and the session still accounts for every job.
+#[test]
+fn admin_drain_and_rejoin_a_whole_shard() {
+    let cfg = cfg_for(Mechanism::N_PAA).federated(FederationConfig::even_split(2, 64));
+    let mut svc = SchedulerService::federated(cfg, 64);
+    // First-fit: job 1 fills 24 of shard 0, job 2 cannot fit beside it and
+    // takes 24 of shard 1, job 3 fills shard 0's last 8 nodes.
+    let rigid = |id: u64, size: u32, at: u64| {
+        JobSpecBuilder::rigid(id)
+            .submit_at(SimTime::from_secs(at))
+            .size(size)
+            .work(SimDuration::from_secs(600))
+            .estimate(SimDuration::from_secs(900))
+            .build()
+    };
+    let jobs = [rigid(1, 24, 10), rigid(2, 24, 10), rigid(3, 8, 10)];
+    for job in &jobs {
+        svc.submit(job.clone()).unwrap();
+    }
+    svc.step_until(SimTime::from_secs(100));
+    for job in &jobs {
+        assert_eq!(svc.query(job.id), JobStatus::Running);
+    }
+
+    // Shard 1's 8 free nodes go down now; its 24 busy ones are marked.
+    let down = svc.drain_shard(1);
+    assert_eq!(down, 8);
+    assert_eq!(svc.down_nodes(), down);
+    assert_eq!(svc.down_nodes() + svc.live_nodes(), 64);
+    assert_eq!(svc.drain_shard(2), 0, "shard index out of range");
+    assert_eq!(svc.rejoin_shard(2), 0, "shard index out of range");
+    assert_eq!(svc.down_nodes(), down);
+
+    // Job 2 finishes undisturbed and its nodes leave with it.
+    svc.step_until(SimTime::from_secs(1_000));
+    assert_eq!(svc.query(jobs[1].id), JobStatus::Finished);
+    assert_eq!(svc.down_nodes(), 32);
+    assert_eq!(svc.down_nodes() + svc.live_nodes(), 64);
+
+    assert_eq!(svc.rejoin_shard(1), 32);
+    assert_eq!(svc.down_nodes(), 0);
+    assert_eq!(svc.live_nodes(), 64);
+
+    // A job wider than any shard is rejected; the rest run to the end.
+    svc.submit(rigid(4, 16, 1_100)).unwrap();
+    svc.submit(rigid(5, 48, 1_100)).unwrap();
+    let out = svc.into_outcome();
+    assert_eq!(out.metrics.completed_jobs + out.metrics.killed_jobs, 5);
+    assert_eq!(out.metrics.killed_jobs, 1);
+    assert!(out.outages.is_none());
+}

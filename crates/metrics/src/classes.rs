@@ -5,7 +5,7 @@
 //! baselines serialise `Metrics`, and zero-capability runs must stay
 //! byte-identical to the pre-capability two-class path. The breakdown is
 //! attached to the run outcome separately and only surfaced by the
-//! capability-aware reporting paths (`--bin capability`, tests).
+//! capability-aware reporting paths (`--bin replay_matrix`, tests).
 
 use crate::record::{JobRecord, Recorder};
 use hws_workload::JobClass;

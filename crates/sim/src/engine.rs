@@ -6,11 +6,10 @@
 //! without borrow gymnastics.
 //!
 //! `run_until` is the primitive; `run_to_completion` is derived from it
-//! (`run_until(SimTime::MAX)`). Delivery pacing is delegated to a [`Clock`]
-//! so a live service can shadow wall time while batch replay stays
-//! flat-out; see [`crate::clock`].
+//! (`run_until(SimTime::MAX)`). Events are delivered as fast as the
+//! handler runs: the engine never reads or waits on the wall clock, so a
+//! run is a pure function of its initial schedule and handler.
 
-use crate::clock::{Clock, VirtualClock};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 
@@ -37,21 +36,16 @@ pub struct EngineStats {
 }
 
 /// Event-loop driver owning the future-event list and the model.
-///
-/// Generic over a [`Clock`] pacing policy; the default [`VirtualClock`]
-/// never blocks, so `Engine<S>` behaves exactly as the pure-batch engine
-/// always has.
-pub struct Engine<S: Simulation, C: Clock = VirtualClock> {
+pub struct Engine<S: Simulation> {
     pub queue: EventQueue<S::Event>,
     pub sim: S,
-    clock: C,
     now: SimTime,
     delivered: u64,
 }
 
 impl<S: Simulation> Engine<S> {
     pub fn new(sim: S) -> Self {
-        Engine::with_clock(sim, VirtualClock)
+        Engine::from_parts(sim, EventQueue::new(), SimTime::ZERO, 0)
     }
 
     /// Reassemble an engine from externally held state (snapshot restore).
@@ -62,21 +56,8 @@ impl<S: Simulation> Engine<S> {
         Engine {
             queue,
             sim,
-            clock: VirtualClock,
             now,
             delivered,
-        }
-    }
-}
-
-impl<S: Simulation, C: Clock> Engine<S, C> {
-    pub fn with_clock(sim: S, clock: C) -> Self {
-        Engine {
-            queue: EventQueue::new(),
-            sim,
-            clock,
-            now: SimTime::ZERO,
-            delivered: 0,
         }
     }
 
@@ -91,15 +72,10 @@ impl<S: Simulation, C: Clock> Engine<S, C> {
     }
 
     /// Deliver a single event. Returns `false` when the queue is exhausted.
-    ///
-    /// The clock's [`Clock::pace`] runs after the event is popped and
-    /// before its handler, so a pacing clock delays *delivery*, never the
-    /// simulation's logical behaviour.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
             Some((t, _, ev)) => {
                 debug_assert!(t >= self.now, "time went backwards");
-                self.clock.pace(t);
                 self.now = t;
                 self.delivered += 1;
                 self.sim.handle(t, ev, &mut self.queue);
@@ -346,31 +322,5 @@ mod tests {
         let mut resumed = Engine::from_parts(sim, queue, now, delivered);
         resumed.run_to_completion();
         assert_eq!((resumed.stats(), resumed.sim.log), unbroken);
-    }
-
-    #[test]
-    fn wall_clock_engine_delivers_identical_trace() {
-        // Pacing must not perturb behaviour: same log as the virtual run.
-        use crate::clock::WallClock;
-        let virt = {
-            let mut eng = Engine::new(PingPong {
-                remaining: 3,
-                log: vec![],
-            });
-            eng.queue.schedule(SimTime::ZERO, Ev::Ping);
-            eng.run_to_completion();
-            eng.sim.log
-        };
-        // 1e6 virtual seconds per wall second keeps the test instant.
-        let mut eng = Engine::with_clock(
-            PingPong {
-                remaining: 3,
-                log: vec![],
-            },
-            WallClock::new(1e6),
-        );
-        eng.queue.schedule(SimTime::ZERO, Ev::Ping);
-        eng.run_to_completion();
-        assert_eq!(eng.sim.log, virt);
     }
 }

@@ -17,14 +17,12 @@
 //! produces an identical event trace — a property the test-suite checks and
 //! the multi-seed experiment harness relies on.
 
-pub mod clock;
 pub mod engine;
 pub mod par;
 pub mod queue;
 pub mod snap;
 pub mod time;
 
-pub use clock::{Clock, VirtualClock, WallClock};
 pub use engine::{Engine, EngineStats, Simulation};
 pub use par::par_map;
 pub use queue::{EventId, EventQueue, QueueSnapshot};
