@@ -1,8 +1,9 @@
-//! Microbench of the restore path every what-if fork and checkpoint
-//! takes: the cluster invariant scan `Cluster::decode_snap` ends with,
-//! snapshot encode, `SchedulerService::restore`, and one six-mechanism
-//! `what_if` forecast — on the bundled `theta_quick.swf` fixture, cut at
-//! the middle of its submission log.
+//! Microbench of the checkpoint path and of what-if forking: the cluster
+//! invariant scan `Cluster::decode_snap` ends with, snapshot encode,
+//! `SchedulerService::restore`, the in-memory `SchedulerService::fork`
+//! each what-if fork takes instead, and one six-mechanism `what_if`
+//! forecast — on the bundled `theta_quick.swf` fixture, cut at the
+//! middle of its submission log.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hws_bench::{bundled_swf_fixture, TraceSource};
@@ -51,6 +52,10 @@ fn bench_snapshot(c: &mut Criterion) {
                 SchedulerService::<Cluster>::restore(&image, &cfg, ()).expect("restores");
             black_box(restored.now())
         })
+    });
+
+    g.bench_function("fork/theta_quick_mid", |b| {
+        b.iter(|| black_box(svc.fork(&cfg).now()))
     });
 
     g.bench_function("what_if/theta_quick_mid", |b| {

@@ -70,7 +70,10 @@ pub struct PlaceReq {
 /// the list falls back to the first feasible shard.
 ///
 /// Implementations must be deterministic pure functions of their inputs —
-/// the multi-seed sweep shares one policy instance across worker threads.
+/// the multi-seed sweep shares one policy instance across worker threads,
+/// and a cloned [`Federation`] (a what-if fork) shares its original's
+/// instance through the same `Arc`. `choose` takes `&self`, so a policy
+/// has no state for two holders to disturb.
 ///
 /// A custom policy is a few lines and plugs into a
 /// [`FederationConfig`] without any driver changes:
@@ -219,7 +222,7 @@ struct JobMeta {
 }
 
 /// N named [`Cluster`] shards behind one [`ClusterBackend`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Federation {
     shards: Vec<Cluster>,
     names: Vec<String>,

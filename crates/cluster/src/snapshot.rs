@@ -1,11 +1,12 @@
 //! Byte-level snapshot support for resource-manager state.
 //!
 //! The live scheduler service (`hws-core`) checkpoints a running
-//! simulation into a versioned byte blob and later restores it — or forks
-//! it into speculative what-if futures. This module provides the cluster
-//! half: a lossless codec for [`Cluster`] and the [`SnapshotBackend`]
-//! trait that lets the driver snapshot any backend generically
-//! ([`Federation`] implements it against its [`FederationConfig`]).
+//! simulation into a versioned byte blob and later restores it (what-if
+//! forks skip the bytes and clone the backend). This module provides the
+//! cluster half: a lossless codec for [`Cluster`] and the
+//! [`SnapshotBackend`] trait that lets the driver snapshot any backend
+//! generically ([`Federation`] implements it against its
+//! [`FederationConfig`]).
 //!
 //! ## Format notes
 //!
@@ -36,7 +37,10 @@ use std::collections::{BTreeMap, HashMap};
 /// [`FederationConfig`] (placement policy, shard names) for a
 /// [`Federation`]. Restoring against a context that does not match the
 /// encoder's is an error, not silent misbehavior.
-pub trait SnapshotBackend: ClusterBackend + Sized {
+///
+/// `Clone` is the in-memory fork: a clone must continue bitwise as a
+/// restore of its snapshot would, without the byte round trip.
+pub trait SnapshotBackend: ClusterBackend + Clone {
     /// Reconstruction context not carried by the byte stream.
     type Ctx;
 

@@ -39,6 +39,12 @@ use std::sync::Arc;
 /// arrival events, and retired the moment they reach a terminal status, so
 /// resident job state is O(active jobs) regardless of replay length (see
 /// [`super::Simulator::run_source`]).
+///
+/// `Clone` forks the state for what-if forecasting: every field is copied
+/// (the scratch buffers are empty between events), and the hooks `Arc` is
+/// shared until the fork swaps in its own (see
+/// [`SchedulerService::fork`](super::SchedulerService::fork)).
+#[derive(Clone)]
 pub struct SimCore<B: ClusterBackend = Cluster> {
     pub cfg: SimConfig,
     pub(super) hooks: Arc<dyn MechanismHooks>,
@@ -77,7 +83,9 @@ pub struct SimCore<B: ClusterBackend = Cluster> {
     /// Memoized Daly checkpoint intervals by job size. `CkptConfig` is
     /// fixed for the core's lifetime, so the sqrt-heavy formula is pure in
     /// the size — evaluated once per distinct size instead of per backfill
-    /// probe. Derived cache: never snapshotted, rebuilt on demand.
+    /// probe. Derived cache: never snapshotted, rebuilt on demand. A clone
+    /// gets its own copy (a fresh `RefCell`), valid as long as the fork
+    /// keeps `cfg.ckpt`; [`SimCore::reconfigure`] clears it otherwise.
     pub(super) tau_memo: RefCell<Vec<Option<Option<SimDuration>>>>,
     /// Per-shard accumulation, active only for sharded backends
     /// ([`ClusterBackend::shard_labels`] is `Some`): occupancy
@@ -96,8 +104,9 @@ pub struct SimCore<B: ClusterBackend = Cluster> {
 /// not allocate per event: the ordered queue snapshot, the shadow release
 /// profile, and the victim/candidate snapshots of notice handling.
 /// Callers `mem::take` a buffer, use it, clear it, and put it back via
-/// [`Scratch::stow`] (the buffers are empty between passes).
-#[derive(Debug, Default)]
+/// [`Scratch::stow`] (the buffers are empty between passes). A clone is
+/// only taken between events, so it copies empty buffers: a reset.
+#[derive(Debug, Clone, Default)]
 pub(super) struct Scratch {
     pub(super) ordered: Vec<JobId>,
     pub(super) keys: Vec<(QueueKey, JobId)>,
@@ -162,6 +171,27 @@ impl<B: ClusterBackend> SimCore<B> {
             track_shards,
             outage,
             timeline: Timeline::new(),
+        }
+    }
+
+    /// Swap in `cfg` and the hooks it names on a cloned core (the
+    /// what-if fork), keeping the derived state consistent with it.
+    /// Restore derives the same state from scratch, so a fork and a
+    /// restore under one `cfg` continue bitwise alike:
+    ///
+    /// * wait-queue keys are a function of `cfg.policy` (never of the
+    ///   mechanism), so the index is re-keyed only when the policy changes;
+    /// * `tau_memo` is a function of `cfg.ckpt`, so it is cleared only
+    ///   when that changes.
+    pub(super) fn reconfigure(&mut self, cfg: &SimConfig) {
+        let rekey = cfg.policy != self.cfg.policy;
+        if cfg.ckpt != self.cfg.ckpt {
+            self.tau_memo.get_mut().clear();
+        }
+        self.hooks = hooks_for(cfg);
+        self.cfg = cfg.clone();
+        if rekey {
+            self.rekey_waiting();
         }
     }
 

@@ -462,10 +462,7 @@ impl Environment<Federation> {
     }
 }
 
-impl<B: SnapshotBackend> Environment<B>
-where
-    B::Ctx: Clone,
-{
+impl<B: SnapshotBackend> Environment<B> {
     fn from_parts(
         mut svc: SchedulerService<B>,
         tunable: Arc<TunableHooks>,

@@ -205,22 +205,30 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
             }
         }
         if self.cfg.paranoid_checks {
-            self.cluster.check_invariants().expect("cluster invariants");
-            self.check_cap_running_invariant();
-            self.check_waitq_invariant();
-            // Down capacity must never be visible to scheduling queries.
-            let live = self.cluster.live_nodes();
+            self.check_paranoid();
+        }
+    }
+}
+
+impl<B: ClusterBackend> SimCore<B> {
+    /// The `paranoid_checks` oracles, run after every event and on every
+    /// what-if fork. Panics on the first violated invariant.
+    pub(super) fn check_paranoid(&self) {
+        self.cluster.check_invariants().expect("cluster invariants");
+        self.check_cap_running_invariant();
+        self.check_waitq_invariant();
+        // Down capacity must never be visible to scheduling queries.
+        let live = self.cluster.live_nodes();
+        assert!(
+            self.cluster.free_count() <= live,
+            "free pool exceeds live capacity"
+        );
+        for c in &self.claims {
             assert!(
-                self.cluster.free_count() <= live,
-                "free pool exceeds live capacity"
+                self.cluster.avail_for(c.od) <= live,
+                "avail_for({}) sees down capacity",
+                c.od
             );
-            for c in &self.claims {
-                assert!(
-                    self.cluster.avail_for(c.od) <= live,
-                    "avail_for({}) sees down capacity",
-                    c.od
-                );
-            }
         }
     }
 }

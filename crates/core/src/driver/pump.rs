@@ -24,7 +24,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Jobs handed to the pump but not yet injected.
-#[derive(Debug, Default)]
+///
+/// A clone keeps `due`'s stale entries, which a restore (re-pushing the
+/// pending jobs) would drop. They change nothing: `inject_due` skips any
+/// entry whose job is no longer pending, and ids are never resubmitted.
+#[derive(Debug, Clone, Default)]
 pub(super) struct Arrivals {
     /// In injection order; injection pops a prefix.
     pending: VecDeque<JobSpec>,

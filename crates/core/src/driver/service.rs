@@ -7,8 +7,15 @@
 //! owns the clock. Jobs arrive one at a time through [`submit`], virtual
 //! time advances only on [`step_until`]/[`step_before`], and in between
 //! the caller may [`query`] any job, [`cancel`] one, [`snapshot`] the
-//! whole simulation to bytes, or fork speculative futures with
-//! [`what_if`].
+//! whole simulation to bytes, [`fork`] it in memory, or forecast a job's
+//! start under every mechanism with [`what_if`].
+//!
+//! ## Forks
+//!
+//! A [`fork`] is a clone of the live state under a new [`SimConfig`]:
+//! what a [`restore`] of a fresh [`snapshot`] would build, without the
+//! byte round trip. What-if forecasting forks six times per call; the
+//! codec is left to checkpoints and persistence.
 //!
 //! ## Parity contract
 //!
@@ -27,6 +34,8 @@
 //! [`step_until`]: SchedulerService::step_until
 //! [`step_before`]: SchedulerService::step_before
 //! [`snapshot`]: SchedulerService::snapshot
+//! [`restore`]: SchedulerService::restore
+//! [`fork`]: SchedulerService::fork
 //! [`what_if`]: SchedulerService::what_if
 
 use super::core::SimCore;
@@ -157,9 +166,6 @@ pub struct SchedulerService<B: SnapshotBackend = Cluster> {
     cancelled: BTreeSet<JobId>,
     /// Every id ever submitted (live, retired, or cancelled).
     seen: BTreeSet<JobId>,
-    /// Backend reconstruction context, kept for [`SchedulerService::what_if`]
-    /// forks and exposed restores.
-    ctx: B::Ctx,
 }
 
 impl SchedulerService<Cluster> {
@@ -175,7 +181,7 @@ impl SchedulerService<Cluster> {
             "config carries a federation; use SchedulerService::federated"
         );
         let core = SimCore::new(cfg, system_size);
-        Self::from_core(core, ())
+        Self::from_core(core)
     }
 }
 
@@ -194,15 +200,12 @@ impl SchedulerService<Federation> {
             .expect("SchedulerService::federated needs cfg.federation");
         let backend = Federation::new(&fed, system_size);
         let core = SimCore::with_backend(cfg, backend);
-        Self::from_core(core, fed)
+        Self::from_core(core)
     }
 }
 
-impl<B: SnapshotBackend> SchedulerService<B>
-where
-    B::Ctx: Clone,
-{
-    fn from_core(core: SimCore<B>, ctx: B::Ctx) -> Self {
+impl<B: SnapshotBackend> SchedulerService<B> {
+    fn from_core(core: SimCore<B>) -> Self {
         let mut engine = Engine::new(core);
         super::outage::seed_outages(&mut engine);
         SchedulerService {
@@ -210,7 +213,6 @@ where
             buffer: Arrivals::default(),
             cancelled: BTreeSet::new(),
             seen: BTreeSet::new(),
-            ctx,
         }
     }
 
@@ -423,9 +425,9 @@ where
     ///
     /// `cfg` is the scheduling configuration to resume under (normally
     /// the one the snapshot was taken with; a different *mechanism* is
-    /// legal and is how what-if forecasting forks futures), and `ctx` the
-    /// backend's reconstruction context (`()` for a single cluster, the
-    /// federation config for shards).
+    /// legal, as for [`SchedulerService::fork`]), and `ctx` the backend's
+    /// reconstruction context (`()` for a single cluster, the federation
+    /// config for shards).
     ///
     /// # Errors
     ///
@@ -461,15 +463,41 @@ where
             buffer,
             cancelled,
             seen,
-            ctx,
         })
+    }
+
+    /// Fork the session in memory: an independent copy that continues
+    /// under `cfg`; stepping either copy never changes the other. It is what
+    /// [`SchedulerService::restore`] of a fresh
+    /// [`SchedulerService::snapshot`] would build — bitwise, now and after
+    /// any continuation — at the cost of a clone instead of an encode and
+    /// a decode.
+    ///
+    /// `cfg` follows restore's rule: it describes the same system as the
+    /// live configuration (federation, outage schedule), and may change
+    /// the mechanism, the hooks and the scheduling knobs. The backend and
+    /// the outage state are cloned, not rebuilt from `cfg`. Under
+    /// `cfg.paranoid_checks` the fork runs the per-event invariant checks
+    /// once (restore's decoder checks the cluster on every decode).
+    pub fn fork(&self, cfg: &SimConfig) -> Self {
+        let mut engine = self.engine.clone();
+        engine.sim.reconfigure(cfg);
+        if cfg.paranoid_checks {
+            engine.sim.check_paranoid();
+        }
+        SchedulerService {
+            engine,
+            buffer: self.buffer.clone(),
+            cancelled: self.cancelled.clone(),
+            seen: self.seen.clone(),
+        }
     }
 
     /// Forecast a hypothetical job's first start under each of the six
     /// hybrid mechanisms, without perturbing the live session.
     ///
-    /// Each fork restores the current snapshot under one mechanism,
-    /// submits `probe`, and runs until the probe starts or retires
+    /// Each fork is a [`SchedulerService::fork`] under one mechanism; it
+    /// submits `probe` and runs until the probe starts or retires
     /// without starting (or nothing is left to deliver). A first start is
     /// written once and never moves, so the answer is bitwise the one a
     /// drain to completion would give. The map holds the probe's first
@@ -484,7 +512,6 @@ where
     /// The same validations as [`SchedulerService::submit`] (the probe
     /// must be submittable right now).
     pub fn what_if(&self, probe: &JobSpec) -> Result<BTreeMap<Mechanism, SimTime>, SubmitError> {
-        let image = self.snapshot();
         let mut forecast = BTreeMap::new();
         for m in Mechanism::ALL_SIX {
             let cfg = SimConfig {
@@ -492,8 +519,7 @@ where
                 hooks: None,
                 ..self.engine.sim.cfg.clone()
             };
-            let mut fork = SchedulerService::<B>::restore(&image, &cfg, self.ctx.clone())
-                .expect("a just-taken snapshot always restores");
+            let mut fork = self.fork(&cfg);
             fork.submit(probe.clone())?;
             let id = probe.id;
             // The record appears at the probe's submit; a started probe
@@ -661,10 +687,7 @@ pub fn replay_submission_log(cfg: &SimConfig, log: &SubmissionLog) -> Result<Sim
     fn drive<B: SnapshotBackend>(
         svc: &mut SchedulerService<B>,
         log: &SubmissionLog,
-    ) -> Result<(), String>
-    where
-        B::Ctx: Clone,
-    {
+    ) -> Result<(), String> {
         for (i, entry) in log.entries().iter().enumerate() {
             svc.apply(entry)
                 .map_err(|e| format!("log entry {i}: {e}"))?;

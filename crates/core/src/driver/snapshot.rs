@@ -12,9 +12,9 @@
 //!
 //! Two things are deliberately **not** in the stream:
 //!
-//! * the mechanism/config — restore takes a [`SimConfig`] as context, and
-//!   the what-if forecaster exploits this by restoring one snapshot under
-//!   each candidate mechanism;
+//! * the mechanism/config — restore takes a [`SimConfig`] as context, so
+//!   an image resumes under another mechanism exactly as an in-memory
+//!   fork (`SchedulerService::fork`) does;
 //! * the hooks object — code, not data; rebuilt by
 //!   [`hooks_for`](super::hooks::hooks_for) from the restore config.
 //!

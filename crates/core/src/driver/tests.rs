@@ -611,17 +611,12 @@ mod what_if_oracle {
     }
 
     /// The forecast `what_if` promises, computed the slow way: each fork
-    /// restores, submits the probe, and drains every event before the
-    /// probe's first start is read.
+    /// submits the probe and drains every event before the probe's first
+    /// start is read.
     fn drain_to_end<B: SnapshotBackend>(
         svc: &SchedulerService<B>,
-        ctx: &B::Ctx,
         probe: &JobSpec,
-    ) -> BTreeMap<Mechanism, SimTime>
-    where
-        B::Ctx: Clone,
-    {
-        let image = svc.snapshot();
+    ) -> BTreeMap<Mechanism, SimTime> {
         let mut forecast = BTreeMap::new();
         for m in Mechanism::ALL_SIX {
             let cfg = SimConfig {
@@ -629,8 +624,7 @@ mod what_if_oracle {
                 hooks: None,
                 ..svc.config().clone()
             };
-            let mut fork =
-                SchedulerService::<B>::restore(&image, &cfg, ctx.clone()).expect("fresh snapshot");
+            let mut fork = svc.fork(&cfg);
             fork.submit(probe.clone()).expect("probe is submittable");
             fork.step_until(SimTime::MAX);
             assert!(!fork.events_pending(), "drain left events behind");
@@ -650,15 +644,11 @@ mod what_if_oracle {
     /// the forecast.
     fn assert_oracle<B: SnapshotBackend>(
         svc: &SchedulerService<B>,
-        ctx: &B::Ctx,
         probe: &JobSpec,
         label: &str,
-    ) -> BTreeMap<Mechanism, SimTime>
-    where
-        B::Ctx: Clone,
-    {
+    ) -> BTreeMap<Mechanism, SimTime> {
         let fast = svc.what_if(probe).expect("probe is submittable");
-        assert_eq!(fast, drain_to_end(svc, ctx, probe), "{label}");
+        assert_eq!(fast, drain_to_end(svc, probe), "{label}");
         fast
     }
 
@@ -711,10 +701,7 @@ mod what_if_oracle {
         v
     }
 
-    fn drive<B: SnapshotBackend>(svc: &mut SchedulerService<B>, log: &SubmissionLog, cut: usize)
-    where
-        B::Ctx: Clone,
-    {
+    fn drive<B: SnapshotBackend>(svc: &mut SchedulerService<B>, log: &SubmissionLog, cut: usize) {
         for e in &log.entries()[..cut] {
             svc.apply(e).expect("log entry applies");
         }
@@ -747,16 +734,16 @@ mod what_if_oracle {
             let mut svc = SchedulerService::new(cfg.clone(), system);
             drive(&mut svc, &log, cut);
             for p in probes(svc.now(), system, system) {
-                assert_oracle(&svc, &(), &p, &format!("cluster, probe {}", p.id));
+                assert_oracle(&svc, &p, &format!("cluster, probe {}", p.id));
             }
 
             let fed = FederationConfig::even_split(2, system);
             let max_shard = fed.shards.iter().map(|s| s.nodes).max().expect("shards");
             let mut svc =
-                SchedulerService::<Federation>::federated(cfg.federated(fed.clone()), system);
+                SchedulerService::<Federation>::federated(cfg.federated(fed), system);
             drive(&mut svc, &log, cut);
             for p in probes(svc.now(), system, max_shard) {
-                assert_oracle(&svc, &fed, &p, &format!("federation, probe {}", p.id));
+                assert_oracle(&svc, &p, &format!("federation, probe {}", p.id));
             }
         }
     }
@@ -778,12 +765,12 @@ mod what_if_oracle {
                 .build()
         };
 
-        let starts_now = assert_oracle(&svc, &(), &probe(0, now, 8), "idle machine");
+        let starts_now = assert_oracle(&svc, &probe(0, now, 8), "idle machine");
         assert_eq!(starts_now.len(), 6);
         assert!(starts_now.values().all(|&s| s == now));
 
         let later = now + d(5_000);
-        let future = assert_oracle(&svc, &(), &probe(1, later, 8), "future submit");
+        let future = assert_oracle(&svc, &probe(1, later, 8), "future submit");
         assert!(future.len() == 6 && future.values().all(|&s| s == later));
 
         let blocker = JobSpecBuilder::rigid(1)
@@ -793,18 +780,13 @@ mod what_if_oracle {
             .build();
         svc.submit(blocker).expect("submittable");
         svc.step_until(t(10));
-        let queued = assert_oracle(&svc, &(), &probe(2, svc.now(), 8), "full machine");
+        let queued = assert_oracle(&svc, &probe(2, svc.now(), 8), "full machine");
         assert_eq!(queued.len(), 6);
         assert!(queued.values().all(|&s| s >= t(3_600)));
 
         let fed = FederationConfig::even_split(2, 64);
-        let svc = SchedulerService::<Federation>::federated(cfg.federated(fed.clone()), 64);
-        let absent = assert_oracle(
-            &svc,
-            &fed,
-            &probe(3, svc.now(), 40),
-            "larger than any shard",
-        );
+        let svc = SchedulerService::<Federation>::federated(cfg.federated(fed), 64);
+        let absent = assert_oracle(&svc, &probe(3, svc.now(), 40), "larger than any shard");
         assert!(absent.is_empty(), "an unplaceable probe has no forecast");
     }
 }

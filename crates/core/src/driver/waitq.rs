@@ -41,7 +41,7 @@ use hws_workload::JobId;
 use std::collections::BTreeSet;
 
 /// Ordered index over the waiting jobs; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) struct WaitQueue {
     index: BTreeSet<(QueueKey, JobId)>,
     /// Instant the time-varying score components were evaluated at.
@@ -158,10 +158,16 @@ impl<B: ClusterBackend> SimCore<B> {
         if !self.cfg.policy.is_time_varying() || self.queue.epoch() == now {
             return;
         }
+        self.queue.set_epoch(now);
+        self.rekey_waiting();
+    }
+
+    /// Rebuild the index under the current policy and epoch (an epoch
+    /// refresh, or a fork onto another policy).
+    pub(super) fn rekey_waiting(&mut self) {
         let mut ids = std::mem::take(&mut self.scratch.ordered);
         ids.extend(self.queue.ids());
         self.queue.clear();
-        self.queue.set_epoch(now);
         for &j in &ids {
             let key = self.wait_key(j);
             self.queue.insert(key, j);

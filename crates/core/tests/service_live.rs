@@ -10,18 +10,27 @@
 //!    capability-aware custom composition, and a 2-shard federation; a
 //!    restored snapshot re-serializes to the same bytes; truncated bytes
 //!    error cleanly.
-//! 3. **What-if isolation** — forecasting forks never perturb the live
-//!    session (snapshot bytes unchanged).
-//! 4. **Cancel semantics** — buffered / announced / waiting / too-late.
+//! 3. **Fork fidelity** — an in-memory [`SchedulerService::fork`] and a
+//!    restore of a fresh snapshot, under any of the six mechanisms, a
+//!    capability-aware composition, or another queue policy and
+//!    checkpoint interval, snapshot to the same bytes at the
+//!    fork, after a probe submit and after draining, and fold into the
+//!    same outcome — on one cluster and on a 2-shard federation, with
+//!    buffered and in-flight cancels. This is also the fidelity oracle of
+//!    the codec: a restored engine's future against an unserialized
+//!    copy's.
+//! 4. **What-if isolation** — forecasting forks never perturb the live
+//!    session: not its bytes right after the call, nor its future.
+//! 5. **Cancel semantics** — buffered / announced / waiting / too-late.
 
 use hws_cluster::{Cluster, Federation, FederationConfig, SnapshotBackend};
 use hws_core::{
-    replay_submission_log, CancelOutcome, CapabilityAware, JobStatus, Mechanism, SchedulerService,
-    SimConfig, SimOutcome, Simulator,
+    replay_submission_log, CancelOutcome, CapabilityAware, JobStatus, Mechanism, PolicyKind,
+    SchedulerService, SimConfig, SimOutcome, Simulator,
 };
 use hws_sim::{SimDuration, SimTime};
 use hws_workload::job::JobSpecBuilder;
-use hws_workload::{LogEntry, SubmissionLog, SubmitOp, Trace, TraceConfig};
+use hws_workload::{JobSpec, LogEntry, SubmissionLog, SubmitOp, Trace, TraceConfig};
 use proptest::prelude::*;
 
 fn cfg_for(mechanism: Mechanism) -> SimConfig {
@@ -54,6 +63,46 @@ fn with_buffered_cancels(log: &SubmissionLog, stride: usize) -> SubmissionLog {
     SubmissionLog::new(log.system_size(), log.horizon(), entries).expect("valid cancel placement")
 }
 
+/// Append a cancel `delay` after the earliest event of every `stride`-th
+/// submit. By then the job is announced, waiting, running or done, so the
+/// cancels reach every outcome but `Buffered`.
+fn with_in_flight_cancels(log: &SubmissionLog, stride: usize, delay: SimDuration) -> SubmissionLog {
+    let mut entries = log.entries().to_vec();
+    let submits = log.entries().iter().filter_map(|e| match &e.op {
+        SubmitOp::Submit(spec) => Some((e.at, spec.id)),
+        SubmitOp::Cancel(_) => None,
+    });
+    for (nth, (at, id)) in submits.enumerate() {
+        if nth % stride == stride - 1 {
+            entries.push(LogEntry {
+                at: at + delay,
+                op: SubmitOp::Cancel(id),
+            });
+        }
+    }
+    // Stable: same-instant entries keep the log's order.
+    entries.sort_by_key(|e| e.at);
+    SubmissionLog::new(log.system_size(), log.horizon(), entries).expect("valid cancel placement")
+}
+
+/// Probe ids sit far above any generated job id.
+const PROBE: u64 = 1 << 40;
+
+/// A rigid probe of half the machine, submitted a minute from `now`.
+fn probe_at(k: u64, now: SimTime, system: u32) -> JobSpec {
+    JobSpecBuilder::rigid(PROBE + k)
+        .submit_at(now + SimDuration::from_secs(60))
+        .size(system / 2)
+        .work(SimDuration::from_secs(1_800))
+        .estimate(SimDuration::from_secs(3_600))
+        .build()
+}
+
+/// A run's fingerprint: the full `Debug` rendering of its outcome.
+fn fingerprint(outcome: SimOutcome) -> String {
+    format!("{outcome:?}")
+}
+
 fn assert_parity(cfg: &SimConfig, log: &SubmissionLog, label: &str) {
     let live = replay_submission_log(cfg, log).expect("service replay");
     let trace = log.materialize().expect("only buffered cancels");
@@ -72,30 +121,27 @@ fn assert_parity(cfg: &SimConfig, log: &SubmissionLog, label: &str) {
 fn run_interrupted<B: SnapshotBackend>(
     mut svc: SchedulerService<B>,
     cfg: &SimConfig,
-    ctx: B::Ctx,
+    ctx: impl Fn() -> B::Ctx,
     log: &SubmissionLog,
     cut: usize,
-) -> SimOutcome
-where
-    B::Ctx: Clone,
-{
+) -> SimOutcome {
     for e in &log.entries()[..cut] {
         svc.apply(e).expect("log entry applies");
     }
     let bytes = svc.snapshot();
     // A restored session must re-serialize to the identical image.
-    let reread = SchedulerService::<B>::restore(&bytes, cfg, ctx.clone()).expect("fresh snapshot");
+    let reread = SchedulerService::<B>::restore(&bytes, cfg, ctx()).expect("fresh snapshot");
     assert_eq!(reread.snapshot(), bytes, "snapshot not a fixed point");
     // Any strict prefix must error cleanly (never panic).
     for frac in [0, 1, 2, 3] {
         let cut_b = bytes.len() * frac / 4;
         assert!(
-            SchedulerService::<B>::restore(&bytes[..cut_b], cfg, ctx.clone()).is_err(),
+            SchedulerService::<B>::restore(&bytes[..cut_b], cfg, ctx()).is_err(),
             "truncation at {cut_b} accepted"
         );
     }
     assert!(
-        SchedulerService::<B>::restore(&bytes[..bytes.len() - 1], cfg, ctx.clone()).is_err(),
+        SchedulerService::<B>::restore(&bytes[..bytes.len() - 1], cfg, ctx()).is_err(),
         "missing final byte accepted"
     );
     let mut svc = reread;
@@ -111,14 +157,14 @@ fn assert_snapshot_transparent(cfg: &SimConfig, log: &SubmissionLog, cut: usize,
         None => run_interrupted(
             SchedulerService::new(cfg.clone(), log.system_size()),
             cfg,
-            (),
+            || (),
             log,
             cut,
         ),
         Some(fed) => run_interrupted(
             SchedulerService::<Federation>::federated(cfg.clone(), log.system_size()),
             cfg,
-            fed.clone(),
+            || fed.clone(),
             log,
             cut,
         ),
@@ -136,6 +182,104 @@ fn capability_cfg() -> SimConfig {
     let mut cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::CUP_SPAA));
     cfg.paranoid_checks = true;
     cfg
+}
+
+/// The fork targets of a live `base` config: each of the six mechanisms,
+/// the capability-aware composition, and a change of queue policy and
+/// checkpoint interval (the two knobs a fork's derived state depends on).
+fn fork_targets(base: &SimConfig) -> Vec<(String, SimConfig)> {
+    let mut targets: Vec<(String, SimConfig)> = Mechanism::ALL_SIX
+        .iter()
+        .map(|&m| {
+            let cfg = SimConfig {
+                mechanism: m,
+                hooks: None,
+                ..base.clone()
+            };
+            (m.name().to_string(), cfg)
+        })
+        .collect();
+    let cap = capability_cfg();
+    let cfg = SimConfig {
+        mechanism: cap.mechanism,
+        hooks: cap.hooks,
+        ..base.clone()
+    };
+    targets.push(("capability-aware".to_string(), cfg));
+    let cfg = SimConfig {
+        policy: PolicyKind::Wfp3,
+        ..base.clone().ckpt_factor(0.05)
+    };
+    targets.push(("WFP3, ckpt ×0.05".to_string(), cfg));
+    targets
+}
+
+/// Fork `svc` under `cfg` twice — in memory and through a restore of its
+/// snapshot — and require the two copies to stay bitwise alike: at the
+/// fork, after a probe submit, after the rest of the log and a drain, and
+/// in the folded outcome.
+fn assert_fork_is_restore<B: SnapshotBackend>(
+    svc: &SchedulerService<B>,
+    cfg: &SimConfig,
+    ctx: B::Ctx,
+    rest: &[LogEntry],
+    probe: &JobSpec,
+    label: &str,
+) {
+    let mut forked = svc.fork(cfg);
+    let mut restored =
+        SchedulerService::<B>::restore(&svc.snapshot(), cfg, ctx).expect("fresh snapshot");
+    assert_eq!(
+        forked.snapshot(),
+        restored.snapshot(),
+        "{label}: at the fork"
+    );
+    assert_eq!(
+        forked.submit(probe.clone()),
+        restored.submit(probe.clone()),
+        "{label}: probe submit"
+    );
+    assert_eq!(
+        forked.snapshot(),
+        restored.snapshot(),
+        "{label}: after the probe"
+    );
+    for e in rest {
+        assert_eq!(
+            forked.apply(e),
+            restored.apply(e),
+            "{label}: entry at {}",
+            e.at
+        );
+    }
+    forked.step_until(SimTime::MAX);
+    restored.step_until(SimTime::MAX);
+    assert_eq!(forked.snapshot(), restored.snapshot(), "{label}: drained");
+    assert_eq!(
+        fingerprint(forked.into_outcome()),
+        fingerprint(restored.into_outcome()),
+        "{label}: outcome"
+    );
+}
+
+/// Replay `log` through `svc`, forecasting a probe after every
+/// `log.len() / 4`-th entry when `forecast` is set, then drain. Returns
+/// the drained snapshot and the outcome's fingerprint.
+fn drain_forecasting<B: SnapshotBackend>(
+    mut svc: SchedulerService<B>,
+    log: &SubmissionLog,
+    forecast: bool,
+) -> (Vec<u8>, String) {
+    let stride = (log.len() / 4).max(1);
+    for (i, e) in log.entries().iter().enumerate() {
+        svc.apply(e).expect("log entry applies");
+        if forecast && i % stride == 0 {
+            let probe = probe_at(i as u64, svc.now(), log.system_size());
+            svc.what_if(&probe).expect("probe is submittable");
+        }
+    }
+    svc.step_until(SimTime::MAX);
+    (svc.snapshot(), fingerprint(svc.into_outcome()))
 }
 
 proptest! {
@@ -176,6 +320,72 @@ proptest! {
         let fed = cfg_for(Mechanism::CUA_SPAA)
             .federated(FederationConfig::even_split(2, log.system_size()));
         assert_snapshot_transparent(&fed, &log, cut, "2-shard federation");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An in-memory fork equals a restore of a fresh snapshot — bytes at
+    /// the fork, after a probe, after the rest of the log and a drain, and
+    /// the outcome — for every fork target, at a random cut of a random
+    /// session with buffered and in-flight cancels, on one cluster and on
+    /// a 2-shard federation.
+    #[test]
+    fn fork_equals_restore(
+        seed in 0..1_000u64,
+        jobs in 20..50u32,
+        cut_frac in 0..=100u32,
+        live in 0..6usize,
+    ) {
+        let trace = TraceConfig::tiny().with_jobs(jobs).with_capability_frac(0.15).generate(seed);
+        let log = with_buffered_cancels(&SubmissionLog::from_trace(&trace), 7);
+        let log = with_in_flight_cancels(&log, 5, SimDuration::from_mins(30));
+        let (head, rest) = log.entries().split_at(log.len() * cut_frac as usize / 100);
+        let system = log.system_size();
+        let base = cfg_for(Mechanism::ALL_SIX[live]);
+
+        let mut svc = SchedulerService::new(base.clone(), system);
+        for e in head {
+            svc.apply(e).expect("log entry applies");
+        }
+        let probe = probe_at(0, svc.now(), system);
+        for (label, cfg) in fork_targets(&base) {
+            assert_fork_is_restore(&svc, &cfg, (), rest, &probe, &label);
+        }
+
+        let fed = FederationConfig::even_split(2, system);
+        let base = base.federated(fed.clone());
+        let mut svc = SchedulerService::<Federation>::federated(base.clone(), system);
+        for e in head {
+            svc.apply(e).expect("log entry applies");
+        }
+        for (label, cfg) in fork_targets(&base) {
+            let label = format!("2-shard {label}");
+            assert_fork_is_restore(&svc, &cfg, fed.clone(), rest, &probe, &label);
+        }
+    }
+
+    /// Forecasting never reaches the live session's future: a session
+    /// that calls `what_if` at several points and then drains ends in the
+    /// same bytes and outcome as one that never forecast. (Bytes taken
+    /// right after a call cannot see state a fork shares with the live
+    /// session; its future can.)
+    #[test]
+    fn what_if_leaves_the_future_alone(seed in 0..1_000u64, jobs in 20..50u32, live in 0..6usize) {
+        let trace = TraceConfig::tiny().with_jobs(jobs).generate(seed);
+        let log = with_in_flight_cancels(&SubmissionLog::from_trace(&trace), 6, SimDuration::from_mins(20));
+        let system = log.system_size();
+        let cfg = cfg_for(Mechanism::ALL_SIX[live]);
+        let cluster = |forecast| {
+            drain_forecasting(SchedulerService::new(cfg.clone(), system), &log, forecast)
+        };
+        assert_eq!(cluster(true), cluster(false), "single cluster");
+        let fed = cfg.federated(FederationConfig::even_split(2, system));
+        let federation = |forecast| {
+            drain_forecasting(SchedulerService::<Federation>::federated(fed.clone(), system), &log, forecast)
+        };
+        assert_eq!(federation(true), federation(false), "2-shard federation");
     }
 }
 

@@ -59,6 +59,7 @@ impl EventId {
     }
 }
 
+#[derive(Clone)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -101,6 +102,11 @@ const FLAG_RECLAIMED: u8 = 3;
 /// * when cancelled tombstones outnumber live entries, the heap is
 ///   compacted in O(heap) — epoch-bumped Finish/Kill events accumulating
 ///   under heavy preemption can never dominate the heap.
+///
+/// Cloning copies the heap, the flag ring and every counter, so a clone
+/// delivers the identical `(time, EventId, event)` stream — the in-memory
+/// counterpart of the [`QueueSnapshot`] round trip.
+#[derive(Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Dynamic-lane flags, indexed by `seq - flag_base`. The front is
