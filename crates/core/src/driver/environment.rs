@@ -12,167 +12,34 @@
 //! ## Determinism and the identity contract
 //!
 //! Every observation is a pure function of simulator state, and every
-//! action mutates only the tunable seams (the [`TunableHooks`] admission
-//! wrapper, the backfill flags, the checkpoint interval factor). The
-//! service's bitwise parity contract therefore lifts directly: driving
-//! an episode with [`Action::hold`] at every decision point is
-//! **bitwise identical** to batch-replaying the same trace under the
-//! base configuration — for all six mechanisms, custom hook stacks, and
-//! federations (`tests/environment_parity.rs` asserts exactly this).
+//! action is one configuration change: the step builds `base ⊕ vector`
+//! over the chosen composition (throttled through [`CapabilityAware`])
+//! and hands it to the service's `reconfigure`, the same call a what-if
+//! [`SchedulerService::fork`] makes. The service's bitwise parity
+//! contract therefore lifts directly: driving an episode with
+//! [`Action::hold`] at every decision point is **bitwise identical** to
+//! batch-replaying the same trace under the base configuration — for
+//! all six mechanisms, custom hook stacks, and federations — and
+//! applying an action at a decision point is bitwise a fork of the
+//! session under that configuration (`tests/environment_parity.rs`
+//! asserts both).
 //!
 //! Knob semantics are *absolute*: applying a vector moves the
 //! configuration to `base ⊕ vector`, so re-applying a vector is
 //! idempotent and [`Action::hold`] (no vector at all) touches nothing.
+//! A mechanism switch follows the fork's rule: jobs the scheduler sees
+//! after the switch get the new mechanism's notice treatment, jobs it
+//! already knows keep theirs.
 
-use super::hooks::{
-    hooks_for, standard_composition, AdmissionView, ArrivalPlan, ArrivalView, HooksHandle,
-    MechanismHooks, NoticeDecision, NoticeView, PredictionView,
-};
+use super::hooks::{hooks_for, standard_composition, CapabilityAware, HooksHandle, MechanismHooks};
 use super::service::SchedulerService;
 use super::SimOutcome;
-use crate::config::{Mechanism, ShrinkStrategy, SimConfig, VictimOrder};
-use crate::mechanism::CupPlan;
+use crate::config::{Mechanism, SimConfig};
 use hws_cluster::{ClassAffinity, Cluster, Federation, FirstFit, LeastLoaded, SnapshotBackend};
 use hws_metrics::RewardSpec;
 use hws_sim::{SimDuration, SimTime};
 use hws_workload::{JobClass, KnobVector, PlacementChoice, Trace};
-use std::fmt;
-use std::sync::{Arc, RwLock};
-
-// ---------------------------------------------------------------------
-// Tunable hook wrapper
-// ---------------------------------------------------------------------
-
-/// A [`MechanismHooks`] wrapper whose inner composition and capability
-/// admission throttle can be swapped *while a simulation is running* —
-/// the seam [`Environment`] actions act through, also used by
-/// `hws-search` to materialise throttled candidate configurations.
-///
-/// With the throttle unset and the inner hooks untouched, every method
-/// is a pure delegation, so a wrapped run is bitwise identical to an
-/// unwrapped one.
-pub struct TunableHooks {
-    label: String,
-    inner: RwLock<Arc<dyn MechanismHooks>>,
-    /// Captured once at construction: the driver asks `uses_notices` as
-    /// it injects each job (whether to schedule its notice) and as each
-    /// notice lands, so freezing the answer keeps a mid-run swap from
-    /// treating jobs differently by injection time — every job sees what
-    /// the run was started with.
-    uses_notices: bool,
-    throttle: RwLock<Option<u32>>,
-}
-
-impl TunableHooks {
-    /// Wrap an existing hook stack (pure delegation until mutated).
-    pub fn wrapping(inner: Arc<dyn MechanismHooks>) -> Self {
-        TunableHooks {
-            label: format!("tunable[{}]", inner.name()),
-            uses_notices: inner.uses_notices(),
-            inner: RwLock::new(inner),
-            throttle: RwLock::new(None),
-        }
-    }
-
-    /// Wrap the standard composition for `m`.
-    ///
-    /// # Errors
-    ///
-    /// [`Mechanism::Custom`] has no built-in composition.
-    pub fn for_mechanism(
-        m: Mechanism,
-        victim_order: VictimOrder,
-        shrink_strategy: ShrinkStrategy,
-    ) -> Result<Self, String> {
-        if m == Mechanism::Custom {
-            return Err("Mechanism::Custom has no built-in composition to wrap".into());
-        }
-        Ok(Self::wrapping(standard_composition(
-            m,
-            victim_order,
-            shrink_strategy,
-        )))
-    }
-
-    /// Swap the inner composition to the standard one for `m`. Notice
-    /// *scheduling* stays as captured at construction (see the field
-    /// docs); planning and arrival behaviour switch immediately.
-    pub fn set_mechanism(
-        &self,
-        m: Mechanism,
-        victim_order: VictimOrder,
-        shrink_strategy: ShrinkStrategy,
-    ) -> Result<(), String> {
-        if m == Mechanism::Custom {
-            return Err("cannot switch to Mechanism::Custom (no built-in composition)".into());
-        }
-        *self.inner.write().expect("hooks lock") =
-            standard_composition(m, victim_order, shrink_strategy);
-        Ok(())
-    }
-
-    /// Set (or clear) the capability admission throttle: at most `k`
-    /// capability-class jobs running concurrently.
-    pub fn set_throttle(&self, k: Option<u32>) {
-        *self.throttle.write().expect("throttle lock") = k;
-    }
-
-    /// The current throttle.
-    pub fn throttle(&self) -> Option<u32> {
-        *self.throttle.read().expect("throttle lock")
-    }
-
-    fn inner(&self) -> Arc<dyn MechanismHooks> {
-        Arc::clone(&self.inner.read().expect("hooks lock"))
-    }
-}
-
-impl fmt::Debug for TunableHooks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TunableHooks")
-            .field("label", &self.label)
-            .field("inner", &self.inner().name().to_string())
-            .field("throttle", &self.throttle())
-            .finish()
-    }
-}
-
-impl MechanismHooks for TunableHooks {
-    fn name(&self) -> &str {
-        &self.label
-    }
-
-    fn uses_notices(&self) -> bool {
-        self.uses_notices
-    }
-
-    fn on_notice(&self, view: &NoticeView) -> NoticeDecision {
-        self.inner().on_notice(view)
-    }
-
-    fn plans_predictions(&self) -> bool {
-        self.inner().plans_predictions()
-    }
-
-    fn plan_for_prediction(&self, view: &PredictionView<'_>) -> CupPlan {
-        self.inner().plan_for_prediction(view)
-    }
-
-    fn on_arrival(&self, view: &ArrivalView<'_>) -> ArrivalPlan {
-        self.inner().on_arrival(view)
-    }
-
-    fn admit(&self, view: &AdmissionView) -> bool {
-        if view.class == JobClass::Capability {
-            if let Some(cap) = self.throttle() {
-                if view.running_capability >= cap {
-                    return false;
-                }
-            }
-        }
-        self.inner().admit(view)
-    }
-}
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Knob application
@@ -180,9 +47,9 @@ impl MechanismHooks for TunableHooks {
 
 /// Apply the *configuration-level* knobs of `vector` to `cfg`: backfill
 /// flags, checkpoint interval multiplier, placement policy. The
-/// admission throttle is hook-level and **not** applied here — see
-/// [`config_for_knobs`] (search candidates) and [`Environment`]
-/// (live episodes) for the two appliers.
+/// admission throttle is hook-level and **not** applied here;
+/// [`config_for_knobs`] and every [`Environment`] configuration add it
+/// on top, through one applier.
 ///
 /// The identity vector leaves `cfg` bitwise unchanged.
 pub fn apply_knobs(cfg: &mut SimConfig, vector: &KnobVector) -> Result<(), String> {
@@ -209,11 +76,34 @@ pub fn apply_knobs(cfg: &mut SimConfig, vector: &KnobVector) -> Result<(), Strin
     Ok(())
 }
 
+/// The one knob applier: `base ⊕ vector`, scheduling with `hooks` (the
+/// hooks `base` names when `None`). An admission throttle `k` wraps
+/// them in a [`CapabilityAware`] with shielding off, which delegates
+/// everything but the capability admission cap.
+fn knob_config(
+    base: &SimConfig,
+    hooks: Option<Arc<dyn MechanismHooks>>,
+    vector: &KnobVector,
+) -> Result<SimConfig, String> {
+    let mut cfg = base.clone();
+    apply_knobs(&mut cfg, vector)?;
+    if let Some(k) = vector.admit_throttle {
+        let inner = hooks.unwrap_or_else(|| hooks_for(&cfg));
+        let throttled = CapabilityAware::from_arc(inner)
+            .allow_capability_victims()
+            .with_max_running(k);
+        cfg.hooks = Some(HooksHandle::new(throttled));
+    } else if let Some(hooks) = hooks {
+        cfg.hooks = Some(HooksHandle(hooks));
+    }
+    Ok(cfg)
+}
+
 /// Materialise a search candidate: `base` with `mechanism` selected and
 /// `vector` applied. With no admission throttle the result carries no
-/// hook wrapper at all, so it is bitwise equivalent to a plain
-/// `base.with_mechanism(mechanism)` — throttled candidates install a
-/// [`TunableHooks`] wrapper around the mechanism's standard composition.
+/// hooks at all, so it is bitwise equivalent to a plain
+/// `base.with_mechanism(mechanism)`; a throttled candidate runs the
+/// mechanism's standard composition under the throttle.
 ///
 /// # Errors
 ///
@@ -227,17 +117,12 @@ pub fn config_for_knobs(
     if mechanism == Mechanism::Custom {
         return Err("search candidates must use a built-in mechanism, not Custom".into());
     }
-    let mut cfg = base.clone();
-    cfg.hooks = None;
-    cfg.mechanism = mechanism;
-    apply_knobs(&mut cfg, vector)?;
-    if let Some(k) = vector.admit_throttle {
-        let tunable =
-            TunableHooks::for_mechanism(mechanism, cfg.victim_order, cfg.shrink_strategy)?;
-        tunable.set_throttle(Some(k));
-        cfg.hooks = Some(HooksHandle(Arc::new(tunable)));
-    }
-    Ok(cfg)
+    let base = SimConfig {
+        mechanism,
+        hooks: None,
+        ..base.clone()
+    };
+    knob_config(&base, None, vector)
 }
 
 // ---------------------------------------------------------------------
@@ -323,9 +208,10 @@ impl Observation {
 /// as it is — [`Action::hold`] is the guaranteed no-op.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Action {
-    /// Switch to this mechanism's standard composition. Rejected for
-    /// `Baseline` (the baseline never consults hooks, so a mid-run
-    /// "switch" would silently misbehave) and `Custom`.
+    /// Switch to this mechanism's standard composition; the active knob
+    /// point, throttle included, carries over. Rejected for `Baseline`
+    /// (the baseline never consults hooks, so a mid-run "switch" would
+    /// silently misbehave) and `Custom`.
     pub mechanism: Option<Mechanism>,
     /// Move the knobs to `base ⊕ vector` (absolute, idempotent).
     /// Placement is fixed at episode start and rejected here.
@@ -399,36 +285,32 @@ impl EnvSpec {
 /// module docs for the determinism contract.
 pub struct Environment<B: SnapshotBackend = Cluster> {
     svc: SchedulerService<B>,
-    tunable: Arc<TunableHooks>,
+    /// The episode's base configuration; knob vectors apply to it
+    /// (absolute ⊕). No action changes its `mechanism`, so `hybrid()`
+    /// and the outcome's mechanism tag stay the base's.
+    base: SimConfig,
+    /// The active mechanism composition, without the throttle.
+    hooks: Arc<dyn MechanismHooks>,
+    /// The active knob point.
+    knobs: KnobVector,
     reward: RewardSpec,
     interval: SimDuration,
-    /// Base values knob vectors are applied against (absolute ⊕).
-    base_ckpt_factor: f64,
-    base_backfill: (bool, bool),
-    victim_order: VictimOrder,
-    shrink_strategy: ShrinkStrategy,
     next_tick: SimTime,
     decisions: usize,
 }
 
-/// Validate the spec and build the wrapped configuration plus the
-/// shared tunable seam.
-fn build_cfg(spec: &EnvSpec) -> Result<(SimConfig, Arc<TunableHooks>), String> {
+/// Validate the spec and build the episode's opening configuration plus
+/// the composition it runs.
+fn open_cfg(spec: &EnvSpec) -> Result<(SimConfig, Arc<dyn MechanismHooks>), String> {
     if spec.decision_interval.is_zero() {
         return Err("decision interval must be positive".into());
     }
     if spec.cfg.mechanism == Mechanism::Custom && spec.cfg.hooks.is_none() {
         return Err("Mechanism::Custom requires explicit SimConfig::hooks".into());
     }
-    let mut cfg = spec.cfg.clone();
-    apply_knobs(&mut cfg, &spec.knobs)?;
-    let tunable = Arc::new(TunableHooks::wrapping(hooks_for(&cfg)));
-    tunable.set_throttle(spec.knobs.admit_throttle);
-    // Explicit hooks take precedence over the mechanism enum, while the
-    // enum itself stays untouched — so `hybrid()`, notice scheduling,
-    // and the outcome's mechanism tag all remain faithful to the base.
-    cfg.hooks = Some(HooksHandle(Arc::clone(&tunable) as Arc<dyn MechanismHooks>));
-    Ok((cfg, tunable))
+    let hooks = hooks_for(&spec.cfg);
+    let cfg = knob_config(&spec.cfg, Some(Arc::clone(&hooks)), &spec.knobs)?;
+    Ok((cfg, hooks))
 }
 
 impl Environment<Cluster> {
@@ -443,9 +325,9 @@ impl Environment<Cluster> {
         if spec.cfg.federation.is_some() {
             return Err("config carries a federation; use Environment::federated".into());
         }
-        let (cfg, tunable) = build_cfg(&spec)?;
+        let (cfg, hooks) = open_cfg(&spec)?;
         let svc = SchedulerService::new(cfg, trace.system_size);
-        Environment::from_parts(svc, tunable, &spec, trace)
+        Environment::from_parts(svc, hooks, spec, trace)
     }
 }
 
@@ -456,17 +338,17 @@ impl Environment<Federation> {
         if spec.cfg.federation.is_none() {
             return Err("Environment::federated needs cfg.federation".into());
         }
-        let (cfg, tunable) = build_cfg(&spec)?;
+        let (cfg, hooks) = open_cfg(&spec)?;
         let svc = SchedulerService::<Federation>::federated(cfg, trace.system_size);
-        Environment::from_parts(svc, tunable, &spec, trace)
+        Environment::from_parts(svc, hooks, spec, trace)
     }
 }
 
 impl<B: SnapshotBackend> Environment<B> {
     fn from_parts(
         mut svc: SchedulerService<B>,
-        tunable: Arc<TunableHooks>,
-        spec: &EnvSpec,
+        hooks: Arc<dyn MechanismHooks>,
+        spec: EnvSpec,
         trace: &Trace,
     ) -> Result<Self, String> {
         // Trace jobs are already (submit, id)-sorted, which is the order
@@ -476,14 +358,11 @@ impl<B: SnapshotBackend> Environment<B> {
             svc.submit(job.clone())
                 .map_err(|e| format!("trace job rejected: {e:?}"))?;
         }
-        let cfg = svc.config();
         Ok(Environment {
-            base_ckpt_factor: spec.cfg.ckpt.interval_factor,
-            base_backfill: (spec.cfg.easy_backfill, spec.cfg.backfill_on_reserved),
-            victim_order: cfg.victim_order,
-            shrink_strategy: cfg.shrink_strategy,
             svc,
-            tunable,
+            base: spec.cfg,
+            hooks,
+            knobs: spec.knobs,
             reward: spec.reward,
             interval: spec.decision_interval,
             next_tick: SimTime::ZERO,
@@ -575,36 +454,40 @@ impl<B: SnapshotBackend> Environment<B> {
 
     /// Apply `action` and advance one decision interval. Returns
     /// [`Environment::done`] after the step.
+    ///
+    /// The action's whole target configuration is built before the
+    /// session is touched, so a rejected action changes nothing.
     pub fn step(&mut self, action: &Action) -> Result<bool, String> {
-        if let Some(m) = action.mechanism {
-            if m.is_baseline() {
-                return Err(
+        if action.mechanism.is_some() || action.knobs.is_some() {
+            let hooks = match action.mechanism {
+                None => Arc::clone(&self.hooks),
+                Some(m) if m.is_baseline() => return Err(
                     "cannot switch to the baseline mid-episode: the baseline never consults hooks"
                         .into(),
-                );
-            }
-            self.tunable
-                .set_mechanism(m, self.victim_order, self.shrink_strategy)?;
-        }
-        if let Some(vector) = &action.knobs {
-            vector.validate()?;
-            if vector.placement.is_some() {
-                return Err("placement policy is fixed at episode start".into());
-            }
-            self.tunable.set_throttle(vector.admit_throttle);
-            let (easy, reserved) = match vector.backfill {
-                Some(level) => level.flags(),
-                None => self.base_backfill,
+                ),
+                Some(Mechanism::Custom) => {
+                    return Err(
+                        "cannot switch to Mechanism::Custom (no built-in composition)".into(),
+                    )
+                }
+                Some(m) => {
+                    standard_composition(m, self.base.victim_order, self.base.shrink_strategy)
+                }
             };
-            let factor = self.base_ckpt_factor * vector.ckpt_mult;
-            let core = self.svc.core_mut();
-            core.cfg.easy_backfill = easy;
-            core.cfg.backfill_on_reserved = reserved;
-            if core.cfg.ckpt.interval_factor != factor {
-                core.cfg.ckpt.interval_factor = factor;
-                // Memoised per-size intervals are stale now.
-                core.tau_memo.borrow_mut().clear();
-            }
+            let knobs = match &action.knobs {
+                None => self.knobs.clone(),
+                Some(v) if v.placement.is_some() => {
+                    return Err("placement policy is fixed at episode start".into())
+                }
+                Some(v) => KnobVector {
+                    placement: self.knobs.placement,
+                    ..v.clone()
+                },
+            };
+            let cfg = knob_config(&self.base, Some(Arc::clone(&hooks)), &knobs)?;
+            self.svc.reconfigure(&cfg);
+            self.hooks = hooks;
+            self.knobs = knobs;
         }
         self.next_tick += self.interval;
         self.svc.step_until(self.next_tick);

@@ -403,6 +403,12 @@ impl<N: NoticePolicy, A: ArrivalPolicy> MechanismHooks for Composed<N, A> {
 /// identical to the two-class path (pinned by `tests/capability.rs` and
 /// the `replay_matrix` bench binary).
 ///
+/// With shielding off it delegates every method but the admission cap,
+/// so it is also the knob vector's admission throttle: throttled search
+/// candidates ([`config_for_knobs`](super::config_for_knobs)) and
+/// throttled `Environment` steps run
+/// `from_arc(inner).allow_capability_victims().with_max_running(k)`.
+///
 /// ```
 /// use hws_core::{CapabilityAware, Mechanism, SimConfig, Simulator};
 /// use hws_workload::TraceConfig;
@@ -446,7 +452,8 @@ impl CapabilityAware {
         ))
     }
 
-    fn from_arc(inner: Arc<dyn MechanismHooks>) -> Self {
+    /// Wrap a shared inner mechanism.
+    pub fn from_arc(inner: Arc<dyn MechanismHooks>) -> Self {
         CapabilityAware {
             name: format!("cap[{}]", inner.name()),
             inner,

@@ -42,7 +42,6 @@ mod waitq;
 pub use self::core::SimCore;
 pub use environment::{
     apply_knobs, config_for_knobs, Action, EnvSpec, Environment, EpisodeReport, Observation,
-    TunableHooks,
 };
 pub use events::Ev;
 pub use hooks::{

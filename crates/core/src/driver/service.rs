@@ -234,8 +234,7 @@ impl<B: SnapshotBackend> SchedulerService<B> {
     }
 
     /// Driver-internal mutable view of the simulation core: the
-    /// `Environment` facade samples observations and applies knob
-    /// changes through it.
+    /// `Environment` facade samples observations through it.
     pub(super) fn core_mut(&mut self) -> &mut SimCore<B> {
         &mut self.engine.sim
     }
@@ -480,16 +479,25 @@ impl<B: SnapshotBackend> SchedulerService<B> {
     /// `cfg.paranoid_checks` the fork runs the per-event invariant checks
     /// once (restore's decoder checks the cluster on every decode).
     pub fn fork(&self, cfg: &SimConfig) -> Self {
-        let mut engine = self.engine.clone();
-        engine.sim.reconfigure(cfg);
-        if cfg.paranoid_checks {
-            engine.sim.check_paranoid();
-        }
-        SchedulerService {
-            engine,
+        let mut fork = SchedulerService {
+            engine: self.engine.clone(),
             buffer: self.buffer.clone(),
             cancelled: self.cancelled.clone(),
             seen: self.seen.clone(),
+        };
+        fork.reconfigure(cfg);
+        fork
+    }
+
+    /// Continue this session under `cfg`, with [`SchedulerService::fork`]'s
+    /// rule for what `cfg` may change: the one way a live session's
+    /// configuration changes (a fork, an `Environment` action). Jobs
+    /// injected from now on get the new hooks' notice rule; jobs already
+    /// injected keep their treatment.
+    pub(super) fn reconfigure(&mut self, cfg: &SimConfig) {
+        self.engine.sim.reconfigure(cfg);
+        if cfg.paranoid_checks {
+            self.engine.sim.check_paranoid();
         }
     }
 

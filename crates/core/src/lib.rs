@@ -51,7 +51,7 @@ pub use driver::{
     CollectUntilArrival, CollectUntilPredicted, Composed, EnvSpec, Environment, EpisodeReport,
     HooksHandle, IgnoreNotices, JobStatus, MechanismHooks, NoticeDecision, NoticePolicy,
     NoticeView, Observation, PredictionView, PreemptAtArrival, SchedulerService, ShrinkThenPreempt,
-    SimOutcome, Simulator, SubmitError, TunableHooks,
+    SimOutcome, Simulator, SubmitError,
 };
 pub use failure::FailureConfig;
 pub use jobtable::JobTable;

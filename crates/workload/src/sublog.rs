@@ -27,9 +27,9 @@
 //! batch equivalent: [`SubmissionLog::materialize`] rejects such logs
 //! rather than silently approximating them.
 
-use crate::job::{JobSpec, NoticeCategory, NoticeSpec};
-use crate::trace::Trace;
-use crate::{JobClass, JobId, JobKind, ProjectId};
+use crate::job::JobSpec;
+use crate::trace::{parse_job_row, write_job_row, Trace};
+use crate::JobId;
 use hws_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -231,31 +231,9 @@ impl SubmissionLog {
         for e in &self.entries {
             match &e.op {
                 SubmitOp::Submit(j) => {
-                    let (nt, pa) = match &j.notice {
-                        Some(n) => (
-                            n.notice_time.as_secs().to_string(),
-                            n.predicted_arrival.as_secs().to_string(),
-                        ),
-                        None => (String::new(), String::new()),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "S,{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                        e.at.as_secs(),
-                        j.id.0,
-                        j.project.0,
-                        j.kind.label(),
-                        j.submit.as_secs(),
-                        j.size,
-                        j.min_size,
-                        j.work.as_secs(),
-                        j.estimate.as_secs(),
-                        j.setup.as_secs(),
-                        j.category.label(),
-                        nt,
-                        pa,
-                        j.class.label()
-                    );
+                    let _ = write!(out, "S,{},", e.at.as_secs());
+                    write_job_row(&mut out, j);
+                    out.push('\n');
                 }
                 SubmitOp::Cancel(id) => {
                     let _ = writeln!(out, "C,{},{}", e.at.as_secs(), id.0);
@@ -308,10 +286,6 @@ impl SubmissionLog {
                 s.parse::<u64>()
                     .map_err(|e| format!("line {ln}: {what}: {e}"))
             };
-            let parse_u32 = |s: &str, what: &str| {
-                s.parse::<u32>()
-                    .map_err(|e| format!("line {ln}: {what}: {e}"))
-            };
             match f[0] {
                 "C" => {
                     if f.len() != 3 {
@@ -326,52 +300,9 @@ impl SubmissionLog {
                     if f.len() != 15 {
                         return Err(format!("line {ln}: S op takes 15 fields, got {}", f.len()));
                     }
-                    let kind = match f[4] {
-                        "rigid" => JobKind::Rigid,
-                        "on-demand" => JobKind::OnDemand,
-                        "malleable" => JobKind::Malleable,
-                        other => return Err(format!("line {ln}: unknown kind {other}")),
-                    };
-                    let category = match f[11] {
-                        "no-notice" => NoticeCategory::NoNotice,
-                        "accurate" => NoticeCategory::Accurate,
-                        "early" => NoticeCategory::Early,
-                        "late" => NoticeCategory::Late,
-                        other => return Err(format!("line {ln}: unknown category {other}")),
-                    };
-                    let notice = if f[12].is_empty() {
-                        None
-                    } else {
-                        Some(NoticeSpec {
-                            notice_time: SimTime::from_secs(parse_u64(f[12], "notice_time")?),
-                            predicted_arrival: SimTime::from_secs(parse_u64(
-                                f[13],
-                                "predicted_arrival",
-                            )?),
-                        })
-                    };
-                    let class = match f[14] {
-                        "capacity" => JobClass::Capacity,
-                        "capability" => JobClass::Capability,
-                        other => return Err(format!("line {ln}: unknown class {other}")),
-                    };
                     entries.push(LogEntry {
                         at: SimTime::from_secs(parse_u64(f[1], "at")?),
-                        op: SubmitOp::Submit(JobSpec {
-                            id: JobId(parse_u64(f[2], "id")?),
-                            project: ProjectId(parse_u32(f[3], "project")?),
-                            kind,
-                            submit: SimTime::from_secs(parse_u64(f[5], "submit")?),
-                            size: parse_u32(f[6], "size")?,
-                            min_size: parse_u32(f[7], "min_size")?,
-                            work: SimDuration::from_secs(parse_u64(f[8], "work")?),
-                            estimate: SimDuration::from_secs(parse_u64(f[9], "estimate")?),
-                            setup: SimDuration::from_secs(parse_u64(f[10], "setup")?),
-                            notice,
-                            category,
-                            site_hint: None,
-                            class,
-                        }),
+                        op: SubmitOp::Submit(parse_job_row(&f[2..], ln)?),
                     });
                 }
                 other => return Err(format!("line {ln}: unknown op tag {other}")),

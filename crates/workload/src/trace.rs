@@ -152,30 +152,8 @@ impl Trace {
             "id,project,kind,submit,size,min_size,work,estimate,setup,category,notice_time,predicted_arrival,class\n",
         );
         for j in &self.jobs {
-            let (nt, pa) = match &j.notice {
-                Some(n) => (
-                    n.notice_time.as_secs().to_string(),
-                    n.predicted_arrival.as_secs().to_string(),
-                ),
-                None => (String::new(), String::new()),
-            };
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                j.id.0,
-                j.project.0,
-                j.kind.label(),
-                j.submit.as_secs(),
-                j.size,
-                j.min_size,
-                j.work.as_secs(),
-                j.estimate.as_secs(),
-                j.setup.as_secs(),
-                j.category.label(),
-                nt,
-                pa,
-                j.class.label()
-            );
+            write_job_row(&mut out, j);
+            out.push('\n');
         }
         out
     }
@@ -227,58 +205,98 @@ impl Trace {
                     f.len()
                 ));
             }
-            let parse_u64 = |s: &str, what: &str| {
-                s.parse::<u64>()
-                    .map_err(|e| format!("line {}: {what}: {e}", ln + 3))
-            };
-            let parse_u32 = |s: &str, what: &str| {
-                s.parse::<u32>()
-                    .map_err(|e| format!("line {}: {what}: {e}", ln + 3))
-            };
-            let kind = match f[2] {
-                "rigid" => JobKind::Rigid,
-                "on-demand" => JobKind::OnDemand,
-                "malleable" => JobKind::Malleable,
-                other => return Err(format!("line {}: unknown kind {other}", ln + 3)),
-            };
-            let category = match f[9] {
-                "no-notice" => NoticeCategory::NoNotice,
-                "accurate" => NoticeCategory::Accurate,
-                "early" => NoticeCategory::Early,
-                "late" => NoticeCategory::Late,
-                other => return Err(format!("line {}: unknown category {other}", ln + 3)),
-            };
-            let notice = if f[10].is_empty() {
-                None
-            } else {
-                Some(NoticeSpec {
-                    notice_time: SimTime::from_secs(parse_u64(f[10], "notice_time")?),
-                    predicted_arrival: SimTime::from_secs(parse_u64(f[11], "predicted_arrival")?),
-                })
-            };
-            let class = match f.get(12).copied() {
-                None | Some("capacity") => JobClass::Capacity,
-                Some("capability") => JobClass::Capability,
-                Some(other) => return Err(format!("line {}: unknown class {other}", ln + 3)),
-            };
-            jobs.push(JobSpec {
-                id: JobId(parse_u64(f[0], "id")?),
-                project: ProjectId(parse_u32(f[1], "project")?),
-                kind,
-                submit: SimTime::from_secs(parse_u64(f[3], "submit")?),
-                size: parse_u32(f[4], "size")?,
-                min_size: parse_u32(f[5], "min_size")?,
-                work: SimDuration::from_secs(parse_u64(f[6], "work")?),
-                estimate: SimDuration::from_secs(parse_u64(f[7], "estimate")?),
-                setup: SimDuration::from_secs(parse_u64(f[8], "setup")?),
-                notice,
-                category,
-                site_hint: None,
-                class,
-            });
+            jobs.push(parse_job_row(&f, ln + 3)?);
         }
         Ok(Trace::new(system_size, horizon, jobs))
     }
+}
+
+/// Append `j`'s 13 job columns — the trace CSV's columns, which the
+/// submission log's `S,` rows repeat — comma-separated, without a line
+/// break.
+pub(crate) fn write_job_row(out: &mut String, j: &JobSpec) {
+    let _ = write!(
+        out,
+        "{},{},{},{},{},{},{},{},{},{},",
+        j.id.0,
+        j.project.0,
+        j.kind.label(),
+        j.submit.as_secs(),
+        j.size,
+        j.min_size,
+        j.work.as_secs(),
+        j.estimate.as_secs(),
+        j.setup.as_secs(),
+        j.category.label(),
+    );
+    match &j.notice {
+        Some(n) => {
+            let _ = write!(
+                out,
+                "{},{}",
+                n.notice_time.as_secs(),
+                n.predicted_arrival.as_secs()
+            );
+        }
+        None => out.push(','),
+    }
+    let _ = write!(out, ",{}", j.class.label());
+}
+
+/// Parse the job columns [`write_job_row`] writes. `f` holds 12 or 13
+/// fields (callers check the count their format allows); a missing
+/// `class` column means [`JobClass::Capacity`]. Errors are tagged with
+/// `line`.
+pub(crate) fn parse_job_row(f: &[&str], line: usize) -> Result<JobSpec, String> {
+    let parse_u64 = |s: &str, what: &str| {
+        s.parse::<u64>()
+            .map_err(|e| format!("line {line}: {what}: {e}"))
+    };
+    let parse_u32 = |s: &str, what: &str| {
+        s.parse::<u32>()
+            .map_err(|e| format!("line {line}: {what}: {e}"))
+    };
+    let kind = match f[2] {
+        "rigid" => JobKind::Rigid,
+        "on-demand" => JobKind::OnDemand,
+        "malleable" => JobKind::Malleable,
+        other => return Err(format!("line {line}: unknown kind {other}")),
+    };
+    let category = match f[9] {
+        "no-notice" => NoticeCategory::NoNotice,
+        "accurate" => NoticeCategory::Accurate,
+        "early" => NoticeCategory::Early,
+        "late" => NoticeCategory::Late,
+        other => return Err(format!("line {line}: unknown category {other}")),
+    };
+    let notice = if f[10].is_empty() {
+        None
+    } else {
+        Some(NoticeSpec {
+            notice_time: SimTime::from_secs(parse_u64(f[10], "notice_time")?),
+            predicted_arrival: SimTime::from_secs(parse_u64(f[11], "predicted_arrival")?),
+        })
+    };
+    let class = match f.get(12).copied() {
+        None | Some("capacity") => JobClass::Capacity,
+        Some("capability") => JobClass::Capability,
+        Some(other) => return Err(format!("line {line}: unknown class {other}")),
+    };
+    Ok(JobSpec {
+        id: JobId(parse_u64(f[0], "id")?),
+        project: ProjectId(parse_u32(f[1], "project")?),
+        kind,
+        submit: SimTime::from_secs(parse_u64(f[3], "submit")?),
+        size: parse_u32(f[4], "size")?,
+        min_size: parse_u32(f[5], "min_size")?,
+        work: SimDuration::from_secs(parse_u64(f[6], "work")?),
+        estimate: SimDuration::from_secs(parse_u64(f[7], "estimate")?),
+        setup: SimDuration::from_secs(parse_u64(f[8], "setup")?),
+        notice,
+        category,
+        site_hint: None,
+        class,
+    })
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ pub mod prelude {
         IgnoreNotices, JobStatus, Mechanism, MechanismHooks, NoticeDecision, NoticePolicy,
         NoticeStrategy, NoticeView, Observation, PolicyKind, PredictionView, PreemptAtArrival,
         SchedulerService, ShrinkStrategy, ShrinkThenPreempt, SimConfig, SimOutcome, Simulator,
-        SubmitError, TunableHooks, VictimOrder,
+        SubmitError, VictimOrder,
     };
     pub use hws_metrics::{
         ClassBreakdown, ClassStats, Metrics, MetricsAvg, Recorder, RewardSpec, ShardStat,

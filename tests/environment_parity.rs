@@ -12,11 +12,15 @@
 //!
 //! Also covered here: identity parity is independent of the decision
 //! cadence (proptest over seed × mechanism × interval), non-identity
-//! actions actually steer the simulation, and the mid-episode rejection
-//! arms (baseline switch, `Custom` switch, placement change) each
-//! return an error instead of silently misbehaving.
+//! actions actually steer the simulation, an action applied mid-episode
+//! is bitwise a `SchedulerService::fork` under the same configuration
+//! (the switch ≡ fork oracle), and the mid-episode rejection arms
+//! (baseline switch, `Custom` switch, placement change, invalid
+//! vector) each return an error and leave the episode untouched.
 
+use hws_cluster::SnapshotBackend;
 use hws_sim::{SimDuration as D, SimTime as T};
+use hybrid_workload_sched::hws_cluster;
 use hybrid_workload_sched::prelude::*;
 use proptest::prelude::*;
 
@@ -85,7 +89,7 @@ fn identity_episode_matches_batch_for_all_six_mechanisms_and_baseline() {
 fn identity_episode_matches_batch_with_capability_hooks() {
     // A custom hook stack (CapabilityAware over the standard
     // composition) on a trace that actually carries capability jobs: the
-    // TunableHooks wrapper must delegate transparently.
+    // episode must run the stack exactly as batch replay does.
     let mut trace = TraceConfig::tiny().generate(11);
     let tagged = trace.tag_capability(0.3);
     assert!(tagged > 0, "fixture must carry capability jobs");
@@ -142,6 +146,110 @@ proptest! {
         prop_assert_eq!(&report.outcome.metrics, &batch.metrics);
         prop_assert_eq!(&report.outcome.engine, &batch.engine);
         prop_assert_eq!(report.outcome.admitted_jobs, batch.admitted_jobs);
+    }
+}
+
+/// Hold until decision `tick` (or the episode's end), apply `action`,
+/// then hold to the end. Returns the decisions held before the action
+/// and the outcome.
+fn act_at<B: SnapshotBackend>(
+    mut env: Environment<B>,
+    tick: usize,
+    action: &Action,
+) -> (usize, SimOutcome) {
+    while env.decisions() < tick && !env.done() {
+        env.step(&Action::hold()).expect("hold");
+    }
+    let held = env.decisions();
+    env.step(action).expect("valid action");
+    let report = env.run(|_| Action::hold()).expect("episode");
+    (held, report.outcome)
+}
+
+/// Submit `trace`, step through `ticks` decision intervals the way an
+/// episode does, then fork under `cfg` and drain the fork.
+fn fork_at<B: SnapshotBackend>(
+    mut svc: SchedulerService<B>,
+    trace: &Trace,
+    interval: D,
+    ticks: usize,
+    cfg: &SimConfig,
+) -> SimOutcome {
+    for job in &trace.jobs {
+        svc.submit(job.clone()).expect("trace job");
+    }
+    for i in 1..=ticks as u64 {
+        svc.step_until(T::from_secs(interval.as_secs() * i));
+    }
+    svc.fork(cfg).into_outcome()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Switch ≡ fork: an action applied at a decision point is bitwise a
+    // fork of the session at that instant under the configuration the
+    // knob applier builds — for every mechanism switch, N ↔ CUA/CUP
+    // included (jobs seen after the switch get the new notice rule).
+    #[test]
+    fn an_action_is_a_fork_under_the_applied_config(
+        seed in 0..32u64,
+        base_idx in 0..6usize,
+        target_idx in 0..6usize,
+        tick in 0..24usize,
+        throttle_idx in 0..4usize,
+        backfill_idx in 0..4usize,
+        ckpt_idx in 0..3usize,
+        federated in any::<bool>(),
+    ) {
+        const THROTTLES: [Option<u32>; 4] = [None, Some(0), Some(1), Some(3)];
+        const BACKFILLS: [Option<BackfillLevel>; 4] = [
+            None,
+            Some(BackfillLevel::Off),
+            Some(BackfillLevel::Conservative),
+            Some(BackfillLevel::Aggressive),
+        ];
+        const CKPT_MULTS: [f64; 3] = [0.5, 1.0, 2.0];
+        let interval = D::from_hours(6);
+        let mut trace = TraceConfig::tiny().generate(seed);
+        trace.tag_capability(0.3);
+        let mut base = SimConfig::with_mechanism(Mechanism::ALL_SIX[base_idx]);
+        base.paranoid_checks = true;
+        let target = Mechanism::ALL_SIX[target_idx];
+        let knobs = KnobVector {
+            admit_throttle: THROTTLES[throttle_idx],
+            backfill: BACKFILLS[backfill_idx],
+            ckpt_mult: CKPT_MULTS[ckpt_idx],
+            placement: None,
+        };
+        let action = Action {
+            mechanism: Some(target),
+            knobs: Some(knobs.clone()),
+        };
+        let what = format!(
+            "seed {seed} {} -> {} at tick {tick}, {}, federated {federated}",
+            base.mechanism.name(),
+            target.name(),
+            knobs.to_text()
+        );
+        if federated {
+            let base = base.federated(FederationConfig::even_split(2, trace.system_size));
+            let cfg = config_for_knobs(&base, target, &knobs).expect("candidate");
+            let spec = EnvSpec::new(base.clone()).with_interval(interval);
+            let env = Environment::<Federation>::federated(spec, &trace).expect("open");
+            let (ticks, switched) = act_at(env, tick, &action);
+            let svc = SchedulerService::<Federation>::federated(base, trace.system_size);
+            let forked = fork_at(svc, &trace, interval, ticks, &cfg);
+            assert_outcome_eq(&switched, &forked, &what);
+        } else {
+            let cfg = config_for_knobs(&base, target, &knobs).expect("candidate");
+            let spec = EnvSpec::new(base.clone()).with_interval(interval);
+            let env = Environment::new(spec, &trace).expect("open");
+            let (ticks, switched) = act_at(env, tick, &action);
+            let svc = SchedulerService::new(base, trace.system_size);
+            let forked = fork_at(svc, &trace, interval, ticks, &cfg);
+            assert_outcome_eq(&switched, &forked, &what);
+        }
     }
 }
 
@@ -242,53 +350,76 @@ fn initial_knob_point_matches_the_materialised_search_candidate() {
 
 #[test]
 fn mid_episode_rejection_arms_each_error_cleanly() {
+    // Each arm must fail before it touches the session: the rest of the
+    // episode equals one that never sent the action.
     let trace = TraceConfig::tiny().generate(0);
+    let cfg = SimConfig::with_mechanism(Mechanism::CUA_PAA);
+    let interval = D::from_hours(6);
     let open = || {
-        Environment::new(
-            EnvSpec::new(SimConfig::with_mechanism(Mechanism::N_PAA))
-                .with_interval(D::from_hours(1)),
-            &trace,
-        )
-        .expect("open")
+        Environment::new(EnvSpec::new(cfg.clone()).with_interval(interval), &trace).expect("open")
     };
+    let held = identity_episode(&cfg, &trace, interval).outcome;
 
-    let err = open()
-        .step(&Action {
-            mechanism: Some(Mechanism::Baseline),
-            knobs: None,
-        })
-        .unwrap_err();
-    assert!(err.contains("baseline"), "{err}");
+    // The last arm pairs a valid switch with an invalid vector. The
+    // switch alone steers the run, so a half-applied action would show.
+    let switch = Action {
+        mechanism: Some(Mechanism::CUP_SPAA),
+        knobs: None,
+    };
+    let (_, steered) = act_at(open(), 0, &switch);
+    assert!(
+        steered.metrics != held.metrics,
+        "fixture must make the switch visible"
+    );
 
-    let err = open()
-        .step(&Action {
-            mechanism: Some(Mechanism::Custom),
-            knobs: None,
-        })
-        .unwrap_err();
-    assert!(err.contains("Custom"), "{err}");
-
-    let err = open()
-        .step(&Action {
-            mechanism: None,
-            knobs: Some(KnobVector {
-                placement: Some(PlacementChoice::LeastLoaded),
-                ..KnobVector::identity()
-            }),
-        })
-        .unwrap_err();
-    assert!(err.contains("placement"), "{err}");
-
-    let err = open()
-        .step(&Action {
-            mechanism: None,
-            knobs: Some(KnobVector {
-                ckpt_mult: f64::NAN,
-                ..KnobVector::identity()
-            }),
-        })
-        .unwrap_err();
-    assert!(err.contains("NaN"), "{err}");
+    let arms = [
+        (
+            Action {
+                mechanism: Some(Mechanism::Baseline),
+                knobs: None,
+            },
+            "baseline",
+        ),
+        (
+            Action {
+                mechanism: Some(Mechanism::Custom),
+                knobs: None,
+            },
+            "Custom",
+        ),
+        (
+            Action {
+                mechanism: None,
+                knobs: Some(KnobVector {
+                    placement: Some(PlacementChoice::LeastLoaded),
+                    ..KnobVector::identity()
+                }),
+            },
+            "placement",
+        ),
+        (
+            Action {
+                knobs: Some(KnobVector {
+                    ckpt_mult: f64::NAN,
+                    ..KnobVector::identity()
+                }),
+                ..switch
+            },
+            "NaN",
+        ),
+    ];
+    for (action, needle) in arms {
+        let mut env = open();
+        let err = env.step(&action).unwrap_err();
+        assert!(err.contains(needle), "{err}");
+        assert_eq!(
+            env.decisions(),
+            0,
+            "{needle}: a rejected step takes no decision"
+        );
+        let report = env.run(|_| Action::hold()).expect("episode");
+        assert_outcome_eq(&report.outcome, &held, &format!("after the {needle} arm"));
+    }
 }
 
 #[test]
