@@ -176,7 +176,9 @@ pub struct SimConfig {
     /// arrival (§IV-B: 10 minutes).
     pub reservation_timeout: SimDuration,
     /// An on-demand start within this delay of arrival counts as instant
-    /// (the malleable-vacate floor; §IV-D metric 2).
+    /// (the malleable-vacate floor; §IV-D metric 2). Fixed for a session:
+    /// the recorder folds under the value it was created (or restored)
+    /// with, and a fork keeps its parent's.
     pub instant_threshold: SimDuration,
     pub victim_order: VictimOrder,
     pub shrink_strategy: ShrinkStrategy,

@@ -149,7 +149,7 @@ impl<B: ClusterBackend> SimCore<B> {
         let outage = cfg.outages.as_ref().map(|_| OutageState::default());
         let queue = WaitQueue::new();
         SimCore {
-            rec: Recorder::new(backend.total_nodes()),
+            rec: Recorder::new(backend.total_nodes(), cfg.instant_threshold),
             cluster: backend,
             hooks: hooks_for(&cfg),
             cfg,
@@ -293,12 +293,11 @@ impl<B: ClusterBackend> SimCore<B> {
         self.table.admit(spec);
     }
 
-    /// Retire a terminal (finished/killed) job: fold its measurement
-    /// record into the streaming metrics accumulator (a no-op for the
-    /// retained recorder), drop the backend's routing state for it, and
-    /// free its arena slot. Late events referencing the id — stale failure
-    /// draws, CUP preemption plans — are dropped by the liveness guards in
-    /// [`super::events`].
+    /// Retire a terminal (finished/killed) job: release its measurement
+    /// record to the recorder's fold, drop the backend's routing state
+    /// for it, and free its arena slot. Late events referencing the id —
+    /// stale failure draws, CUP preemption plans — are dropped by the
+    /// liveness guards in [`super::events`].
     pub(super) fn retire(&mut self, j: JobId) {
         if let Some(o) = self.outage.as_mut() {
             // A job retired mid-recovery (cancelled, or swept as

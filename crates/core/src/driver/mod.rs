@@ -55,7 +55,7 @@ pub use service::{replay_submission_log, CancelOutcome, JobStatus, SchedulerServ
 use crate::config::{Mechanism, SimConfig};
 use crate::timeline::Timeline;
 use hws_cluster::{ClusterBackend, Federation};
-use hws_metrics::{ClassBreakdown, Metrics, OutageReport, Recorder, ShardStat};
+use hws_metrics::{ClassBreakdown, Metrics, OutageReport, ShardStat};
 use hws_sim::{Engine, EngineStats, SimTime};
 use hws_workload::{JobSource, MaterializedSource, Trace};
 
@@ -96,15 +96,11 @@ fn finish<B: ClusterBackend>(engine: Engine<SimCore<B>>) -> SimOutcome {
     let stats = engine.stats();
     let core = engine.into_sim();
     SimOutcome {
-        metrics: Metrics::compute(&core.rec, core.cfg.instant_threshold),
+        metrics: Metrics::compute(&core.rec),
         engine: stats,
         mechanism: core.cfg.mechanism,
         shards: core.shard_report(),
-        // O(1) guard: two-class runs never pay for the breakdown.
-        classes: core
-            .rec
-            .saw_capability()
-            .then(|| ClassBreakdown::compute(&core.rec)),
+        classes: Some(ClassBreakdown::compute(&core.rec)).filter(ClassBreakdown::has_capability),
         outages: core.outage_report(),
         peak_resident_jobs: core.jobs().peak_live(),
         admitted_jobs: core.jobs().admitted(),
@@ -118,47 +114,35 @@ pub struct Simulator;
 impl Simulator {
     /// Replay `trace` under `cfg` and report the §IV-D metrics. Runs on a
     /// single cluster, or — when `cfg.federation` is set — on a
-    /// federation of shards at the same total capacity.
+    /// federation of shards at the same total capacity. Arrivals are
+    /// injected as virtual time reaches them and each job's record folds
+    /// into the metrics once it and every earlier submission have
+    /// retired, so resident state is the live window, not the trace.
     pub fn run_trace(cfg: &SimConfig, trace: &Trace) -> SimOutcome {
-        Self::run(cfg, MaterializedSource::new(trace), false)
+        Self::run_source(cfg, MaterializedSource::new(trace))
     }
 
     /// Replay a streaming [`JobSource`] under `cfg`, on a single cluster
-    /// or a federation. This is the O(active jobs) entry point: arrival
-    /// events are pulled from the source as virtual time advances,
-    /// per-job records fold into the metrics accumulators as jobs retire,
-    /// and resident memory tracks the live window of the workload rather
-    /// than its length.
+    /// or a federation: [`Simulator::run_trace`]'s path, pulling jobs
+    /// from the source as virtual time advances, so a replay never holds
+    /// more than its live window.
     ///
-    /// Produces **bitwise-identical** metrics to [`Simulator::run_trace`]
+    /// Produces **bitwise-identical** results to [`Simulator::run_trace`]
     /// over the materialized equivalent of the same source.
     pub fn run_source<S: JobSource>(cfg: &SimConfig, source: S) -> SimOutcome {
-        Self::run(cfg, source, true)
-    }
-
-    /// Build the backend `cfg` asks for and drive the source through the
-    /// arrival pump ([`pump`]) until the last event. `streaming` folds
-    /// records as jobs retire instead of retaining them.
-    fn run<S: JobSource>(cfg: &SimConfig, source: S, streaming: bool) -> SimOutcome {
         let system_size = source.system_size();
         match &cfg.federation {
-            None => Self::run_core(SimCore::new(cfg.clone(), system_size), source, streaming),
+            None => Self::run_core(SimCore::new(cfg.clone(), system_size), source),
             Some(fed) => Self::run_core(
                 SimCore::with_backend(cfg.clone(), Federation::new(fed, system_size)),
                 source,
-                streaming,
             ),
         }
     }
 
-    fn run_core<B: ClusterBackend, S: JobSource>(
-        mut core: SimCore<B>,
-        source: S,
-        streaming: bool,
-    ) -> SimOutcome {
-        if streaming {
-            core.rec = Recorder::streaming(source.system_size(), core.cfg.instant_threshold);
-        }
+    /// Drive the source through the arrival pump ([`pump`]) until the
+    /// last event.
+    fn run_core<B: ClusterBackend, S: JobSource>(core: SimCore<B>, source: S) -> SimOutcome {
         let mut engine = Engine::new(core);
         outage::seed_outages(&mut engine);
         pump::pump(

@@ -304,10 +304,13 @@ impl<B: SnapshotBackend> SchedulerService<B> {
         if self.cancelled.contains(&id) {
             return JobStatus::Cancelled;
         }
-        match self.engine.sim.rec.get(id) {
-            Some(r) if r.completed() => JobStatus::Finished,
-            Some(_) => JobStatus::Killed,
-            None => JobStatus::Unknown,
+        // Seen, neither pending nor live nor cancelled: retired.
+        if !self.seen.contains(&id) {
+            JobStatus::Unknown
+        } else if self.engine.sim.rec.was_killed(id) {
+            JobStatus::Killed
+        } else {
+            JobStatus::Finished
         }
     }
 
@@ -348,15 +351,10 @@ impl<B: SnapshotBackend> SchedulerService<B> {
             }
             Some(Status::Running | Status::Draining) => CancelOutcome::TooLate,
             // Live terminal states never persist past their event, so a
-            // table hit can't be Finished/Killed; a recorder hit means
-            // the job already completed.
-            Some(_) | None => {
-                if self.engine.sim.rec.get(id).is_some() {
-                    CancelOutcome::TooLate
-                } else {
-                    CancelOutcome::Unknown
-                }
-            }
+            // table hit can't be Finished/Killed; a seen job that is
+            // neither pending, live nor cancelled has retired.
+            Some(_) | None if self.seen.contains(&id) => CancelOutcome::TooLate,
+            Some(_) | None => CancelOutcome::Unknown,
         }
     }
 
@@ -365,7 +363,7 @@ impl<B: SnapshotBackend> SchedulerService<B> {
     /// and injecting buffered submissions as the horizon reaches them.
     /// Idempotent: a repeated call with the same `t` delivers nothing.
     pub fn step_until(&mut self, t: SimTime) {
-        self.advance(t, true);
+        self.advance(t, true, |_| false);
     }
 
     /// Advance virtual time, delivering every event with `time < t`
@@ -373,26 +371,32 @@ impl<B: SnapshotBackend> SchedulerService<B> {
     /// timestamped `t` apply after all strictly earlier events and before
     /// any event at `t`, matching the submission-log ordering contract.
     pub fn step_before(&mut self, t: SimTime) {
-        self.advance(t, false);
+        self.advance(t, false, |_| false);
     }
 
     /// Deliver all remaining events (and buffered submissions) and fold
     /// the run into the same [`SimOutcome`] the batch driver reports.
     pub fn into_outcome(mut self) -> SimOutcome {
-        self.advance(SimTime::MAX, true);
+        self.advance(SimTime::MAX, true, |_| false);
         finish(self.engine)
     }
 
-    /// Run the shared arrival pump up to the horizon; the service feeds
-    /// the buffer only through [`SchedulerService::submit`].
-    fn advance(&mut self, horizon: SimTime, inclusive: bool) {
+    /// Run the shared arrival pump up to the horizon, or until `stop`
+    /// answers `true` after an event; the service feeds the buffer only
+    /// through [`SchedulerService::submit`].
+    pub(super) fn advance(
+        &mut self,
+        horizon: SimTime,
+        inclusive: bool,
+        stop: impl FnMut(&SimCore<B>) -> bool,
+    ) {
         pump(
             &mut self.engine,
             &mut self.buffer,
             horizon,
             inclusive,
             |_, _| {},
-            |_| false,
+            stop,
         );
     }
 
@@ -530,23 +534,14 @@ impl<B: SnapshotBackend> SchedulerService<B> {
             let mut fork = self.fork(&cfg);
             fork.submit(probe.clone())?;
             let id = probe.id;
-            // The record appears at the probe's submit; a started probe
-            // has its answer, and one gone from the job table without a
-            // start never gets one.
-            let answered = |sim: &SimCore<B>| {
-                sim.rec
-                    .get(id)
-                    .is_some_and(|r| r.first_start.is_some() || sim.jobs().get_state(id).is_none())
-            };
-            pump(
-                &mut fork.engine,
-                &mut fork.buffer,
-                SimTime::MAX,
-                true,
-                |_, _| {},
-                answered,
-            );
-            if let Some(start) = fork.engine.sim.rec.get(id).and_then(|r| r.first_start) {
+            // A started probe has its answer, read while it is still live;
+            // a probe killed without a start never gets one.
+            let mut start = None;
+            fork.advance(SimTime::MAX, true, |sim| {
+                start = sim.rec.get(id).and_then(|r| r.first_start);
+                start.is_some() || sim.rec.was_killed(id)
+            });
+            if let Some(start) = start {
                 forecast.insert(m, start);
             }
         }

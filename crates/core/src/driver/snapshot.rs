@@ -6,7 +6,8 @@
 //! One version byte, then the engine scalars (`now`, `delivered`), the
 //! event queue (entries sorted by `(time, seq)` plus the dynamic-lane
 //! flag ring), and the full [`SimCore`]: job arena, backend (via
-//! [`SnapshotBackend`]), scheduler collections, recorder, and timeline.
+//! [`SnapshotBackend`]), scheduler collections, the recorder's fold, and
+//! the timeline.
 //! Every unordered collection is serialized in sorted order so identical
 //! states produce identical bytes regardless of hash-map history.
 //!
@@ -43,8 +44,10 @@ use std::collections::{BTreeSet, HashMap};
 /// the restored specs, `od_front`, and that epoch — a byte fixed point,
 /// because recomputed keys reproduce the recorded order exactly.
 /// Version 4 dropped the recorder's wall-clock decision samples: the
-/// image is now a pure function of the simulated state.
-const SNAP_VERSION: u8 = 4;
+/// image is now a pure function of the simulated state. Version 5 writes
+/// the recorder's fold (accumulators, records not yet folded in
+/// submission order, killed ids) instead of every job's record.
+const SNAP_VERSION: u8 = 5;
 
 // ---------------------------------------------------------------------
 // Event codec.
@@ -191,9 +194,8 @@ fn decode_timeline_ev(r: &mut SnapReader<'_>) -> Result<TimelineEvent, SnapError
 ///
 /// # Panics
 ///
-/// Panics if called between events (the scratch buffers are non-empty
-/// only *inside* a dispatch) or with a streaming recorder; the service
-/// layer can never trigger either.
+/// Panics if called mid-dispatch (the scratch buffers are non-empty only
+/// *inside* a dispatch); the service layer never snapshots there.
 pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -> Vec<u8> {
     let core = &engine.sim;
     assert!(
@@ -505,7 +507,8 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         None
     };
 
-    let rec = Recorder::decode_snap(&mut r)?;
+    let rec_pos = r.pos();
+    let rec = Recorder::decode_snap(&mut r, cfg.instant_threshold)?;
     let n_tl = r.get_len()?;
     let mut timeline = Timeline::new();
     for _ in 0..n_tl {
@@ -540,6 +543,20 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         rec,
         timeline,
     };
+    // Validation: live records name exactly the submitted jobs in the
+    // table (a submitted job is never `Announced`).
+    let (mut submitted, mut recorded) = (0, 0);
+    core.table.for_each_live(|spec, st| {
+        if st.status != crate::jobstate::Status::Announced {
+            submitted += 1;
+            recorded += usize::from(core.rec.get(spec.id).is_some());
+        }
+    });
+    let live = core.rec.live();
+    if recorded != submitted || live != submitted {
+        let msg = format!("{live} live records for {submitted} submitted jobs ({recorded} match)");
+        return Err(SnapError::new(rec_pos, msg));
+    }
     // Rebuild the waiting-queue index: recompute each key from the
     // restored spec, od_front membership, and the recorded epoch. Every
     // collection the keys derive from is restored above, so the rebuilt

@@ -550,7 +550,7 @@ fn scratch_capacity_released_after_queue_spike() {
     }
     while engine.step() {}
     let core = engine.into_sim();
-    let metrics = Metrics::compute(&core.rec, core.cfg.instant_threshold);
+    let metrics = Metrics::compute(&core.rec);
     assert_eq!(
         metrics.completed_jobs, SPIKE,
         "spike trace did not complete"
@@ -591,6 +591,67 @@ fn federated_pump_run_forgets_retired_jobs() {
     }
 }
 
+#[test]
+fn drained_service_holds_no_job_record() {
+    // A long-lived session keeps only its live window: once every job has
+    // retired, every record has folded and left the recorder, and the
+    // retired jobs' outcomes are still answered.
+    let trace = TraceConfig::theta_2019().with_jobs(400).generate(11);
+    let log = hws_workload::SubmissionLog::from_trace(&trace);
+    let cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA).paranoid();
+    let mut svc = SchedulerService::new(cfg, log.system_size());
+    let mut peak = 0;
+    for e in log.entries() {
+        svc.apply(e).expect("log entry applies");
+        peak = peak.max(svc.core_mut().rec.len());
+    }
+    svc.step_until(SimTime::MAX);
+    let held = svc.core_mut().rec.len();
+    assert_eq!(held, 0, "{held} job records held after the drain");
+    assert!(peak < trace.jobs.len() / 2, "peak {peak} records held");
+    for spec in &trace.jobs {
+        assert_eq!(svc.query(spec.id), JobStatus::Finished, "{}", spec.id);
+        assert_eq!(svc.cancel(spec.id), CancelOutcome::TooLate, "{}", spec.id);
+    }
+    assert_eq!(svc.into_outcome().metrics.completed_jobs, trace.jobs.len());
+}
+
+#[test]
+fn restore_rejects_records_that_do_not_match_the_jobs() {
+    // Live records must name exactly the submitted jobs in the arena: a
+    // stray one would block the fold for the rest of the session, and a
+    // job without one would panic at its next recorder callback.
+    use hws_workload::{JobId, JobKind};
+    let cfg = SimConfig::default();
+    let session = || {
+        let mut svc = SchedulerService::new(cfg.clone(), 64);
+        let job = JobSpecBuilder::rigid(1)
+            .size(8)
+            .work(d(600))
+            .estimate(d(1_200))
+            .build();
+        svc.submit(job).expect("submittable");
+        svc.step_until(t(10));
+        assert_eq!(svc.query(JobId(1)), JobStatus::Running);
+        svc
+    };
+    let restore = |svc: &SchedulerService| {
+        SchedulerService::<hws_cluster::Cluster>::restore(&svc.snapshot(), &cfg, ()).map(|_| ())
+    };
+    assert!(restore(&session()).is_ok());
+    let mut stray = session();
+    stray
+        .core_mut()
+        .rec
+        .job_submitted(JobId(99), JobKind::Rigid, 4, t(5));
+    let mut unrecorded = session();
+    unrecorded.core_mut().rec.retire(JobId(1));
+    for (label, svc) in [("stray", stray), ("unrecorded", unrecorded)] {
+        let err = restore(&svc).expect_err(label);
+        assert!(err.to_string().contains("live records"), "{label}: {err}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // What-if early stop vs. the drain-to-end oracle
 // ---------------------------------------------------------------------
@@ -626,14 +687,17 @@ mod what_if_oracle {
             };
             let mut fork = svc.fork(&cfg);
             fork.submit(probe.clone()).expect("probe is submittable");
-            fork.step_until(SimTime::MAX);
+            // The probe's record leaves the recorder once it retires, so
+            // its first start is read on the way, never to stop early.
+            let mut start = None;
+            fork.advance(SimTime::MAX, true, |sim| {
+                if let Some(s) = sim.rec.get(probe.id).and_then(|r| r.first_start) {
+                    start = Some(s);
+                }
+                false
+            });
             assert!(!fork.events_pending(), "drain left events behind");
-            if let Some(start) = fork
-                .core_mut()
-                .rec
-                .get(probe.id)
-                .and_then(|r| r.first_start)
-            {
+            if let Some(start) = start {
                 forecast.insert(m, start);
             }
         }

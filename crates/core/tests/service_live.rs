@@ -408,24 +408,28 @@ fn default_config_sessions_snapshot_identically() {
     assert_eq!(session(), session());
 }
 
-/// An image in the previous engine format (version 3) is refused with an
-/// error naming both versions — never a panic.
+/// Images in earlier engine formats (version 3: wall-clock decision
+/// samples; version 4: one record per job ever submitted) are refused
+/// with an error naming both versions — never a panic.
 #[test]
-fn version_3_engine_image_is_rejected() {
+fn older_engine_image_versions_are_rejected() {
     let cfg = SimConfig::default();
-    let mut bytes = SchedulerService::new(cfg.clone(), 64).snapshot();
+    let image = SchedulerService::new(cfg.clone(), 64).snapshot();
     // The service version byte, the engine image's u64 length prefix,
     // then the engine version byte.
-    assert_eq!(bytes[9], 4, "engine image version");
-    bytes[9] = 3;
-    let Err(err) = SchedulerService::<Cluster>::restore(&bytes, &cfg, ()) else {
-        panic!("a version-3 image restored");
-    };
-    let msg = err.to_string();
-    assert!(
-        msg.contains("version 3") && msg.contains("reads 4"),
-        "{msg}"
-    );
+    assert_eq!(image[9], 5, "engine image version");
+    for old in [3u8, 4] {
+        let mut bytes = image.clone();
+        bytes[9] = old;
+        let Err(err) = SchedulerService::<Cluster>::restore(&bytes, &cfg, ()) else {
+            panic!("a version-{old} image restored");
+        };
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("version {old}")) && msg.contains("reads 5"),
+            "{msg}"
+        );
+    }
 }
 
 /// What-if forks must not perturb the live session: the snapshot image is

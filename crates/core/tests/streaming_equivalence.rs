@@ -10,10 +10,12 @@
 //! A 2-shard federation streams under the same contract.
 
 use hws_cluster::FederationConfig;
-use hws_core::{Mechanism, SimConfig, Simulator};
+use hws_core::{Mechanism, SimConfig, SimOutcome, Simulator};
 use hws_sim::SimDuration;
 use hws_workload::job::JobSpecBuilder;
-use hws_workload::{to_swf, SwfExportConfig, SwfStreamSource, Trace, TraceConfig};
+use hws_workload::{
+    to_swf, MaterializedSource, SwfExportConfig, SwfStreamSource, Trace, TraceConfig,
+};
 use proptest::prelude::*;
 
 /// Stream `trace` back out of its own embedded SWF export.
@@ -26,6 +28,11 @@ fn stream_of(trace: &Trace) -> SwfStreamSource<std::io::BufReader<&[u8]>> {
 fn assert_identical(trace: &Trace, cfg: &SimConfig, label: &str) {
     let materialized = Simulator::run_trace(cfg, trace);
     let streamed = Simulator::run_source(cfg, stream_of(trace));
+    assert_same_outcome(&materialized, &streamed, label);
+    assert_eq!(streamed.admitted_jobs, trace.jobs.len() as u64);
+}
+
+fn assert_same_outcome(materialized: &SimOutcome, streamed: &SimOutcome, label: &str) {
     assert_eq!(
         materialized.metrics, streamed.metrics,
         "metrics diverge for {label}"
@@ -43,7 +50,6 @@ fn assert_identical(trace: &Trace, cfg: &SimConfig, label: &str) {
         materialized.peak_resident_jobs, streamed.peak_resident_jobs,
         "resident high-water marks diverge for {label}"
     );
-    assert_eq!(streamed.admitted_jobs, trace.jobs.len() as u64);
 }
 
 proptest! {
@@ -61,6 +67,37 @@ proptest! {
         let fed = SimConfig::with_mechanism(Mechanism::CUA_SPAA)
             .federated(FederationConfig::even_split(2, trace.system_size));
         assert_identical(&trace, &fed, "2-shard federation");
+    }
+}
+
+/// Job ids need not ascend in submission order: J2 submits at t=50 and
+/// J1 at t=100. Records fold in submission order, so streaming from a
+/// materialized source or from the trace's SWF export reports what the
+/// batch replay reports, for all six mechanisms.
+#[test]
+fn ids_out_of_submission_order_stream_identically() {
+    let job = |id: u64, at: u64| {
+        JobSpecBuilder::rigid(id)
+            .submit_at(hws_sim::SimTime::from_secs(at))
+            .size(8)
+            .work(SimDuration::from_secs(600))
+            .estimate(SimDuration::from_secs(1_200))
+            .build()
+    };
+    let trace = Trace::new(16, SimDuration::from_days(1), vec![job(2, 50), job(1, 100)]);
+    trace.validate().expect("a valid trace");
+    for mechanism in Mechanism::ALL_SIX {
+        let cfg = SimConfig::with_mechanism(mechanism);
+        let batch = Simulator::run_trace(&cfg, &trace);
+        assert_eq!(batch.metrics.completed_jobs, 2);
+        let label = mechanism.name();
+        let materialized = Simulator::run_source(&cfg, MaterializedSource::new(&trace));
+        assert_same_outcome(&batch, &materialized, label);
+        assert_same_outcome(
+            &batch,
+            &Simulator::run_source(&cfg, stream_of(&trace)),
+            label,
+        );
     }
 }
 

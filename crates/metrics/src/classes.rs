@@ -8,6 +8,7 @@
 //! capability-aware reporting paths (`--bin replay_matrix`, tests).
 
 use crate::record::{JobRecord, Recorder};
+use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_workload::JobClass;
 
 /// Aggregate statistics of one job class over a run.
@@ -35,10 +36,8 @@ pub struct ClassBreakdown {
     pub capability: ClassStats,
 }
 
-/// Incremental per-class fold behind [`ClassBreakdown`]. Same id-order
-/// push contract as [`crate::MetricsAcc`]: a streaming recorder folds each
-/// record at retirement, a retaining recorder folds everything at the end,
-/// and the float-op sequences coincide.
+/// Incremental per-class fold behind [`ClassBreakdown`], pushed in the
+/// same submission order as [`crate::MetricsAcc`].
 #[derive(Debug, Clone, Default)]
 pub struct ClassAcc {
     /// Per class: (stats, tat_sum, wait_sum).
@@ -70,6 +69,39 @@ impl ClassAcc {
         }
     }
 
+    /// Write every field; floats as bit patterns, so the fold round-trips
+    /// exactly.
+    pub(crate) fn encode_snap(&self, w: &mut SnapWriter) {
+        for (s, tat_sum, wait_sum) in &self.acc {
+            w.put_len(s.jobs);
+            w.put_len(s.completed);
+            w.put_len(s.killed);
+            w.put_f64(s.avg_turnaround_h);
+            w.put_f64(s.avg_wait_h);
+            w.put_len(s.preempted_jobs);
+            w.put_u64(s.preemption_events);
+            w.put_f64(*tat_sum);
+            w.put_f64(*wait_sum);
+        }
+    }
+
+    pub(crate) fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut a = ClassAcc::default();
+        for slot in &mut a.acc {
+            let stats = ClassStats {
+                jobs: r.get_len()?,
+                completed: r.get_len()?,
+                killed: r.get_len()?,
+                avg_turnaround_h: r.get_f64()?,
+                avg_wait_h: r.get_f64()?,
+                preempted_jobs: r.get_len()?,
+                preemption_events: r.get_u64()?,
+            };
+            *slot = (stats, r.get_f64()?, r.get_f64()?);
+        }
+        Ok(a)
+    }
+
     pub fn finish(&self) -> ClassBreakdown {
         let finish = |(mut s, tat_sum, wait_sum): (ClassStats, f64, f64)| {
             if s.completed > 0 {
@@ -86,14 +118,12 @@ impl ClassAcc {
 }
 
 impl ClassBreakdown {
-    /// Fold a recorder into the two per-class aggregates. Iterates in
-    /// job-id order so the float sums are deterministic across runs; a
-    /// streaming recorder's already-folded prefix is reused as-is.
+    /// Fold a recorder into the two per-class aggregates: the recorder's
+    /// fold so far, continued over the records it still holds in
+    /// submission order.
     pub fn compute(rec: &Recorder) -> ClassBreakdown {
-        let mut acc = rec.class_acc().cloned().unwrap_or_default();
-        let mut sorted: Vec<_> = rec.unfolded().collect();
-        sorted.sort_by_key(|(id, _)| *id);
-        for (_, r) in sorted {
+        let mut acc = rec.class_acc().clone();
+        for r in rec.unfolded() {
             acc.push(r);
         }
         acc.finish()
@@ -108,7 +138,7 @@ impl ClassBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hws_sim::SimTime;
+    use hws_sim::{SimDuration, SimTime};
     use hws_workload::{JobId, JobKind, NoticeCategory};
 
     fn t(s: u64) -> SimTime {
@@ -117,7 +147,7 @@ mod tests {
 
     #[test]
     fn splits_by_class() {
-        let mut rec = Recorder::new(100);
+        let mut rec = Recorder::new(100, SimDuration::from_secs(120));
         rec.job_submitted_full(
             JobId(1),
             JobKind::Rigid,
@@ -148,7 +178,7 @@ mod tests {
 
     #[test]
     fn pure_capacity_run_has_no_capability_side() {
-        let mut rec = Recorder::new(10);
+        let mut rec = Recorder::new(10, SimDuration::from_secs(120));
         rec.job_submitted(JobId(1), JobKind::Malleable, 4, t(0));
         rec.job_started(JobId(1), t(0));
         rec.job_killed(JobId(1), t(50));

@@ -13,8 +13,9 @@
 //!    by preemption (lost work segments, drain windows, repeated setups),
 //!    over `N × span`.
 //!
-//! A [`Recorder`] receives callbacks from the simulation driver;
-//! [`Metrics::compute`] folds the records into the report. `MetricsAvg`
+//! A [`Recorder`] receives callbacks from the simulation driver and folds
+//! each job's record, in submission order, once the job has retired;
+//! [`Metrics::compute`] finishes the fold into the report. `MetricsAvg`
 //! averages reports across seeds the way the paper averages ten traces.
 
 pub mod classes;

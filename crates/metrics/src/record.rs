@@ -6,7 +6,8 @@ use crate::summary::MetricsAcc;
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{SimDuration, SimTime};
 use hws_workload::{JobClass, JobId, JobKind, NoticeCategory};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Everything measured about one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,151 +135,92 @@ impl JobRecord {
     }
 }
 
-/// What happens to a job's record once the job retires.
-// One `Retention` lives per `Recorder` (one per run), so the unused
-// bytes a `Retain`-mode recorder carries for the `Stream` payload are
-// irrelevant; boxing would only add an indirection on the fold path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Retention {
-    /// Keep every record for the run's lifetime (the classic mode: CSV
-    /// export, per-job inspection, batch metric folds).
-    Retain,
-    /// Fold records into the metric accumulators as jobs retire, in job-id
-    /// order, and drop them — O(active jobs) resident memory.
-    ///
-    /// Bitwise equality with [`Retention::Retain`] rests on two facts:
-    /// submissions arrive in ascending id order (asserted), and a record
-    /// is folded only once every smaller id has been folded — so the float
-    /// summation sequence is exactly the batch fold's id-ordered sequence.
-    Stream {
-        acc: MetricsAcc,
-        classes: ClassAcc,
-        /// Retired records waiting for every smaller id to retire.
-        done: BTreeMap<JobId, JobRecord>,
-        /// Submitted-but-not-retired ids; the minimum blocks the fold.
-        live: BTreeSet<JobId>,
-        /// Largest id submitted so far (ascending-order assert).
-        last_id: Option<JobId>,
-        /// Records folded and dropped so far.
-        folded: u64,
-    },
-}
-
 /// Collects measurements during one simulation run.
+///
+/// A job's record lives from its submission until it folds into the
+/// metric accumulators. It folds once its job has
+/// [retired](Recorder::retire) and every job submitted before it has
+/// folded, so records fold in submission order whatever order jobs retire
+/// in. Resident records are the live window (jobs submitted and not yet
+/// folded), for a batch replay and a long-lived service alike.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     pub system_size: u32,
-    retention: Retention,
-    records: HashMap<JobId, JobRecord>,
+    acc: MetricsAcc,
+    classes: ClassAcc,
+    /// Records not yet folded, in submission order, each with its id and
+    /// whether its job has retired. Retired records wait here, contiguous
+    /// and unindexed, until every earlier submission has retired.
+    fifo: VecDeque<(JobId, JobRecord, bool)>,
+    /// Submissions folded so far: `fifo[i]` is submission `folded + i`.
+    folded: u64,
+    /// Live (submitted, not retired) jobs and their submission numbers.
+    live: HashMap<JobId, u64>,
+    /// Every job recorded as killed: a retired job's outcome outlives its
+    /// record at O(killed jobs).
+    killed: BTreeSet<JobId>,
     /// Node-seconds any job occupied (work + setup + checkpoint + drain).
     occupied_node_seconds: u128,
     /// Node-seconds of computation discarded because of preemption.
     wasted_node_seconds: u128,
     first_submit: Option<SimTime>,
     last_finish: Option<SimTime>,
-    /// Any capability-class job submitted? Lets two-class runs skip the
-    /// per-class breakdown entirely.
-    saw_capability: bool,
 }
 
 impl Recorder {
-    pub fn new(system_size: u32) -> Self {
+    /// `instant_threshold` is the start-delay bound under which an
+    /// on-demand start counts as "instant" (see [`MetricsAcc::new`]).
+    pub fn new(system_size: u32, instant_threshold: SimDuration) -> Self {
         Recorder {
             system_size,
-            retention: Retention::Retain,
-            records: HashMap::new(),
+            acc: MetricsAcc::new(instant_threshold),
+            classes: ClassAcc::default(),
+            fifo: VecDeque::new(),
+            folded: 0,
+            live: HashMap::new(),
+            killed: BTreeSet::new(),
             occupied_node_seconds: 0,
             wasted_node_seconds: 0,
             first_submit: None,
             last_finish: None,
-            saw_capability: false,
         }
-    }
-
-    /// A recorder that folds each job's record into the metric
-    /// accumulators when the job [retires](Recorder::retire) and drops it,
-    /// keeping resident memory O(active jobs). `instant_threshold` must
-    /// match the one later passed to `Metrics::compute`.
-    ///
-    /// Requires submissions in ascending job-id order (asserted) — the
-    /// order traces are numbered in. Per-job queries (`get`, `jobs_csv`)
-    /// only see jobs not yet folded.
-    pub fn streaming(system_size: u32, instant_threshold: SimDuration) -> Self {
-        let mut r = Recorder::new(system_size);
-        r.retention = Retention::Stream {
-            acc: MetricsAcc::new(instant_threshold),
-            classes: ClassAcc::default(),
-            done: BTreeMap::new(),
-            live: BTreeSet::new(),
-            last_id: None,
-            folded: 0,
-        };
-        r
     }
 
     /// Declare `id`'s record final: no further callback will reference it.
-    /// A no-op when retaining; in streaming mode the record folds into the
-    /// accumulators as soon as every smaller id has also retired.
+    /// Folds every record at the front of the submission order whose job
+    /// has retired. A no-op for an id that is not live (never submitted,
+    /// or already retired).
     pub fn retire(&mut self, id: JobId) {
-        if let Retention::Stream {
-            acc,
-            classes,
-            done,
-            live,
-            folded,
-            ..
-        } = &mut self.retention
-        {
-            let r = self
-                .records
-                .remove(&id)
-                .unwrap_or_else(|| panic!("{id} retired but never submitted"));
-            live.remove(&id);
-            done.insert(id, r);
-            // Fold the ready prefix: everything below the smallest live id
-            // (all smaller ids were submitted earlier and have retired).
-            while let Some(entry) = done.first_entry() {
-                if live.first().is_some_and(|l| l < entry.key()) {
-                    break;
-                }
-                let (_, r) = entry.remove_entry();
-                acc.push(&r);
-                classes.push(&r);
-                *folded += 1;
-            }
-        }
-    }
-
-    /// The streaming fold of retired records, when in streaming mode.
-    pub(crate) fn metrics_acc(&self) -> Option<&MetricsAcc> {
-        match &self.retention {
-            Retention::Stream { acc, .. } => Some(acc),
-            Retention::Retain => None,
-        }
-    }
-
-    /// The streaming per-class fold, when in streaming mode.
-    pub(crate) fn class_acc(&self) -> Option<&ClassAcc> {
-        match &self.retention {
-            Retention::Stream { classes, .. } => Some(classes),
-            Retention::Retain => None,
-        }
-    }
-
-    /// Records not yet folded into the streaming accumulators: all records
-    /// when retaining; live jobs plus the fold's waiting buffer when
-    /// streaming. Unordered — callers sort by id.
-    pub(crate) fn unfolded(&self) -> impl Iterator<Item = (JobId, &JobRecord)> {
-        let pending = match &self.retention {
-            Retention::Stream { done, .. } => Some(done),
-            Retention::Retain => None,
+        let Some(n) = self.live.remove(&id) else {
+            return;
         };
-        self.records.iter().map(|(id, r)| (*id, r)).chain(
-            pending
-                .into_iter()
-                .flat_map(|d| d.iter().map(|(id, r)| (*id, r))),
-        )
+        self.fifo[(n - self.folded) as usize].2 = true;
+        while let Some((_, r, _)) = self.fifo.pop_front_if(|(_, _, retired)| *retired) {
+            self.acc.push(&r);
+            self.classes.push(&r);
+            self.folded += 1;
+        }
+    }
+
+    /// `id`'s position in the FIFO while it is live.
+    fn slot(&self, id: JobId) -> Option<usize> {
+        self.live.get(&id).map(|&n| (n - self.folded) as usize)
+    }
+
+    /// The fold of every record that has left the recorder.
+    pub(crate) fn metrics_acc(&self) -> &MetricsAcc {
+        &self.acc
+    }
+
+    /// The per-class fold of every record that has left the recorder.
+    pub(crate) fn class_acc(&self) -> &ClassAcc {
+        &self.classes
+    }
+
+    /// Records not yet folded, in submission order: the fold's
+    /// continuation.
+    pub(crate) fn unfolded(&self) -> impl Iterator<Item = &JobRecord> {
+        self.fifo.iter().map(|(_, r, _)| r)
     }
 
     pub fn job_submitted(&mut self, id: JobId, kind: JobKind, size: u32, t: SimTime) {
@@ -298,7 +240,7 @@ impl Recorder {
 
     /// Full submission record, including the capability/capacity class.
     /// The narrower `job_submitted*` entry points default to
-    /// [`JobClass::Capacity`].
+    /// [`JobClass::Capacity`]. The call order is the fold order.
     pub fn job_submitted_full(
         &mut self,
         id: JobId,
@@ -309,30 +251,28 @@ impl Recorder {
         category: NoticeCategory,
     ) {
         self.first_submit = Some(self.first_submit.map_or(t, |f| f.min(t)));
-        self.saw_capability |= class == JobClass::Capability;
-        if let Retention::Stream { live, last_id, .. } = &mut self.retention {
-            assert!(
-                last_id.is_none_or(|p| p < id),
-                "streaming recorder requires ascending job-id submissions ({id} after {last_id:?})"
-            );
-            *last_id = Some(id);
-            live.insert(id);
+        if let Entry::Vacant(e) = self.live.entry(id) {
+            e.insert(self.folded + self.fifo.len() as u64);
+            self.fifo.push_back((
+                id,
+                JobRecord {
+                    kind,
+                    class,
+                    size,
+                    submit: t,
+                    first_start: None,
+                    finish: None,
+                    preemptions: 0,
+                    shrinks: 0,
+                    expands: 0,
+                    start_delay: None,
+                    category,
+                    killed: false,
+                    failures: 0,
+                },
+                false,
+            ));
         }
-        self.records.entry(id).or_insert(JobRecord {
-            kind,
-            class,
-            size,
-            submit: t,
-            first_start: None,
-            finish: None,
-            preemptions: 0,
-            shrinks: 0,
-            expands: 0,
-            start_delay: None,
-            category,
-            killed: false,
-            failures: 0,
-        });
     }
 
     pub fn job_failed(&mut self, id: JobId) {
@@ -371,6 +311,7 @@ impl Recorder {
         let r = self.rec(id);
         r.finish = Some(t);
         r.killed = true;
+        self.killed.insert(id);
         self.last_finish = Some(self.last_finish.map_or(t, |f| f.max(t)));
     }
 
@@ -385,25 +326,36 @@ impl Recorder {
     }
 
     fn rec(&mut self, id: JobId) -> &mut JobRecord {
-        self.records
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("{id} was never submitted"))
+        let i = self
+            .slot(id)
+            .unwrap_or_else(|| panic!("{id} was never submitted or has retired"));
+        &mut self.fifo[i].1
     }
 
+    /// The record of a submitted job that has not retired yet; `None`
+    /// once it retires.
     pub fn get(&self, id: JobId) -> Option<&JobRecord> {
-        self.records.get(&id)
+        self.slot(id).map(|i| &self.fifo[i].1)
     }
 
-    pub fn records(&self) -> impl Iterator<Item = (&JobId, &JobRecord)> {
-        self.records.iter()
+    /// Whether `id` was recorded as killed (it may have retired since).
+    pub fn was_killed(&self, id: JobId) -> bool {
+        self.killed.contains(&id)
     }
 
+    /// Submitted jobs that have not retired.
+    pub fn live(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Records held: live jobs plus retired ones waiting for an earlier
+    /// submission to retire.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.fifo.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.fifo.is_empty()
     }
 
     pub fn occupied_node_seconds(&self) -> u128 {
@@ -418,33 +370,23 @@ impl Recorder {
         Some((self.first_submit?, self.last_finish?))
     }
 
-    /// Whether any capability-class job was submitted — an O(1) guard so
-    /// two-class runs never pay for a per-class breakdown.
-    pub fn saw_capability(&self) -> bool {
-        self.saw_capability
-    }
-
-    /// Serialize a **retaining** recorder: every record (sorted by job
-    /// id), the occupancy/waste accumulators and the run span,
-    /// byte-exact. Streaming recorders hold partial
-    /// float folds that cannot round-trip losslessly mid-stream, so the
-    /// live scheduler service (the snapshot consumer) always retains.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the recorder is in streaming mode.
+    /// Serialize the recorder: the folds, the unfolded records in
+    /// submission order (each with its retired flag), the killed ids and
+    /// the run-level totals. Floats travel as bit patterns, so the image
+    /// continues bitwise like the recorder it was taken from.
     pub fn encode_snap(&self, w: &mut SnapWriter) {
-        assert!(
-            matches!(self.retention, Retention::Retain),
-            "snapshotting a streaming recorder is not supported"
-        );
         w.put_u32(self.system_size);
-        let mut ids: Vec<JobId> = self.records.keys().copied().collect();
-        ids.sort();
-        w.put_len(ids.len());
-        for id in ids {
+        self.acc.encode_snap(w);
+        self.classes.encode_snap(w);
+        w.put_len(self.fifo.len());
+        for (id, r, retired) in &self.fifo {
             w.put_u64(id.0);
-            self.records[&id].encode_snap(w);
+            w.put_bool(*retired);
+            r.encode_snap(w);
+        }
+        w.put_len(self.killed.len());
+        for id in &self.killed {
+            w.put_u64(id.0);
         }
         w.put_u64(self.occupied_node_seconds as u64);
         w.put_u64((self.occupied_node_seconds >> 64) as u64);
@@ -452,88 +394,72 @@ impl Recorder {
         w.put_u64((self.wasted_node_seconds >> 64) as u64);
         w.put_opt_u64(self.first_submit.map(|t| t.0));
         w.put_opt_u64(self.last_finish.map(|t| t.0));
-        w.put_bool(self.saw_capability);
     }
 
-    /// Decode a recorder written by [`Recorder::encode_snap`]. Malformed
-    /// input errors, never panics.
-    pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let system_size = r.get_u32()?;
-        let n = r.get_len()?;
-        let mut records = HashMap::with_capacity(n);
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let id = r.get_u64()?;
+    /// Decode a recorder written by [`Recorder::encode_snap`], folding
+    /// under `instant_threshold` from here on. Malformed input errors,
+    /// never panics: a repeated id, a retired record at the front of the
+    /// submission order (it would have folded) and unsorted killed ids
+    /// are refused. Each record travels with its id, so no id can lack a
+    /// record.
+    pub fn decode_snap(
+        r: &mut SnapReader<'_>,
+        instant_threshold: SimDuration,
+    ) -> Result<Self, SnapError> {
+        let mut rec = Recorder::new(r.get_u32()?, instant_threshold);
+        rec.acc = MetricsAcc::decode_snap(r, instant_threshold)?;
+        rec.classes = ClassAcc::decode_snap(r)?;
+        let mut ids = HashSet::new();
+        for n in 0..r.get_len()? {
+            let id = JobId(r.get_u64()?);
+            let retired = r.get_bool()?;
+            if retired && n == 0 {
+                return Err(r.err(format!(
+                    "retired {id} heads the fold (it would have folded)"
+                )));
+            }
+            if !ids.insert(id) {
+                return Err(r.err(format!("{id} submitted twice")));
+            }
+            if !retired {
+                rec.live.insert(id, n as u64);
+            }
+            rec.fifo
+                .push_back((id, JobRecord::decode_snap(r)?, retired));
+        }
+        let mut prev = None;
+        for _ in 0..r.get_len()? {
+            let id = JobId(r.get_u64()?);
             if prev.is_some_and(|p| p >= id) {
-                return Err(r.err(format!("job records not strictly sorted at {id}")));
+                return Err(r.err(format!("killed ids not strictly sorted at {id}")));
             }
             prev = Some(id);
-            records.insert(JobId(id), JobRecord::decode_snap(r)?);
+            rec.killed.insert(id);
         }
-        let occupied = u128::from(r.get_u64()?) | (u128::from(r.get_u64()?) << 64);
-        let wasted = u128::from(r.get_u64()?) | (u128::from(r.get_u64()?) << 64);
-        let first_submit = r.get_opt_u64()?.map(SimTime);
-        let last_finish = r.get_opt_u64()?.map(SimTime);
-        let saw_capability = r.get_bool()?;
-        Ok(Recorder {
-            system_size,
-            retention: Retention::Retain,
-            records,
-            occupied_node_seconds: occupied,
-            wasted_node_seconds: wasted,
-            first_submit,
-            last_finish,
-            saw_capability,
-        })
-    }
-
-    /// Export one CSV row per job (sorted by id) for external analysis.
-    pub fn jobs_csv(&self) -> String {
-        let mut rows: Vec<(&JobId, &JobRecord)> = self.records.iter().collect();
-        rows.sort_by_key(|(id, _)| **id);
-        let mut out = String::from(
-            "id,kind,category,size,submit,first_start,finish,wait_s,turnaround_s,\
-preemptions,shrinks,expands,failures,killed,class\n",
-        );
-        for (id, r) in rows {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                id.0,
-                r.kind.label(),
-                r.category.label(),
-                r.size,
-                r.submit.as_secs(),
-                r.first_start
-                    .map_or(String::new(), |t| t.as_secs().to_string()),
-                r.finish.map_or(String::new(), |t| t.as_secs().to_string()),
-                r.wait().map_or(String::new(), |d| d.as_secs().to_string()),
-                r.turnaround()
-                    .map_or(String::new(), |d| d.as_secs().to_string()),
-                r.preemptions,
-                r.shrinks,
-                r.expands,
-                r.failures,
-                r.killed,
-                r.class.label(),
-            );
-        }
-        out
+        rec.occupied_node_seconds = u128::from(r.get_u64()?) | (u128::from(r.get_u64()?) << 64);
+        rec.wasted_node_seconds = u128::from(r.get_u64()?) | (u128::from(r.get_u64()?) << 64);
+        rec.first_submit = r.get_opt_u64()?.map(SimTime);
+        rec.last_finish = r.get_opt_u64()?.map(SimTime);
+        Ok(rec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClassBreakdown, Metrics};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
+    fn recorder(system_size: u32) -> Recorder {
+        Recorder::new(system_size, SimDuration::from_secs(120))
+    }
+
     #[test]
     fn lifecycle_is_tracked() {
-        let mut r = Recorder::new(100);
+        let mut r = recorder(100);
         r.job_submitted(JobId(1), JobKind::Rigid, 10, t(100));
         r.job_started(JobId(1), t(200));
         r.job_preempted(JobId(1));
@@ -549,7 +475,7 @@ mod tests {
 
     #[test]
     fn on_demand_start_delay() {
-        let mut r = Recorder::new(100);
+        let mut r = recorder(100);
         r.job_submitted(JobId(2), JobKind::OnDemand, 10, t(1_000));
         r.job_started(JobId(2), t(1_090));
         assert_eq!(
@@ -560,7 +486,7 @@ mod tests {
 
     #[test]
     fn rigid_jobs_have_no_start_delay_metric() {
-        let mut r = Recorder::new(100);
+        let mut r = recorder(100);
         r.job_submitted(JobId(3), JobKind::Rigid, 10, t(0));
         r.job_started(JobId(3), t(50));
         assert_eq!(r.get(JobId(3)).unwrap().start_delay, None);
@@ -568,7 +494,7 @@ mod tests {
 
     #[test]
     fn occupancy_and_waste_accumulate() {
-        let mut r = Recorder::new(100);
+        let mut r = recorder(100);
         r.add_occupancy(10, SimDuration::from_secs(100));
         r.add_occupancy(5, SimDuration::from_secs(10));
         r.add_waste(3, SimDuration::from_secs(7));
@@ -578,7 +504,7 @@ mod tests {
 
     #[test]
     fn killed_jobs_are_not_completed() {
-        let mut r = Recorder::new(100);
+        let mut r = recorder(100);
         r.job_submitted(JobId(4), JobKind::Rigid, 10, t(0));
         r.job_started(JobId(4), t(1));
         r.job_killed(JobId(4), t(100));
@@ -586,33 +512,57 @@ mod tests {
         assert!(rec.killed);
         assert!(!rec.completed());
         assert!(rec.finish.is_some());
+        r.retire(JobId(4));
+        assert!(r.was_killed(JobId(4)), "the outcome outlives the record");
     }
 
     #[test]
     #[should_panic(expected = "never submitted")]
     fn starting_unknown_job_panics() {
-        let mut r = Recorder::new(1);
+        let mut r = recorder(1);
         r.job_started(JobId(9), t(0));
     }
 
-    #[test]
-    fn jobs_csv_exports_rows() {
-        let mut r = Recorder::new(10);
-        r.job_submitted(JobId(1), JobKind::Rigid, 4, t(100));
-        r.job_started(JobId(1), t(200));
-        r.job_finished(JobId(1), t(500));
-        r.job_submitted(JobId(0), JobKind::OnDemand, 2, t(50));
-        let csv = r.jobs_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("id,kind,category"));
-        // Sorted by id: job 0 first, never started → empty fields.
-        assert!(lines[1].starts_with("0,on-demand,no-notice,2,50,,"));
-        assert!(lines[2].starts_with("1,rigid,no-notice,4,100,200,500,100,400,"));
+    /// Two jobs submitted out of id order (J2 before J1), each run to
+    /// completion; `retire` only after both finished when `retire` is set.
+    fn out_of_order(retire: bool) -> Recorder {
+        let mut r = recorder(10);
+        r.job_submitted(JobId(2), JobKind::Rigid, 4, t(50));
+        r.job_submitted(JobId(1), JobKind::OnDemand, 2, t(100));
+        r.job_started(JobId(2), t(60));
+        r.job_started(JobId(1), t(100));
+        r.job_finished(JobId(1), t(400));
+        r.job_finished(JobId(2), t(700));
+        if retire {
+            // J1 retires first but waits behind J2, submitted earlier.
+            r.retire(JobId(1));
+            assert_eq!(r.len(), 2, "J1 must wait for J2");
+            assert_eq!(r.get(JobId(1)), None, "a retired job has no live record");
+            r.retire(JobId(2));
+            r.retire(JobId(9)); // never submitted: a no-op
+        }
+        r
     }
 
+    #[test]
+    fn records_fold_in_submission_order_and_leave() {
+        let folded = out_of_order(true);
+        assert!(folded.is_empty(), "every retired record folds and leaves");
+        let held = out_of_order(false);
+        assert_eq!(held.len(), 2);
+        // Folding as jobs retire is the fold `compute` runs over records
+        // still held, bitwise.
+        assert_eq!(Metrics::compute(&folded), Metrics::compute(&held));
+        assert_eq!(
+            ClassBreakdown::compute(&folded),
+            ClassBreakdown::compute(&held)
+        );
+    }
+
+    /// J3 folded, J7 live at the front of the fold, J5 retired and waiting
+    /// behind J7, J9 live and unstarted.
     fn busy_recorder() -> Recorder {
-        let mut r = Recorder::new(128);
+        let mut r = recorder(128);
         r.job_submitted_full(
             JobId(3),
             JobKind::OnDemand,
@@ -622,16 +572,22 @@ mod tests {
             NoticeCategory::Early,
         );
         r.job_submitted(JobId(7), JobKind::Malleable, 32, t(60));
+        r.job_submitted(JobId(5), JobKind::Rigid, 8, t(65));
+        r.job_submitted(JobId(9), JobKind::Rigid, 4, t(90));
         r.job_started(JobId(3), t(55));
         r.job_started(JobId(7), t(80));
+        r.job_started(JobId(5), t(85));
         r.job_shrunk(JobId(7));
         r.job_expanded(JobId(7));
         r.job_preempted(JobId(7));
         r.job_failed(JobId(7));
         r.job_finished(JobId(3), t(500));
-        r.job_killed(JobId(7), t(700));
+        r.job_killed(JobId(5), t(600));
+        r.retire(JobId(3));
+        r.retire(JobId(5));
         r.add_occupancy(16, SimDuration::from_secs(445));
         r.add_waste(4, SimDuration::from_secs(20));
+        assert_eq!(r.len(), 3, "J7 and J9 live, J5 waiting");
         r
     }
 
@@ -641,41 +597,85 @@ mod tests {
         w.into_bytes()
     }
 
+    fn decode(bytes: &[u8]) -> Result<Recorder, SnapError> {
+        let mut rd = hws_sim::SnapReader::new(bytes);
+        let r = Recorder::decode_snap(&mut rd, SimDuration::from_secs(120))?;
+        rd.expect_end()?;
+        Ok(r)
+    }
+
+    /// Finish the busy recorder's live jobs and retire everything.
+    fn drain(r: &mut Recorder) {
+        r.job_finished(JobId(7), t(900));
+        r.job_started(JobId(9), t(900));
+        r.job_finished(JobId(9), t(950));
+        r.retire(JobId(9));
+        r.retire(JobId(7));
+    }
+
     #[test]
     fn snap_codec_round_trips_every_field() {
-        let r = busy_recorder();
+        let mut r = busy_recorder();
         let bytes = encode(&r);
-        let mut rd = hws_sim::SnapReader::new(&bytes);
-        let back = Recorder::decode_snap(&mut rd).expect("decodes");
-        rd.expect_end().expect("consumed exactly");
+        let mut back = decode(&bytes).expect("decodes");
         assert_eq!(back.system_size, r.system_size);
-        assert_eq!(back.get(JobId(3)), r.get(JobId(3)));
-        assert_eq!(back.get(JobId(7)), r.get(JobId(7)));
+        assert_eq!(back.len(), r.len());
+        for id in [3, 5, 7, 9].map(JobId) {
+            assert_eq!(back.get(id), r.get(id), "{id}");
+            assert_eq!(back.was_killed(id), r.was_killed(id), "{id}");
+        }
         assert_eq!(back.occupied_node_seconds(), r.occupied_node_seconds());
         assert_eq!(back.wasted_node_seconds(), r.wasted_node_seconds());
         assert_eq!(back.span(), r.span());
-        assert_eq!(back.saw_capability(), r.saw_capability());
         assert_eq!(encode(&back), bytes, "re-encode must reproduce the bytes");
-        assert_eq!(back.jobs_csv(), r.jobs_csv());
+        assert_eq!(Metrics::compute(&back), Metrics::compute(&r));
+        // The decoded fold continues bitwise like the original.
+        drain(&mut r);
+        drain(&mut back);
+        assert!(back.is_empty());
+        assert_eq!(Metrics::compute(&back), Metrics::compute(&r));
+        assert_eq!(ClassBreakdown::compute(&back), ClassBreakdown::compute(&r));
+        assert_eq!(encode(&back), encode(&r));
     }
 
     #[test]
     fn snap_decode_rejects_truncation() {
         let bytes = encode(&busy_recorder());
         for cut in 0..bytes.len() {
-            let mut rd = hws_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                Recorder::decode_snap(&mut rd).is_err() || rd.expect_end().is_err(),
+                decode(&bytes[..cut]).is_err(),
                 "truncation at {cut} must not decode cleanly"
             );
         }
     }
 
+    /// Offset of the FIFO entry of live job `id`: its id bytes, the
+    /// retired flag (0) and the record's kind tag.
+    fn fifo_entry(bytes: &[u8], id: u64, kind_tag: u8) -> usize {
+        let mut needle = id.to_le_bytes().to_vec();
+        needle.extend([0, kind_tag]);
+        bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("entry is in the image")
+    }
+
     #[test]
-    #[should_panic(expected = "streaming recorder")]
-    fn snapshotting_streaming_recorder_panics() {
-        let r = Recorder::streaming(10, SimDuration::from_secs(60));
-        let mut w = hws_sim::SnapWriter::new();
-        r.encode_snap(&mut w);
+    fn snap_decode_rejects_a_duplicated_fifo_id() {
+        let mut bytes = encode(&busy_recorder());
+        let at = fifo_entry(&bytes, 9, 0);
+        bytes[at..at + 8].copy_from_slice(&7u64.to_le_bytes());
+        let err = decode(&bytes).expect_err("J7 listed twice");
+        assert!(err.to_string().contains("submitted twice"), "{err}");
+    }
+
+    #[test]
+    fn snap_decode_rejects_a_retired_fifo_front() {
+        let mut bytes = encode(&busy_recorder());
+        let at = fifo_entry(&bytes, 7, 2) + 8;
+        assert_eq!(bytes[at], 0, "J7 is live");
+        bytes[at] = 1;
+        let err = decode(&bytes).expect_err("a retired front would have folded");
+        assert!(err.to_string().contains("heads the fold"), "{err}");
     }
 }

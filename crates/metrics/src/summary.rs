@@ -2,6 +2,7 @@
 //! across seeds.
 
 use crate::record::{JobRecord, Recorder};
+use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::SimDuration;
 use hws_workload::{JobKind, NoticeCategory};
 
@@ -47,15 +48,10 @@ pub struct Metrics {
 }
 
 /// Incremental fold of per-job records into the scalar state behind
-/// [`Metrics`]. Records **must** be pushed in ascending job-id order — the
-/// float summation sequence is part of the bitwise-determinism contract,
-/// and id order is the one the materialized fold has always used.
-///
-/// [`Metrics::compute`] drives this for both retention modes: a retaining
-/// recorder pushes every record at the end (the classic batch fold), a
-/// streaming recorder pushes each record as its job retires and only the
-/// stragglers at the end — the per-record operation sequence is identical,
-/// so the two modes produce bitwise-equal reports.
+/// [`Metrics`]. The push order is part of the bitwise-determinism
+/// contract: the [`Recorder`] pushes records in submission order, each
+/// as soon as it and every earlier submission have retired, and
+/// [`Metrics::compute`] pushes the records still held in the same order.
 #[derive(Debug, Clone)]
 pub struct MetricsAcc {
     instant_threshold: SimDuration,
@@ -96,10 +92,6 @@ impl MetricsAcc {
             cat_inst: [(0, 0); 4],
             total_failures: 0,
         }
-    }
-
-    pub fn instant_threshold(&self) -> SimDuration {
-        self.instant_threshold
     }
 
     /// Fold one (final) job record.
@@ -152,6 +144,58 @@ impl MetricsAcc {
                 }
             }
         }
+    }
+
+    /// Write every sum and count; floats as bit patterns, so the fold
+    /// round-trips exactly. The threshold is the session's, not the
+    /// image's.
+    pub(crate) fn encode_snap(&self, w: &mut SnapWriter) {
+        w.put_f64(self.sum_tat);
+        w.put_len(self.n_completed);
+        w.put_len(self.killed);
+        for &(tat, done, preempted, total) in &self.per {
+            w.put_f64(tat);
+            w.put_len(done);
+            w.put_len(preempted);
+            w.put_len(total);
+        }
+        w.put_len(self.od_total);
+        w.put_len(self.od_instant);
+        w.put_len(self.od_strict);
+        w.put_f64(self.wait_sum);
+        w.put_len(self.wait_n);
+        w.put_f64(self.slow_sum);
+        w.put_len(self.slow_n);
+        for &(instant, n) in &self.cat_inst {
+            w.put_len(instant);
+            w.put_len(n);
+        }
+        w.put_u64(self.total_failures);
+    }
+
+    pub(crate) fn decode_snap(
+        r: &mut SnapReader<'_>,
+        instant_threshold: SimDuration,
+    ) -> Result<Self, SnapError> {
+        let mut a = MetricsAcc::new(instant_threshold);
+        a.sum_tat = r.get_f64()?;
+        a.n_completed = r.get_len()?;
+        a.killed = r.get_len()?;
+        for slot in &mut a.per {
+            *slot = (r.get_f64()?, r.get_len()?, r.get_len()?, r.get_len()?);
+        }
+        a.od_total = r.get_len()?;
+        a.od_instant = r.get_len()?;
+        a.od_strict = r.get_len()?;
+        a.wait_sum = r.get_f64()?;
+        a.wait_n = r.get_len()?;
+        a.slow_sum = r.get_f64()?;
+        a.slow_n = r.get_len()?;
+        for slot in &mut a.cat_inst {
+            *slot = (r.get_len()?, r.get_len()?);
+        }
+        a.total_failures = r.get_u64()?;
+        Ok(a)
     }
 
     /// Combine the folded per-job state with the recorder's run-level
@@ -240,32 +284,11 @@ impl MetricsAcc {
 }
 
 impl Metrics {
-    /// Fold a recorder into the report. `instant_threshold` is the
-    /// start-delay bound under which an on-demand start counts as
-    /// "instant" (the driver passes its two-minute vacate window).
-    ///
-    /// For a streaming recorder, the retired-and-folded prefix is reused
-    /// as-is (its threshold must match) and only unfolded records are
-    /// pushed here; the result is bitwise-identical to the retaining fold.
-    pub fn compute(rec: &Recorder, instant_threshold: SimDuration) -> Metrics {
-        let mut acc = match rec.metrics_acc() {
-            Some(a) => {
-                assert_eq!(
-                    a.instant_threshold(),
-                    instant_threshold,
-                    "streaming recorder folded with a different instant threshold"
-                );
-                a.clone()
-            }
-            None => MetricsAcc::new(instant_threshold),
-        };
-        // Fold in job-id order so float summation is deterministic across
-        // runs (HashMap iteration order is not). A streaming recorder's
-        // already-folded prefix covers exactly the ids below every record
-        // surfaced here, so the overall sequence stays id-ordered.
-        let mut sorted: Vec<_> = rec.unfolded().collect();
-        sorted.sort_by_key(|(id, _)| *id);
-        for (_, r) in sorted {
+    /// Fold a recorder into the report: the recorder's fold so far,
+    /// continued over the records it still holds in submission order.
+    pub fn compute(rec: &Recorder) -> Metrics {
+        let mut acc = rec.metrics_acc().clone();
+        for r in rec.unfolded() {
             acc.push(r);
         }
         acc.finish(rec)
@@ -391,13 +414,13 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn threshold() -> SimDuration {
-        SimDuration::from_secs(120)
+    fn recorder(system_size: u32) -> Recorder {
+        Recorder::new(system_size, SimDuration::from_secs(120))
     }
 
     #[test]
     fn turnaround_and_instant_rates() {
-        let mut rec = Recorder::new(100);
+        let mut rec = recorder(100);
         // Rigid job: 2 h turnaround.
         rec.job_submitted(JobId(1), JobKind::Rigid, 10, t(0));
         rec.job_started(JobId(1), t(600));
@@ -412,7 +435,7 @@ mod tests {
         rec.job_finished(JobId(3), t(4_400));
         rec.add_occupancy(100, SimDuration::from_secs(7_200));
 
-        let m = Metrics::compute(&rec, threshold());
+        let m = Metrics::compute(&rec);
         assert_eq!(m.completed_jobs, 3);
         assert!((m.instant_start_rate - 0.5).abs() < 1e-9);
         assert!((m.strict_instant_rate - 0.5).abs() < 1e-9);
@@ -422,21 +445,21 @@ mod tests {
 
     #[test]
     fn utilization_excludes_waste() {
-        let mut rec = Recorder::new(10);
+        let mut rec = recorder(10);
         rec.job_submitted(JobId(1), JobKind::Rigid, 10, t(0));
         rec.job_started(JobId(1), t(0));
         rec.job_finished(JobId(1), t(1_000));
         // Fully occupied for the whole 1000 s span, 2000 node-s wasted.
         rec.add_occupancy(10, SimDuration::from_secs(1_000));
         rec.add_waste(2, SimDuration::from_secs(1_000));
-        let m = Metrics::compute(&rec, threshold());
+        let m = Metrics::compute(&rec);
         assert!((m.raw_occupancy - 1.0).abs() < 1e-9);
         assert!((m.utilization - 0.8).abs() < 1e-9);
     }
 
     #[test]
     fn preemption_ratio_counts_jobs_not_events() {
-        let mut rec = Recorder::new(10);
+        let mut rec = recorder(10);
         for id in 0..4u64 {
             rec.job_submitted(JobId(id), JobKind::Rigid, 1, t(0));
             rec.job_started(JobId(id), t(0));
@@ -444,20 +467,20 @@ mod tests {
         }
         rec.job_preempted(JobId(0));
         rec.job_preempted(JobId(0)); // double preemption still one job
-        let m = Metrics::compute(&rec, threshold());
+        let m = Metrics::compute(&rec);
         assert!((m.rigid.preemption_ratio - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn killed_jobs_excluded_from_turnaround() {
-        let mut rec = Recorder::new(10);
+        let mut rec = recorder(10);
         rec.job_submitted(JobId(1), JobKind::Rigid, 1, t(0));
         rec.job_started(JobId(1), t(0));
         rec.job_killed(JobId(1), t(100));
         rec.job_submitted(JobId(2), JobKind::Rigid, 1, t(0));
         rec.job_started(JobId(2), t(0));
         rec.job_finished(JobId(2), t(3_600));
-        let m = Metrics::compute(&rec, threshold());
+        let m = Metrics::compute(&rec);
         assert_eq!(m.killed_jobs, 1);
         assert_eq!(m.completed_jobs, 1);
         assert!((m.avg_turnaround_h - 1.0).abs() < 1e-9);
@@ -465,8 +488,8 @@ mod tests {
 
     #[test]
     fn empty_recorder_yields_zeroes() {
-        let rec = Recorder::new(10);
-        let m = Metrics::compute(&rec, threshold());
+        let rec = recorder(10);
+        let m = Metrics::compute(&rec);
         assert_eq!(m.completed_jobs, 0);
         assert_eq!(m.utilization, 0.0);
         assert_eq!(m.instant_start_rate, 0.0);
@@ -505,19 +528,19 @@ mod tests {
 
     #[test]
     fn averaging_across_runs() {
-        let mut rec1 = Recorder::new(10);
+        let mut rec1 = recorder(10);
         rec1.job_submitted(JobId(1), JobKind::Rigid, 1, t(0));
         rec1.job_started(JobId(1), t(0));
         rec1.job_finished(JobId(1), t(3_600));
         rec1.add_occupancy(10, SimDuration::from_secs(3_600));
-        let m1 = Metrics::compute(&rec1, threshold());
+        let m1 = Metrics::compute(&rec1);
 
-        let mut rec2 = Recorder::new(10);
+        let mut rec2 = recorder(10);
         rec2.job_submitted(JobId(1), JobKind::Rigid, 1, t(0));
         rec2.job_started(JobId(1), t(0));
         rec2.job_finished(JobId(1), t(10_800));
         rec2.add_occupancy(5, SimDuration::from_secs(10_800));
-        let m2 = Metrics::compute(&rec2, threshold());
+        let m2 = Metrics::compute(&rec2);
 
         let mut avg = MetricsAvg::new();
         avg.push(&m1);
@@ -536,8 +559,8 @@ mod tests {
 
     #[test]
     fn one_line_renders() {
-        let rec = Recorder::new(10);
-        let m = Metrics::compute(&rec, threshold());
+        let rec = recorder(10);
+        let m = Metrics::compute(&rec);
         assert!(m.one_line().contains("util"));
     }
 }
