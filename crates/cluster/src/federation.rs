@@ -29,8 +29,7 @@ use crate::backend::ClusterBackend;
 use crate::node::{NodeId, NodeState};
 use crate::{Cluster, ReleaseOutcome};
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
-use hws_workload::{JobId, JobKind, JobSpec};
-use std::collections::HashMap;
+use hws_workload::{JobId, JobKind, JobMap, JobSpec};
 use std::sync::Arc;
 
 /// One member machine of a federation.
@@ -228,10 +227,10 @@ pub struct Federation {
     names: Vec<String>,
     policy: Arc<dyn PlacementPolicy>,
     /// Sticky job → shard assignment (first contact pins it).
-    home: HashMap<JobId, usize>,
+    home: JobMap<usize>,
     /// Routing metadata of the admitted jobs ([`ClusterBackend::note_job`]);
     /// like `home`, pruned when a job retires.
-    meta: HashMap<JobId, JobMeta>,
+    meta: JobMap<JobMeta>,
     max_shard: u32,
     /// Total capacity fixed at construction; `check_invariants` verifies
     /// the live shard sizes still sum to it.
@@ -258,8 +257,8 @@ impl Federation {
             shards: cfg.shards.iter().map(|s| Cluster::new(s.nodes)).collect(),
             names: cfg.shards.iter().map(|s| s.name.clone()).collect(),
             policy: Arc::clone(&cfg.policy),
-            home: HashMap::new(),
-            meta: HashMap::new(),
+            home: JobMap::default(),
+            meta: JobMap::default(),
             max_shard: cfg.shards.iter().map(|s| s.nodes).max().unwrap_or(0),
             configured_total: system_size,
         }
@@ -749,7 +748,7 @@ impl Federation {
             shards.push(c);
         }
         let n_homes = r.get_len()?;
-        let mut home = HashMap::with_capacity(n_homes);
+        let mut home = JobMap::with_capacity_and_hasher(n_homes, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n_homes {
             let job = r.get_u64()?;
@@ -764,7 +763,7 @@ impl Federation {
             home.insert(JobId(job), shard);
         }
         let n_meta = r.get_len()?;
-        let mut meta = HashMap::with_capacity(n_meta);
+        let mut meta = JobMap::with_capacity_and_hasher(n_meta, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n_meta {
             let job = r.get_u64()?;

@@ -9,8 +9,7 @@
 //! anything else falls into the free pool.
 
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
-use hws_workload::JobId;
-use std::collections::HashMap;
+use hws_workload::{JobId, JobMap};
 
 /// `nodes` nodes borrowed from `lender`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +23,7 @@ pub struct Lease {
 /// Per-borrower lease book.
 #[derive(Debug, Clone, Default)]
 pub struct LeaseLedger {
-    leases: HashMap<JobId, Vec<Lease>>,
+    leases: JobMap<Vec<Lease>>,
 }
 
 impl LeaseLedger {
@@ -108,7 +107,8 @@ impl LeaseLedger {
     /// Decode a ledger written by [`LeaseLedger::encode_snap`].
     pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.get_len()?;
-        let mut leases: HashMap<JobId, Vec<Lease>> = HashMap::with_capacity(n);
+        let mut leases: JobMap<Vec<Lease>> =
+            JobMap::with_capacity_and_hasher(n, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let b = r.get_u64()?;

@@ -32,8 +32,8 @@ pub use lease::{Lease, LeaseLedger};
 pub use node::{NodeId, NodeState};
 pub use snapshot::SnapshotBackend;
 
-use hws_workload::JobId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use hws_workload::{JobId, JobMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome of releasing a job's nodes: how many went back to the general
 /// free pool and how many returned to on-demand reservations the job was
@@ -78,21 +78,30 @@ struct Split {
 ///
 /// [`Cluster::check_invariants`] cross-validates all three against a full
 /// node scan; the simulator's `paranoid_checks` mode runs it per event.
+///
+/// Node moves are slice operations. An allocation copies the top of the
+/// free-list stack (or of an idle reservation) in pop order and truncates
+/// it; a release appends the job's plain nodes to the free list in
+/// allocation order. Both keep the exact node order a one-id-at-a-time
+/// pop/push loop would produce, which outages and snapshot images
+/// observe. Per-node work is left for squatted nodes, which return to
+/// their own holders, and, while a drain is pending, for the probe that
+/// sends a draining node `Down` instead of free.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     nodes: Vec<NodeState>,
     /// Stack of plain-free nodes (state `Free`).
     free_list: Vec<NodeId>,
     /// Running job → its nodes (both `Busy` and `ReservedBusy`).
-    alloc: HashMap<JobId, Vec<NodeId>>,
+    alloc: JobMap<Vec<NodeId>>,
     /// Reservation holder → idle reserved nodes (state `Reserved`).
-    reserved_idle: HashMap<JobId, Vec<NodeId>>,
+    reserved_idle: JobMap<Vec<NodeId>>,
     /// Running job → incremental `(plain, squatted)` counters.
-    splits: HashMap<JobId, Split>,
+    splits: JobMap<Split>,
     /// Holder → squatter → nodes of the squatter on that holder's
     /// reservation. `BTreeMap` keeps [`Cluster::squatters`] output in
     /// deterministic job-id order without a per-call sort.
-    squatter_index: HashMap<JobId, BTreeMap<JobId, u32>>,
+    squatter_index: JobMap<BTreeMap<JobId, u32>>,
     /// Running total of idle reserved nodes across all holders.
     reserved_idle_total: u32,
     /// Nodes marked for graceful drain while still occupied; they go
@@ -114,10 +123,10 @@ impl Cluster {
         Cluster {
             nodes: vec![NodeState::Free; n as usize],
             free_list: (0..n).rev().map(NodeId).collect(),
-            alloc: HashMap::new(),
-            reserved_idle: HashMap::new(),
-            splits: HashMap::new(),
-            squatter_index: HashMap::new(),
+            alloc: JobMap::default(),
+            reserved_idle: JobMap::default(),
+            splits: JobMap::default(),
+            squatter_index: JobMap::default(),
             reserved_idle_total: 0,
             draining: BTreeSet::new(),
             down_count: 0,
@@ -271,7 +280,7 @@ impl Cluster {
     /// nodes. Used by the property-test oracle; the scheduler hot path
     /// never calls it.
     pub fn squatters_scanned(&self, holder: JobId) -> Vec<(JobId, u32)> {
-        let mut counts: HashMap<JobId, u32> = HashMap::new();
+        let mut counts: JobMap<u32> = JobMap::default();
         for st in &self.nodes {
             if let NodeState::ReservedBusy { holder: h, job } = st {
                 if *h == holder {
@@ -330,11 +339,13 @@ impl Cluster {
             return None;
         }
         let mut nodes = self.fresh_nodes(k as usize);
-        for _ in 0..k {
-            let id = self.free_list.pop().expect("free_count checked");
-            self.nodes[id.index()] = NodeState::Busy { job };
-            nodes.push(id);
-        }
+        move_tail(
+            &mut self.free_list,
+            k as usize,
+            &mut nodes,
+            &mut self.nodes,
+            NodeState::Busy { job },
+        );
         self.splits.insert(
             job,
             Split {
@@ -357,26 +368,21 @@ impl Cluster {
             return None;
         }
         let mut nodes = self.fresh_nodes(k as usize);
-        if let Some(idle) = self.reserved_idle.get_mut(&job) {
-            while nodes.len() < k as usize {
-                match idle.pop() {
-                    Some(id) => {
-                        self.nodes[id.index()] = NodeState::Busy { job };
-                        self.reserved_idle_total -= 1;
-                        nodes.push(id);
-                    }
-                    None => break,
-                }
-            }
+        let busy = NodeState::Busy { job };
+        if own_reserved > 0 {
+            let idle = self
+                .reserved_idle
+                .get_mut(&job)
+                .expect("holder has idle nodes");
+            let take = own_reserved.min(k);
+            move_tail(idle, take as usize, &mut nodes, &mut self.nodes, busy);
+            self.reserved_idle_total -= take;
             if idle.is_empty() {
                 self.reserved_idle.remove(&job);
             }
         }
-        while nodes.len() < k as usize {
-            let id = self.free_list.pop().expect("checked above");
-            self.nodes[id.index()] = NodeState::Busy { job };
-            nodes.push(id);
-        }
+        let rest = k as usize - nodes.len();
+        move_tail(&mut self.free_list, rest, &mut nodes, &mut self.nodes, busy);
         self.splits.insert(
             job,
             Split {
@@ -419,15 +425,14 @@ impl Cluster {
             return None;
         }
         let mut nodes = self.fresh_nodes(k as usize);
-        while nodes.len() < k as usize {
-            match self.free_list.pop() {
-                Some(id) => {
-                    self.nodes[id.index()] = NodeState::Busy { job };
-                    nodes.push(id);
-                }
-                None => break,
-            }
-        }
+        let plain = (k as usize).min(self.free_list.len());
+        move_tail(
+            &mut self.free_list,
+            plain,
+            &mut nodes,
+            &mut self.nodes,
+            NodeState::Busy { job },
+        );
         let mut squatted: Vec<(JobId, u32)> = Vec::new();
         if nodes.len() < k as usize {
             // Deterministic holder order.
@@ -438,29 +443,21 @@ impl Cluster {
                 .filter(|h| squat_allowed(*h))
                 .collect();
             holders.sort();
-            'outer: for h in holders {
+            for h in holders {
                 let idle = self.reserved_idle.get_mut(&h).expect("key exists");
-                let mut taken = 0;
-                while nodes.len() < k as usize {
-                    match idle.pop() {
-                        Some(id) => {
-                            self.nodes[id.index()] = NodeState::ReservedBusy { holder: h, job };
-                            self.reserved_idle_total -= 1;
-                            nodes.push(id);
-                            taken += 1;
-                        }
-                        None => break,
-                    }
-                }
+                let taken = (k as usize - nodes.len()).min(idle.len());
+                let squat = NodeState::ReservedBusy { holder: h, job };
+                move_tail(idle, taken, &mut nodes, &mut self.nodes, squat);
                 if idle.is_empty() {
                     self.reserved_idle.remove(&h);
                 }
                 if taken > 0 {
-                    self.note_squat(h, job, taken);
-                    squatted.push((h, taken));
+                    self.reserved_idle_total -= taken as u32;
+                    self.note_squat(h, job, taken as u32);
+                    squatted.push((h, taken as u32));
                 }
                 if nodes.len() == k as usize {
-                    break 'outer;
+                    break;
                 }
             }
         }
@@ -477,75 +474,98 @@ impl Cluster {
         Some(squatted)
     }
 
-    /// Dispose of one node whose occupant just left: the single choke
-    /// point through which nodes re-enter the free pool. A node marked
-    /// draining goes [`NodeState::Down`] here instead; returns whether the
-    /// node actually became free.
-    fn free_node(&mut self, id: NodeId) -> bool {
+    /// Take a draining node out of service. Returns whether `id` was
+    /// draining (and is now [`NodeState::Down`]).
+    fn take_down_if_draining(&mut self, id: NodeId) -> bool {
         // `is_empty` guard: with no drains pending (the common case — a
-        // whole replay without outages never marks one) the per-node tree
-        // probe collapses to a length check.
+        // whole replay without outages never marks one) the tree probe
+        // collapses to a length check.
         if !self.draining.is_empty() && self.draining.remove(&id.0) {
             self.nodes[id.index()] = NodeState::Down;
             self.down_count += 1;
-            false
-        } else {
-            self.nodes[id.index()] = NodeState::Free;
-            self.free_list.push(id);
             true
+        } else {
+            false
         }
     }
 
-    /// Dispose of one vacated squatted node: back to `holder`'s
-    /// reservation, or straight down if the node is draining.
-    fn unsquat_node(&mut self, id: NodeId, holder: JobId) -> bool {
-        if !self.draining.is_empty() && self.draining.remove(&id.0) {
-            self.nodes[id.index()] = NodeState::Down;
-            self.down_count += 1;
-            false
-        } else {
-            self.nodes[id.index()] = NodeState::Reserved { holder };
-            self.reserved_idle.entry(holder).or_default().push(id);
-            self.reserved_idle_total += 1;
-            true
+    /// Push vacated nodes, none of them draining, onto the free-list
+    /// stack in `ids` order: the single choke point through which nodes
+    /// re-enter the free pool, and one slice move.
+    fn push_free(&mut self, ids: &[NodeId]) {
+        for id in ids {
+            self.nodes[id.index()] = NodeState::Free;
         }
+        self.free_list.extend_from_slice(ids);
+    }
+
+    /// Return vacated plain nodes to the free pool. Nodes marked draining
+    /// go [`NodeState::Down`] instead and are dropped from `ids`. Returns
+    /// how many became free.
+    fn free_nodes(&mut self, ids: &mut Vec<NodeId>) -> u32 {
+        if !self.draining.is_empty() {
+            ids.retain(|&id| !self.take_down_if_draining(id));
+        }
+        self.push_free(ids);
+        ids.len() as u32
+    }
+
+    /// Dispose of the squatted nodes `job` vacates, in order, and settle
+    /// the squatter index: each node goes back to its holder's
+    /// reservation, or down if draining. Returns the per-holder counts of
+    /// nodes returned, in first-seen holder order.
+    fn unsquat_nodes(
+        &mut self,
+        job: JobId,
+        ids: impl IntoIterator<Item = NodeId>,
+    ) -> Vec<(JobId, u32)> {
+        let mut returned: Vec<(JobId, u32)> = Vec::new();
+        let mut vacated: Vec<(JobId, u32)> = Vec::new();
+        for id in ids {
+            let NodeState::ReservedBusy { holder, .. } = self.nodes[id.index()] else {
+                unreachable!("unsquatted node {id} is not squatted");
+            };
+            tally(&mut vacated, holder);
+            if !self.take_down_if_draining(id) {
+                self.nodes[id.index()] = NodeState::Reserved { holder };
+                self.reserved_idle.entry(holder).or_default().push(id);
+                self.reserved_idle_total += 1;
+                tally(&mut returned, holder);
+            }
+        }
+        for &(holder, k) in &vacated {
+            self.note_unsquat(holder, job, k);
+        }
+        returned
     }
 
     /// Release all of `job`'s nodes. Plain nodes go to the free pool;
     /// squatted nodes return to their holder's reservation. Nodes marked
     /// draining leave service instead and appear in neither bucket.
+    ///
+    /// Free-list order is exactly one push per plain node in allocation
+    /// order, done as one slice append; squatted nodes are the only ones
+    /// handled one at a time.
     pub fn release(&mut self, job: JobId) -> ReleaseOutcome {
         let mut nodes = self.alloc.remove(&job).unwrap_or_default();
-        self.splits.remove(&job);
+        let split = self.splits.remove(&job).unwrap_or_default();
         let mut out = ReleaseOutcome::default();
-        let mut unsquat: Vec<(JobId, u32)> = Vec::new();
-        for id in nodes.drain(..) {
-            match self.nodes[id.index()] {
-                NodeState::Busy { job: j } => {
-                    debug_assert_eq!(j, job);
-                    if self.free_node(id) {
-                        out.to_free += 1;
-                    }
+        if split.squatted > 0 {
+            let mut squatted = Vec::with_capacity(split.squatted as usize);
+            let states = &self.nodes;
+            nodes.retain(|&id| match states[id.index()] {
+                NodeState::ReservedBusy { .. } => {
+                    squatted.push(id);
+                    false
                 }
-                NodeState::ReservedBusy { holder, job: j } => {
-                    debug_assert_eq!(j, job);
-                    match unsquat.iter_mut().find(|(h, _)| *h == holder) {
-                        Some((_, k)) => *k += 1,
-                        None => unsquat.push((holder, 1)),
-                    }
-                    if self.unsquat_node(id, holder) {
-                        match out.to_reservations.iter_mut().find(|(h, _)| *h == holder) {
-                            Some((_, k)) => *k += 1,
-                            None => out.to_reservations.push((holder, 1)),
-                        }
-                    }
-                }
-                ref st => unreachable!("released node in state {st:?}"),
-            }
+                _ => true,
+            });
+            out.to_reservations = self.unsquat_nodes(job, squatted);
         }
-        for &(holder, k) in &unsquat {
-            self.note_unsquat(holder, job, k);
-        }
+        debug_assert!(nodes
+            .iter()
+            .all(|id| self.nodes[id.index()] == NodeState::Busy { job }));
+        out.to_free = self.free_nodes(&mut nodes);
         self.retire_nodes(nodes);
         out
     }
@@ -555,64 +575,61 @@ impl Cluster {
     /// the free pool, while squatted nodes would leak to their reservation
     /// holders instead. Panics if the job would drop below one node.
     pub fn shrink(&mut self, job: JobId, k: u32) -> ReleaseOutcome {
-        let mut removed = self.fresh_nodes(k as usize);
-        let nodes = self.alloc.get_mut(&job).expect("shrink of non-running job");
+        assert!(self.is_running(job), "shrink of non-running job");
+        let (plain, squatted) = self.split_of(job);
         assert!(
-            (nodes.len() as u32) > k,
+            plain + squatted > k,
             "shrink would leave {job} with no nodes"
         );
-        // Partition so plain nodes are surrendered first — and among the
-        // plain nodes, draining ones (which leave service on release)
-        // before healthy ones, so shrinks accelerate graceful drains.
-        // With no draining marks the keys collapse to the historical
-        // plain-before-squatted order, so no-outage runs are unchanged.
-        let states = &self.nodes;
-        let draining = &self.draining;
-        nodes.sort_by_key(|id| match states[id.index()] {
-            NodeState::ReservedBusy { .. } => 2,
-            _ if draining.contains(&id.0) => 0,
-            _ => 1,
-        });
-        let mut out = ReleaseOutcome::default();
-        let mut plain_removed = 0u32;
-        let mut unsquat: Vec<(JobId, u32)> = Vec::new();
-        // One O(n) drain, not k front-shifts; yields the same nodes in the
-        // same order, so the free-list/reservation push order (and with it
-        // bitwise determinism) is unchanged.
+        let mut nodes = std::mem::take(self.alloc.get_mut(&job).expect("running"));
+        // Stable three-way partition so plain nodes are surrendered first,
+        // and among the plain nodes draining ones (which leave service on
+        // release) before healthy ones, so shrinks accelerate graceful
+        // drains. The job keeps the partitioned order. With no squatted
+        // node and no draining mark the list is already partitioned.
+        let mut draining_plain = 0;
+        if squatted > 0 || !self.draining.is_empty() {
+            let mut healthy = self.fresh_nodes(nodes.len());
+            let mut squats = self.fresh_nodes(squatted as usize);
+            let (states, draining) = (&self.nodes, &self.draining);
+            nodes.retain(|&id| match states[id.index()] {
+                NodeState::ReservedBusy { .. } => {
+                    squats.push(id);
+                    false
+                }
+                _ if draining.contains(&id.0) => true,
+                _ => {
+                    healthy.push(id);
+                    false
+                }
+            });
+            draining_plain = nodes.len();
+            nodes.extend_from_slice(&healthy);
+            nodes.extend_from_slice(&squats);
+            self.retire_nodes(healthy);
+            self.retire_nodes(squats);
+        }
+        let mut removed = self.fresh_nodes(k as usize);
         removed.extend(nodes.drain(..k as usize));
-        for id in removed.drain(..) {
-            match self.nodes[id.index()] {
-                NodeState::Busy { .. } => {
-                    plain_removed += 1;
-                    if self.free_node(id) {
-                        out.to_free += 1;
-                    }
-                }
-                NodeState::ReservedBusy { holder, .. } => {
-                    match unsquat.iter_mut().find(|(h, _)| *h == holder) {
-                        Some((_, c)) => *c += 1,
-                        None => unsquat.push((holder, 1)),
-                    }
-                    if self.unsquat_node(id, holder) {
-                        match out.to_reservations.iter_mut().find(|(h, _)| *h == holder) {
-                            Some((_, c)) => *c += 1,
-                            None => out.to_reservations.push((holder, 1)),
-                        }
-                    }
-                }
-                ref st => unreachable!("shrunk node in state {st:?}"),
-            }
+        *self.alloc.get_mut(&job).expect("still running") = nodes;
+        // `removed` holds draining plain nodes, then healthy plain nodes,
+        // then squatted nodes.
+        let plain_removed = (k as usize).min(plain as usize);
+        let down = draining_plain.min(plain_removed);
+        for &id in &removed[..down] {
+            let went_down = self.take_down_if_draining(id);
+            debug_assert!(went_down);
         }
+        self.push_free(&removed[down..plain_removed]);
+        let to_reservations = self.unsquat_nodes(job, removed[plain_removed..].iter().copied());
         let split = self.splits.get_mut(&job).expect("running job has a split");
-        split.plain -= plain_removed;
-        for &(_, c) in &unsquat {
-            split.squatted -= c;
-        }
-        for &(holder, c) in &unsquat {
-            self.note_unsquat(holder, job, c);
-        }
+        split.plain -= plain_removed as u32;
+        split.squatted -= k - plain_removed as u32;
         self.retire_nodes(removed);
-        out
+        ReleaseOutcome {
+            to_free: (plain_removed - down) as u32,
+            to_reservations,
+        }
     }
 
     /// Add up to `k` free nodes to a running job (malleable expand).
@@ -620,11 +637,13 @@ impl Cluster {
     pub fn expand(&mut self, job: JobId, k: u32) -> u32 {
         assert!(self.alloc.contains_key(&job), "expand of non-running job");
         let take = k.min(self.free_count());
-        for _ in 0..take {
-            let id = self.free_list.pop().expect("bounded by free_count");
-            self.nodes[id.index()] = NodeState::Busy { job };
-            self.alloc.get_mut(&job).expect("checked").push(id);
-        }
+        move_tail(
+            &mut self.free_list,
+            take as usize,
+            self.alloc.get_mut(&job).expect("checked"),
+            &mut self.nodes,
+            NodeState::Busy { job },
+        );
         self.splits
             .get_mut(&job)
             .expect("running job has a split")
@@ -643,12 +662,13 @@ impl Cluster {
         if take == 0 {
             return 0;
         }
-        let idle = self.reserved_idle.entry(holder).or_default();
-        for _ in 0..take {
-            let id = self.free_list.pop().expect("bounded by free_count");
-            self.nodes[id.index()] = NodeState::Reserved { holder };
-            idle.push(id);
-        }
+        move_tail(
+            &mut self.free_list,
+            take as usize,
+            self.reserved_idle.entry(holder).or_default(),
+            &mut self.nodes,
+            NodeState::Reserved { holder },
+        );
         self.reserved_idle_total += take;
         take
     }
@@ -680,12 +700,10 @@ impl Cluster {
     /// `Busy` nodes. Returns how many idle nodes left the reservation.
     pub fn release_reservation(&mut self, holder: JobId) -> u32 {
         let mut freed = 0;
-        if let Some(idle) = self.reserved_idle.remove(&holder) {
-            for id in idle {
-                self.free_node(id);
-                freed += 1;
-            }
+        if let Some(mut idle) = self.reserved_idle.remove(&holder) {
+            freed = idle.len() as u32;
             self.reserved_idle_total -= freed;
+            self.free_nodes(&mut idle);
         }
         // Squatters keep running, now on plain `Busy` nodes. The squatter
         // index names exactly the affected jobs, so only their allocations
@@ -791,21 +809,17 @@ impl Cluster {
             .position(|n| *n == id)
             .expect("job holds the released node");
         nodes.remove(pos);
+        let split = self.splits.get_mut(&job).expect("running job has a split");
         match self.nodes[id.index()] {
             NodeState::Busy { .. } => {
-                self.splits
-                    .get_mut(&job)
-                    .expect("running job has a split")
-                    .plain -= 1;
-                self.free_node(id);
+                split.plain -= 1;
+                if !self.take_down_if_draining(id) {
+                    self.push_free(&[id]);
+                }
             }
-            NodeState::ReservedBusy { holder, .. } => {
-                self.splits
-                    .get_mut(&job)
-                    .expect("running job has a split")
-                    .squatted -= 1;
-                self.note_unsquat(holder, job, 1);
-                self.unsquat_node(id, holder);
+            NodeState::ReservedBusy { .. } => {
+                split.squatted -= 1;
+                self.unsquat_nodes(job, [id]);
             }
             ref st => unreachable!("allocated node in state {st:?}"),
         }
@@ -884,7 +898,7 @@ impl Cluster {
         let mut busy = 0u32;
         let mut reserved = 0u32;
         let mut down = 0u32;
-        let mut scanned_squats: HashMap<JobId, BTreeMap<JobId, u32>> = HashMap::new();
+        let mut scanned_squats: JobMap<BTreeMap<JobId, u32>> = JobMap::default();
         for (i, (st, &on_list)) in self.nodes.iter().zip(&listed).enumerate() {
             match *st {
                 NodeState::Free => {}
@@ -956,6 +970,31 @@ impl Cluster {
             ));
         }
         Ok(())
+    }
+}
+
+/// Pop the top `k` nodes off the stack `src` onto `dst`, in pop order,
+/// marking each `st`: the one slice move every allocation path uses.
+fn move_tail(
+    src: &mut Vec<NodeId>,
+    k: usize,
+    dst: &mut Vec<NodeId>,
+    states: &mut [NodeState],
+    st: NodeState,
+) {
+    let from = src.len() - k;
+    for id in &src[from..] {
+        states[id.index()] = st;
+    }
+    dst.extend(src[from..].iter().rev());
+    src.truncate(from);
+}
+
+/// Count one more node for `holder` in a short per-holder tally.
+fn tally(counts: &mut Vec<(JobId, u32)>, holder: JobId) {
+    match counts.iter_mut().find(|(h, _)| *h == holder) {
+        Some((_, k)) => *k += 1,
+        None => counts.push((holder, 1)),
     }
 }
 

@@ -26,8 +26,8 @@
 use crate::node::{NodeId, NodeState};
 use crate::{Cluster, ClusterBackend, Federation, FederationConfig, Split};
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
-use hws_workload::JobId;
-use std::collections::{BTreeMap, HashMap};
+use hws_workload::{JobId, JobMap};
+use std::collections::BTreeMap;
 
 /// A [`ClusterBackend`] whose full dynamic state can round-trip through
 /// the snapshot byte format.
@@ -123,9 +123,9 @@ fn decode_node_table(
     seen: &mut [bool],
     what: &str,
     expect: impl Fn(JobId, NodeState) -> bool,
-) -> Result<HashMap<JobId, Vec<NodeId>>, SnapError> {
+) -> Result<JobMap<Vec<NodeId>>, SnapError> {
     let n = r.get_len()?;
-    let mut table = HashMap::with_capacity(n);
+    let mut table = JobMap::with_capacity_and_hasher(n, Default::default());
     let mut prev: Option<u64> = None;
     for _ in 0..n {
         let job = r.get_u64()?;
@@ -272,8 +272,8 @@ impl Cluster {
             draining.push(id);
         }
         // Rebuild the derived accounting from the authoritative state.
-        let mut splits = HashMap::with_capacity(alloc.len());
-        let mut squatter_index: HashMap<JobId, BTreeMap<JobId, u32>> = HashMap::new();
+        let mut splits = JobMap::with_capacity_and_hasher(alloc.len(), Default::default());
+        let mut squatter_index: JobMap<BTreeMap<JobId, u32>> = JobMap::default();
         for (&job, list) in &alloc {
             let mut split = Split::default();
             for id in list {

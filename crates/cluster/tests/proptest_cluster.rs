@@ -1,7 +1,10 @@
 //! Property tests: arbitrary operation sequences never violate the
 //! cluster's conservation invariants, and node accounting is exact.
+//! The op space includes the outage ops (drain, rejoin, hard-down of an
+//! idle reserved node, single-node release), so draining marks meet
+//! every release, shrink and unsquat path.
 
-use hws_cluster::Cluster;
+use hws_cluster::{Cluster, NodeId, NodeState};
 use hws_workload::JobId;
 use proptest::prelude::*;
 
@@ -43,6 +46,25 @@ enum Op {
         to: u64,
         k: u32,
     },
+    /// Node ids are taken modulo the machine size.
+    DrainNode {
+        node: u32,
+    },
+    RejoinNode {
+        node: u32,
+    },
+    /// Hard-down the idle reserved node at `node` for its own holder, or
+    /// (when `wrong_holder`) ask for it under a holder that does not own
+    /// it, which must be refused.
+    DownReservedNode {
+        node: u32,
+        wrong_holder: bool,
+    },
+    /// Drop the `pick`-th node of `job`'s allocation.
+    ReleaseSingleNode {
+        job: u64,
+        pick: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -64,6 +86,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             to,
             k
         }),
+        (0..64u32).prop_map(|node| Op::DrainNode { node }),
+        (0..64u32).prop_map(|node| Op::RejoinNode { node }),
+        (0..64u32, any::<bool>())
+            .prop_map(|(node, wrong_holder)| Op::DownReservedNode { node, wrong_holder }),
+        (0..24u64, 0..64usize).prop_map(|(job, pick)| Op::ReleaseSingleNode { job, pick }),
     ]
 }
 
@@ -109,6 +136,45 @@ fn apply(c: &mut Cluster, op: &Op) {
         }
         Op::TransferReserved { from, to, k } => {
             let _ = c.transfer_reserved(JobId(from), JobId(to), k);
+        }
+        Op::DrainNode { node } => {
+            let id = NodeId(node % c.total_nodes());
+            let was_free = c.node_state(id) == Some(NodeState::Free);
+            let down = c.drain_node(id);
+            if was_free {
+                assert!(down, "a free node goes down at once");
+            }
+            assert_eq!(down, c.is_down(id));
+        }
+        Op::RejoinNode { node } => {
+            let id = NodeId(node % c.total_nodes());
+            let was_down = c.is_down(id);
+            let changed = c.rejoin_node(id);
+            if was_down {
+                assert!(changed);
+                assert_eq!(c.node_state(id), Some(NodeState::Free));
+            }
+        }
+        Op::DownReservedNode { node, wrong_holder } => {
+            let id = NodeId(node % c.total_nodes());
+            match c.node_state(id) {
+                Some(NodeState::Reserved { holder }) if !wrong_holder => {
+                    assert!(c.down_reserved_node(holder, id));
+                    assert!(c.is_down(id));
+                }
+                Some(NodeState::Reserved { holder }) => {
+                    assert!(!c.down_reserved_node(JobId(holder.0 ^ 1), id));
+                }
+                _ => assert!(!c.down_reserved_node(JobId(24), id)),
+            }
+        }
+        Op::ReleaseSingleNode { job, pick } => {
+            let nodes = c.nodes_of(JobId(job));
+            if nodes.len() > 1 {
+                let id = nodes[pick % nodes.len()];
+                c.release_single_node(JobId(job), id);
+                assert!(!c.nodes_of(JobId(job)).contains(&id));
+            }
         }
     }
 }
@@ -191,6 +257,9 @@ proptest! {
         }
         for holder in (0..64).map(JobId) {
             c.release_reservation(holder);
+        }
+        for id in (0..n).map(NodeId) {
+            c.rejoin_node(id);
         }
         prop_assert_eq!(c.free_count(), n);
         prop_assert_eq!(c.check_invariants(), Ok(()));

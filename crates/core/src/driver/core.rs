@@ -22,9 +22,9 @@ use crate::timeline::{Timeline, TimelineEvent};
 use hws_cluster::{Cluster, ClusterBackend, LeaseLedger};
 use hws_metrics::{Recorder, ShardStat};
 use hws_sim::{EventId, EventQueue, SimDuration, SimTime};
-use hws_workload::{JobClass, JobId, JobKind, JobSpec};
+use hws_workload::{JobClass, JobId, JobKind, JobMap, JobSpec};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The simulation model (per-run state), generic over the resource
@@ -70,8 +70,8 @@ pub struct SimCore<B: ClusterBackend = Cluster> {
     pub(super) squattable: BTreeSet<JobId>,
     /// On-demand jobs in the notice phase (announced, not yet arrived).
     pub(super) noticed: BTreeSet<JobId>,
-    pub(super) timeout_ev: HashMap<JobId, EventId>,
-    pub(super) cup_plans: HashMap<JobId, Vec<EventId>>,
+    pub(super) timeout_ev: JobMap<EventId>,
+    pub(super) cup_plans: JobMap<Vec<EventId>>,
     pub(super) pass_pending: bool,
     /// Capability-class jobs currently running, maintained incrementally
     /// at the four run-state transitions (start, finish, fail, preempt)
@@ -160,8 +160,8 @@ impl<B: ClusterBackend> SimCore<B> {
             leases: LeaseLedger::new(),
             squattable: BTreeSet::new(),
             noticed: BTreeSet::new(),
-            timeout_ev: HashMap::new(),
-            cup_plans: HashMap::new(),
+            timeout_ev: JobMap::default(),
+            cup_plans: JobMap::default(),
             pass_pending: false,
             cap_running: 0,
             scratch: Scratch::default(),

@@ -32,8 +32,8 @@ use hws_cluster::{LeaseLedger, SnapshotBackend};
 use hws_metrics::Recorder;
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{Engine, EventId, EventQueue, QueueSnapshot, SimTime};
-use hws_workload::JobId;
-use std::collections::{BTreeSet, HashMap};
+use hws_workload::{JobId, JobMap};
+use std::collections::BTreeSet;
 
 /// Format version; bump on any layout change. Version 2 added the outage
 /// engine: the `Ev::Outage` tag and the outage-state section between the
@@ -406,7 +406,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
     let noticed = get_id_set(&mut r)?;
 
     let n_timeouts = r.get_len()?;
-    let mut timeout_ev = HashMap::with_capacity(n_timeouts);
+    let mut timeout_ev = JobMap::with_capacity_and_hasher(n_timeouts, Default::default());
     for _ in 0..n_timeouts {
         let j = JobId(r.get_u64()?);
         let e = EventId::from_raw(r.get_u64()?);
@@ -415,7 +415,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         }
     }
     let n_plans = r.get_len()?;
-    let mut cup_plans = HashMap::with_capacity(n_plans);
+    let mut cup_plans = JobMap::with_capacity_and_hasher(n_plans, Default::default());
     for _ in 0..n_plans {
         let j = JobId(r.get_u64()?);
         let n_evs = r.get_len()?;

@@ -6,7 +6,7 @@
 
 use crate::config::{ShrinkStrategy, VictimOrder};
 use hws_sim::SimTime;
-use hws_workload::{JobClass, JobId};
+use hws_workload::{JobClass, JobId, JobMap};
 use std::collections::BinaryHeap;
 
 /// A running job that PAA may preempt.
@@ -102,14 +102,14 @@ pub fn plan_shrinks(
             // Max-heap on (current size, Reverse(id)): take from the
             // largest; among equals, the smallest id.
             let mut heap: BinaryHeap<(u32, std::cmp::Reverse<JobId>)> = BinaryHeap::new();
-            let mut take: std::collections::HashMap<JobId, (u32, u32)> =
+            let mut take: JobMap<(u32, u32)> =
                 jobs.iter().map(|j| (j.id, (j.cur, j.min))).collect();
             for j in jobs {
                 if j.cur > j.min {
                     heap.push((j.cur, std::cmp::Reverse(j.id)));
                 }
             }
-            let mut taken: std::collections::HashMap<JobId, u32> = Default::default();
+            let mut taken: JobMap<u32> = JobMap::default();
             let mut remaining = need;
             while remaining > 0 {
                 let (cur, std::cmp::Reverse(id)) = heap.pop().expect("supply checked");

@@ -5,9 +5,9 @@ use crate::classes::ClassAcc;
 use crate::summary::MetricsAcc;
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{SimDuration, SimTime};
-use hws_workload::{JobClass, JobId, JobKind, NoticeCategory};
+use hws_workload::{JobClass, JobId, JobKind, JobMap, NoticeCategory};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// Everything measured about one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +155,7 @@ pub struct Recorder {
     /// Submissions folded so far: `fifo[i]` is submission `folded + i`.
     folded: u64,
     /// Live (submitted, not retired) jobs and their submission numbers.
-    live: HashMap<JobId, u64>,
+    live: JobMap<u64>,
     /// Every job recorded as killed: a retired job's outcome outlives its
     /// record at O(killed jobs).
     killed: BTreeSet<JobId>,
@@ -177,7 +177,7 @@ impl Recorder {
             classes: ClassAcc::default(),
             fifo: VecDeque::new(),
             folded: 0,
-            live: HashMap::new(),
+            live: JobMap::default(),
             killed: BTreeSet::new(),
             occupied_node_seconds: 0,
             wasted_node_seconds: 0,

@@ -29,7 +29,7 @@ pub mod swf;
 pub mod trace;
 
 pub use gen::{NoticeMix, TraceConfig};
-pub use ids::{JobId, ProjectId};
+pub use ids::{JobId, JobIdHasher, JobMap, ProjectId};
 pub use job::{JobClass, JobKind, JobSpec, NoticeCategory, NoticeSpec};
 pub use knobs::{BackfillLevel, KnobVector, PlacementChoice, CKPT_MULT_MAX, CKPT_MULT_MIN};
 pub use outage::{MaintenanceWindow, OutageEvent, OutageKind, OutageSchedule};
