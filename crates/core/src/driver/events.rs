@@ -215,6 +215,8 @@ impl<B: ClusterBackend> SimCore<B> {
     /// what-if fork. Panics on the first violated invariant.
     pub(super) fn check_paranoid(&self) {
         self.cluster.check_invariants().expect("cluster invariants");
+        self.check_records_match_jobs()
+            .expect("live records match the submitted jobs");
         self.check_cap_running_invariant();
         self.check_waitq_invariant();
         // Down capacity must never be visible to scheduling queries.
@@ -230,5 +232,27 @@ impl<B: ClusterBackend> SimCore<B> {
                 c.od
             );
         }
+    }
+
+    /// Live records name exactly the submitted jobs in the table (a
+    /// submitted job is never `Announced`): a stray record would never
+    /// fold, and a job without one would panic at its next recorder
+    /// callback. Checked on restore and, under `paranoid_checks`, after
+    /// every event.
+    pub(super) fn check_records_match_jobs(&self) -> Result<(), String> {
+        let (mut submitted, mut recorded) = (0, 0);
+        self.table.for_each_live(|spec, st| {
+            if st.status != Status::Announced {
+                submitted += 1;
+                recorded += usize::from(self.rec.get(spec.id).is_some());
+            }
+        });
+        let held = self.rec.len();
+        if recorded != submitted || held != submitted {
+            return Err(format!(
+                "{held} live records for {submitted} submitted jobs ({recorded} match)"
+            ));
+        }
+        Ok(())
     }
 }

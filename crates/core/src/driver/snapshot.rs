@@ -46,8 +46,11 @@ use std::collections::BTreeSet;
 /// Version 4 dropped the recorder's wall-clock decision samples: the
 /// image is now a pure function of the simulated state. Version 5 writes
 /// the recorder's fold (accumulators, records not yet folded in
-/// submission order, killed ids) instead of every job's record.
-const SNAP_VERSION: u8 = 5;
+/// submission order, killed ids) instead of every job's record. Version 6
+/// makes the fold order-free: the accumulators hold exact `u128` sums, and
+/// the recorder writes only live records, in ascending id order, with no
+/// retired flag.
+const SNAP_VERSION: u8 = 6;
 
 // ---------------------------------------------------------------------
 // Event codec.
@@ -271,8 +274,7 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
     w.put_u32(core.cap_running);
     w.put_len(core.shard_occ.len());
     for &occ in &core.shard_occ {
-        w.put_u64(occ as u64);
-        w.put_u64((occ >> 64) as u64);
+        w.put_u128(occ);
     }
     w.put_len(core.shard_starts.len());
     for &s in &core.shard_starts {
@@ -290,8 +292,7 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
             w.put_u64(o.interrupted_jobs);
             w.put_u64(o.shrunk_jobs);
             w.put_u64(o.infeasible_killed);
-            w.put_u64(o.lost_node_seconds as u64);
-            w.put_u64((o.lost_node_seconds >> 64) as u64);
+            w.put_u128(o.lost_node_seconds);
             w.put_u64(o.degraded_wall_seconds);
             w.put_u64(o.last_accrual.as_secs());
             // BTreeMap: already id-sorted.
@@ -433,9 +434,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
     let n_occ = r.get_len()?;
     let mut shard_occ = Vec::with_capacity(n_occ);
     for _ in 0..n_occ {
-        let lo = r.get_u64()?;
-        let hi = r.get_u64()?;
-        shard_occ.push((u128::from(hi) << 64) | u128::from(lo));
+        shard_occ.push(r.get_u128()?);
     }
     let n_starts = r.get_len()?;
     let mut shard_starts = Vec::with_capacity(n_starts);
@@ -469,8 +468,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         let interrupted_jobs = r.get_u64()?;
         let shrunk_jobs = r.get_u64()?;
         let infeasible_killed = r.get_u64()?;
-        let lost_lo = r.get_u64()?;
-        let lost_hi = r.get_u64()?;
+        let lost_node_seconds = r.get_u128()?;
         let degraded_wall_seconds = r.get_u64()?;
         let last_accrual = SimTime::from_secs(r.get_u64()?);
         let n_evicted = r.get_len()?;
@@ -490,7 +488,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
             interrupted_jobs,
             shrunk_jobs,
             infeasible_killed,
-            lost_node_seconds: (u128::from(lost_hi) << 64) | u128::from(lost_lo),
+            lost_node_seconds,
             degraded_wall_seconds,
             last_accrual,
             evicted_at,
@@ -543,20 +541,8 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         rec,
         timeline,
     };
-    // Validation: live records name exactly the submitted jobs in the
-    // table (a submitted job is never `Announced`).
-    let (mut submitted, mut recorded) = (0, 0);
-    core.table.for_each_live(|spec, st| {
-        if st.status != crate::jobstate::Status::Announced {
-            submitted += 1;
-            recorded += usize::from(core.rec.get(spec.id).is_some());
-        }
-    });
-    let live = core.rec.live();
-    if recorded != submitted || live != submitted {
-        let msg = format!("{live} live records for {submitted} submitted jobs ({recorded} match)");
-        return Err(SnapError::new(rec_pos, msg));
-    }
+    core.check_records_match_jobs()
+        .map_err(|e| SnapError::new(rec_pos, e))?;
     // Rebuild the waiting-queue index: recompute each key from the
     // restored spec, od_front membership, and the recorded epoch. Every
     // collection the keys derive from is restored above, so the rebuilt

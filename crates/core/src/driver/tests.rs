@@ -593,9 +593,10 @@ fn federated_pump_run_forgets_retired_jobs() {
 
 #[test]
 fn drained_service_holds_no_job_record() {
-    // A long-lived session keeps only its live window: once every job has
-    // retired, every record has folded and left the recorder, and the
-    // retired jobs' outcomes are still answered.
+    // A long-lived session holds one record per live job: after every log
+    // entry the resident records are exactly the jobs the service reports
+    // waiting, running or draining, and once every job has retired no
+    // record is left, while the retired jobs' outcomes are still answered.
     let trace = TraceConfig::theta_2019().with_jobs(400).generate(11);
     let log = hws_workload::SubmissionLog::from_trace(&trace);
     let cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA).paranoid();
@@ -603,12 +604,24 @@ fn drained_service_holds_no_job_record() {
     let mut peak = 0;
     for e in log.entries() {
         svc.apply(e).expect("log entry applies");
-        peak = peak.max(svc.core_mut().rec.len());
+        let live = trace
+            .jobs
+            .iter()
+            .filter(|s| {
+                matches!(
+                    svc.query(s.id),
+                    JobStatus::Waiting | JobStatus::Running | JobStatus::Draining
+                )
+            })
+            .count();
+        let held = svc.core_mut().rec.len();
+        assert_eq!(held, live, "records held at t={}", svc.now().as_secs());
+        peak = peak.max(held);
     }
+    assert!(peak > 0, "the session never held a record");
     svc.step_until(SimTime::MAX);
     let held = svc.core_mut().rec.len();
     assert_eq!(held, 0, "{held} job records held after the drain");
-    assert!(peak < trace.jobs.len() / 2, "peak {peak} records held");
     for spec in &trace.jobs {
         assert_eq!(svc.query(spec.id), JobStatus::Finished, "{}", spec.id);
         assert_eq!(svc.cancel(spec.id), CancelOutcome::TooLate, "{}", spec.id);
@@ -619,8 +632,8 @@ fn drained_service_holds_no_job_record() {
 #[test]
 fn restore_rejects_records_that_do_not_match_the_jobs() {
     // Live records must name exactly the submitted jobs in the arena: a
-    // stray one would block the fold for the rest of the session, and a
-    // job without one would panic at its next recorder callback.
+    // stray one would never fold, and a job without one would panic at its
+    // next recorder callback.
     use hws_workload::{JobId, JobKind};
     let cfg = SimConfig::default();
     let session = || {

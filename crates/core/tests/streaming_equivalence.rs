@@ -71,9 +71,9 @@ proptest! {
 }
 
 /// Job ids need not ascend in submission order: J2 submits at t=50 and
-/// J1 at t=100. Records fold in submission order, so streaming from a
-/// materialized source or from the trace's SWF export reports what the
-/// batch replay reports, for all six mechanisms.
+/// J1 at t=100. Streaming from a materialized source or from the trace's
+/// SWF export reports what the batch replay reports, for all six
+/// mechanisms.
 #[test]
 fn ids_out_of_submission_order_stream_identically() {
     let job = |id: u64, at: u64| {

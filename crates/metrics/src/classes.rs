@@ -8,6 +8,7 @@
 //! capability-aware reporting paths (`--bin replay_matrix`, tests).
 
 use crate::record::{JobRecord, Recorder};
+use crate::summary::{add, check_sum, mean};
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_workload::JobClass;
 
@@ -36,12 +37,25 @@ pub struct ClassBreakdown {
     pub capability: ClassStats,
 }
 
-/// Incremental per-class fold behind [`ClassBreakdown`], pushed in the
-/// same submission order as [`crate::MetricsAcc`].
+/// One class's counts and exact sums: what its [`ClassStats`] is built
+/// from.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassSums {
+    jobs: usize,
+    completed: usize,
+    killed: usize,
+    preempted_jobs: usize,
+    preemption_events: u64,
+    /// Turnaround and wait seconds over completed jobs.
+    tat_secs: u128,
+    wait_secs: u128,
+}
+
+/// Incremental per-class fold behind [`ClassBreakdown`]; order-free like
+/// [`crate::MetricsAcc`].
 #[derive(Debug, Clone, Default)]
 pub struct ClassAcc {
-    /// Per class: (stats, tat_sum, wait_sum).
-    acc: [(ClassStats, f64, f64); 2],
+    acc: [ClassSums; 2],
 }
 
 impl ClassAcc {
@@ -51,64 +65,74 @@ impl ClassAcc {
             JobClass::Capacity => &mut self.acc[0],
             JobClass::Capability => &mut self.acc[1],
         };
-        slot.0.jobs += 1;
+        slot.jobs += 1;
         if r.preemptions > 0 {
-            slot.0.preempted_jobs += 1;
+            slot.preempted_jobs += 1;
         }
-        slot.0.preemption_events += u64::from(r.preemptions);
+        slot.preemption_events += u64::from(r.preemptions);
         if r.killed {
-            slot.0.killed += 1;
+            slot.killed += 1;
             return;
         }
         if let Some(tat) = r.turnaround() {
-            slot.0.completed += 1;
-            slot.1 += tat.as_hours_f64();
+            slot.completed += 1;
+            add(&mut slot.tat_secs, u128::from(tat.as_secs()));
             if let Some(w) = r.wait() {
-                slot.2 += w.as_hours_f64();
+                add(&mut slot.wait_secs, u128::from(w.as_secs()));
             }
         }
     }
 
-    /// Write every field; floats as bit patterns, so the fold round-trips
-    /// exactly.
+    /// Write every count and sum.
     pub(crate) fn encode_snap(&self, w: &mut SnapWriter) {
-        for (s, tat_sum, wait_sum) in &self.acc {
+        for s in &self.acc {
             w.put_len(s.jobs);
             w.put_len(s.completed);
             w.put_len(s.killed);
-            w.put_f64(s.avg_turnaround_h);
-            w.put_f64(s.avg_wait_h);
             w.put_len(s.preempted_jobs);
             w.put_u64(s.preemption_events);
-            w.put_f64(*tat_sum);
-            w.put_f64(*wait_sum);
+            w.put_u128(s.tat_secs);
+            w.put_u128(s.wait_secs);
         }
     }
 
     pub(crate) fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mut a = ClassAcc::default();
         for slot in &mut a.acc {
-            let stats = ClassStats {
+            *slot = ClassSums {
                 jobs: r.get_len()?,
                 completed: r.get_len()?,
                 killed: r.get_len()?,
-                avg_turnaround_h: r.get_f64()?,
-                avg_wait_h: r.get_f64()?,
                 preempted_jobs: r.get_len()?,
                 preemption_events: r.get_u64()?,
+                tat_secs: r.get_u128()?,
+                wait_secs: r.get_u128()?,
             };
-            *slot = (stats, r.get_f64()?, r.get_f64()?);
         }
         Ok(a)
     }
 
+    /// Refuse sums a session within `span_secs` cannot reach (see
+    /// [`crate::MetricsAcc`]): a completed job's turnaround and wait are
+    /// at most the span.
+    pub(crate) fn check_sums(&self, span_secs: u64) -> Result<(), String> {
+        let span = u128::from(span_secs);
+        for s in &self.acc {
+            check_sum("class turnaround", s.tat_secs, s.completed, span)?;
+            check_sum("class wait", s.wait_secs, s.completed, span)?;
+        }
+        Ok(())
+    }
+
     pub fn finish(&self) -> ClassBreakdown {
-        let finish = |(mut s, tat_sum, wait_sum): (ClassStats, f64, f64)| {
-            if s.completed > 0 {
-                s.avg_turnaround_h = tat_sum / s.completed as f64;
-                s.avg_wait_h = wait_sum / s.completed as f64;
-            }
-            s
+        let finish = |s: ClassSums| ClassStats {
+            jobs: s.jobs,
+            completed: s.completed,
+            killed: s.killed,
+            avg_turnaround_h: mean(s.tat_secs as f64 / 3600.0, s.completed),
+            avg_wait_h: mean(s.wait_secs as f64 / 3600.0, s.completed),
+            preempted_jobs: s.preempted_jobs,
+            preemption_events: s.preemption_events,
         };
         ClassBreakdown {
             capacity: finish(self.acc[0]),
@@ -119,13 +143,10 @@ impl ClassAcc {
 
 impl ClassBreakdown {
     /// Fold a recorder into the two per-class aggregates: the recorder's
-    /// fold so far, continued over the records it still holds in
-    /// submission order.
+    /// fold so far, continued over its live records.
     pub fn compute(rec: &Recorder) -> ClassBreakdown {
         let mut acc = rec.class_acc().clone();
-        for r in rec.unfolded() {
-            acc.push(r);
-        }
+        rec.live_records().for_each(|r| acc.push(r));
         acc.finish()
     }
 

@@ -14,7 +14,10 @@
 //!    over `N × span`.
 //!
 //! A [`Recorder`] receives callbacks from the simulation driver and folds
-//! each job's record, in submission order, once the job has retired;
+//! each job's record the moment the job retires. The fold sums exact
+//! integers (seconds, and bounded slowdowns in units of 2⁻⁵²) and rounds
+//! each mean once, so it is order-free: the report does not depend on the
+//! order jobs retire in, and the recorder holds one record per live job.
 //! [`Metrics::compute`] finishes the fold into the report. `MetricsAvg`
 //! averages reports across seeds the way the paper averages ten traces.
 

@@ -6,8 +6,7 @@ use crate::summary::MetricsAcc;
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{SimDuration, SimTime};
 use hws_workload::{JobClass, JobId, JobKind, JobMap, NoticeCategory};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Everything measured about one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,25 +136,18 @@ impl JobRecord {
 
 /// Collects measurements during one simulation run.
 ///
-/// A job's record lives from its submission until it folds into the
-/// metric accumulators. It folds once its job has
-/// [retired](Recorder::retire) and every job submitted before it has
-/// folded, so records fold in submission order whatever order jobs retire
-/// in. Resident records are the live window (jobs submitted and not yet
-/// folded), for a batch replay and a long-lived service alike.
+/// A job's record lives from its submission until its job
+/// [retires](Recorder::retire); it then folds into the metric accumulators
+/// and leaves. The accumulators sum exact integers, so the fold is
+/// order-free: resident records are exactly the live jobs, for a batch
+/// replay and a long-lived service alike.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     pub system_size: u32,
     acc: MetricsAcc,
     classes: ClassAcc,
-    /// Records not yet folded, in submission order, each with its id and
-    /// whether its job has retired. Retired records wait here, contiguous
-    /// and unindexed, until every earlier submission has retired.
-    fifo: VecDeque<(JobId, JobRecord, bool)>,
-    /// Submissions folded so far: `fifo[i]` is submission `folded + i`.
-    folded: u64,
-    /// Live (submitted, not retired) jobs and their submission numbers.
-    live: JobMap<u64>,
+    /// Records of submitted jobs that have not retired.
+    live: JobMap<JobRecord>,
     /// Every job recorded as killed: a retired job's outcome outlives its
     /// record at O(killed jobs).
     killed: BTreeSet<JobId>,
@@ -175,8 +167,6 @@ impl Recorder {
             system_size,
             acc: MetricsAcc::new(instant_threshold),
             classes: ClassAcc::default(),
-            fifo: VecDeque::new(),
-            folded: 0,
             live: JobMap::default(),
             killed: BTreeSet::new(),
             occupied_node_seconds: 0,
@@ -187,24 +177,13 @@ impl Recorder {
     }
 
     /// Declare `id`'s record final: no further callback will reference it.
-    /// Folds every record at the front of the submission order whose job
-    /// has retired. A no-op for an id that is not live (never submitted,
-    /// or already retired).
+    /// The record folds into the accumulators and leaves. A no-op for an
+    /// id that is not live (never submitted, or already retired).
     pub fn retire(&mut self, id: JobId) {
-        let Some(n) = self.live.remove(&id) else {
-            return;
-        };
-        self.fifo[(n - self.folded) as usize].2 = true;
-        while let Some((_, r, _)) = self.fifo.pop_front_if(|(_, _, retired)| *retired) {
+        if let Some(r) = self.live.remove(&id) {
             self.acc.push(&r);
             self.classes.push(&r);
-            self.folded += 1;
         }
-    }
-
-    /// `id`'s position in the FIFO while it is live.
-    fn slot(&self, id: JobId) -> Option<usize> {
-        self.live.get(&id).map(|&n| (n - self.folded) as usize)
     }
 
     /// The fold of every record that has left the recorder.
@@ -217,10 +196,9 @@ impl Recorder {
         &self.classes
     }
 
-    /// Records not yet folded, in submission order: the fold's
-    /// continuation.
-    pub(crate) fn unfolded(&self) -> impl Iterator<Item = &JobRecord> {
-        self.fifo.iter().map(|(_, r, _)| r)
+    /// Records of live jobs, in no particular order.
+    pub(crate) fn live_records(&self) -> impl Iterator<Item = &JobRecord> {
+        self.live.values()
     }
 
     pub fn job_submitted(&mut self, id: JobId, kind: JobKind, size: u32, t: SimTime) {
@@ -240,7 +218,7 @@ impl Recorder {
 
     /// Full submission record, including the capability/capacity class.
     /// The narrower `job_submitted*` entry points default to
-    /// [`JobClass::Capacity`]. The call order is the fold order.
+    /// [`JobClass::Capacity`]. A repeated id keeps its first record.
     pub fn job_submitted_full(
         &mut self,
         id: JobId,
@@ -251,28 +229,21 @@ impl Recorder {
         category: NoticeCategory,
     ) {
         self.first_submit = Some(self.first_submit.map_or(t, |f| f.min(t)));
-        if let Entry::Vacant(e) = self.live.entry(id) {
-            e.insert(self.folded + self.fifo.len() as u64);
-            self.fifo.push_back((
-                id,
-                JobRecord {
-                    kind,
-                    class,
-                    size,
-                    submit: t,
-                    first_start: None,
-                    finish: None,
-                    preemptions: 0,
-                    shrinks: 0,
-                    expands: 0,
-                    start_delay: None,
-                    category,
-                    killed: false,
-                    failures: 0,
-                },
-                false,
-            ));
-        }
+        self.live.entry(id).or_insert(JobRecord {
+            kind,
+            class,
+            size,
+            submit: t,
+            first_start: None,
+            finish: None,
+            preemptions: 0,
+            shrinks: 0,
+            expands: 0,
+            start_delay: None,
+            category,
+            killed: false,
+            failures: 0,
+        });
     }
 
     pub fn job_failed(&mut self, id: JobId) {
@@ -326,16 +297,15 @@ impl Recorder {
     }
 
     fn rec(&mut self, id: JobId) -> &mut JobRecord {
-        let i = self
-            .slot(id)
-            .unwrap_or_else(|| panic!("{id} was never submitted or has retired"));
-        &mut self.fifo[i].1
+        self.live
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("{id} was never submitted or has retired"))
     }
 
     /// The record of a submitted job that has not retired yet; `None`
     /// once it retires.
     pub fn get(&self, id: JobId) -> Option<&JobRecord> {
-        self.slot(id).map(|i| &self.fifo[i].1)
+        self.live.get(&id)
     }
 
     /// Whether `id` was recorded as killed (it may have retired since).
@@ -343,19 +313,13 @@ impl Recorder {
         self.killed.contains(&id)
     }
 
-    /// Submitted jobs that have not retired.
-    pub fn live(&self) -> usize {
+    /// Records held: one per submitted job that has not retired.
+    pub fn len(&self) -> usize {
         self.live.len()
     }
 
-    /// Records held: live jobs plus retired ones waiting for an earlier
-    /// submission to retire.
-    pub fn len(&self) -> usize {
-        self.fifo.len()
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
+        self.live.is_empty()
     }
 
     pub fn occupied_node_seconds(&self) -> u128 {
@@ -370,38 +334,36 @@ impl Recorder {
         Some((self.first_submit?, self.last_finish?))
     }
 
-    /// Serialize the recorder: the folds, the unfolded records in
-    /// submission order (each with its retired flag), the killed ids and
-    /// the run-level totals. Floats travel as bit patterns, so the image
-    /// continues bitwise like the recorder it was taken from.
+    /// Serialize the recorder: the folds, the live records in ascending
+    /// id order, the killed ids and the run-level totals. Identical states
+    /// encode to identical bytes whatever order their jobs retired in.
     pub fn encode_snap(&self, w: &mut SnapWriter) {
         w.put_u32(self.system_size);
         self.acc.encode_snap(w);
         self.classes.encode_snap(w);
-        w.put_len(self.fifo.len());
-        for (id, r, retired) in &self.fifo {
+        let mut live: Vec<_> = self.live.iter().collect();
+        live.sort_unstable_by_key(|&(id, _)| *id);
+        w.put_len(live.len());
+        for (id, r) in live {
             w.put_u64(id.0);
-            w.put_bool(*retired);
             r.encode_snap(w);
         }
         w.put_len(self.killed.len());
         for id in &self.killed {
             w.put_u64(id.0);
         }
-        w.put_u64(self.occupied_node_seconds as u64);
-        w.put_u64((self.occupied_node_seconds >> 64) as u64);
-        w.put_u64(self.wasted_node_seconds as u64);
-        w.put_u64((self.wasted_node_seconds >> 64) as u64);
+        w.put_u128(self.occupied_node_seconds);
+        w.put_u128(self.wasted_node_seconds);
         w.put_opt_u64(self.first_submit.map(|t| t.0));
         w.put_opt_u64(self.last_finish.map(|t| t.0));
     }
 
     /// Decode a recorder written by [`Recorder::encode_snap`], folding
     /// under `instant_threshold` from here on. Malformed input errors,
-    /// never panics: a repeated id, a retired record at the front of the
-    /// submission order (it would have folded) and unsorted killed ids
-    /// are refused. Each record travels with its id, so no id can lack a
-    /// record.
+    /// never panics: live-record and killed ids that are not strictly
+    /// ascending are refused, and so are sums no session over the image's
+    /// span (first submission to last finish) reaches, so later folds
+    /// cannot overflow.
     pub fn decode_snap(
         r: &mut SnapReader<'_>,
         instant_threshold: SimDuration,
@@ -409,39 +371,39 @@ impl Recorder {
         let mut rec = Recorder::new(r.get_u32()?, instant_threshold);
         rec.acc = MetricsAcc::decode_snap(r, instant_threshold)?;
         rec.classes = ClassAcc::decode_snap(r)?;
-        let mut ids = HashSet::new();
-        for n in 0..r.get_len()? {
-            let id = JobId(r.get_u64()?);
-            let retired = r.get_bool()?;
-            if retired && n == 0 {
-                return Err(r.err(format!(
-                    "retired {id} heads the fold (it would have folded)"
-                )));
-            }
-            if !ids.insert(id) {
-                return Err(r.err(format!("{id} submitted twice")));
-            }
-            if !retired {
-                rec.live.insert(id, n as u64);
-            }
-            rec.fifo
-                .push_back((id, JobRecord::decode_snap(r)?, retired));
+        let mut prev = None;
+        for _ in 0..r.get_len()? {
+            let id = next_ascending(r, &mut prev, "live record")?;
+            rec.live.insert(id, JobRecord::decode_snap(r)?);
         }
         let mut prev = None;
         for _ in 0..r.get_len()? {
-            let id = JobId(r.get_u64()?);
-            if prev.is_some_and(|p| p >= id) {
-                return Err(r.err(format!("killed ids not strictly sorted at {id}")));
-            }
-            prev = Some(id);
-            rec.killed.insert(id);
+            rec.killed.insert(next_ascending(r, &mut prev, "killed")?);
         }
-        rec.occupied_node_seconds = u128::from(r.get_u64()?) | (u128::from(r.get_u64()?) << 64);
-        rec.wasted_node_seconds = u128::from(r.get_u64()?) | (u128::from(r.get_u64()?) << 64);
+        rec.occupied_node_seconds = r.get_u128()?;
+        rec.wasted_node_seconds = r.get_u128()?;
         rec.first_submit = r.get_opt_u64()?.map(SimTime);
         rec.last_finish = r.get_opt_u64()?.map(SimTime);
+        let span = rec.span().map_or(0, |(a, b)| b.0.saturating_sub(a.0));
+        rec.acc
+            .check_sums(span)
+            .and_then(|()| rec.classes.check_sums(span))
+            .map_err(|e| r.err(e))?;
         Ok(rec)
     }
+}
+
+/// Read the next id of a strictly ascending `list`.
+fn next_ascending(
+    r: &mut SnapReader<'_>,
+    prev: &mut Option<JobId>,
+    list: &str,
+) -> Result<JobId, SnapError> {
+    let id = JobId(r.get_u64()?);
+    if prev.replace(id).is_some_and(|p| p >= id) {
+        return Err(r.err(format!("{list} ids not strictly ascending at {id}")));
+    }
+    Ok(id)
 }
 
 #[cfg(test)]
@@ -534,9 +496,10 @@ mod tests {
         r.job_finished(JobId(1), t(400));
         r.job_finished(JobId(2), t(700));
         if retire {
-            // J1 retires first but waits behind J2, submitted earlier.
+            // J1 retires first, before J2 (submitted earlier), and leaves
+            // at once.
             r.retire(JobId(1));
-            assert_eq!(r.len(), 2, "J1 must wait for J2");
+            assert_eq!(r.len(), 1, "J1 folds the moment it retires");
             assert_eq!(r.get(JobId(1)), None, "a retired job has no live record");
             r.retire(JobId(2));
             r.retire(JobId(9)); // never submitted: a no-op
@@ -545,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn records_fold_in_submission_order_and_leave() {
+    fn records_fold_as_their_jobs_retire() {
         let folded = out_of_order(true);
         assert!(folded.is_empty(), "every retired record folds and leaves");
         let held = out_of_order(false);
@@ -559,8 +522,7 @@ mod tests {
         );
     }
 
-    /// J3 folded, J7 live at the front of the fold, J5 retired and waiting
-    /// behind J7, J9 live and unstarted.
+    /// J3 and J5 (killed) folded, J7 and J9 (unstarted) live.
     fn busy_recorder() -> Recorder {
         let mut r = recorder(128);
         r.job_submitted_full(
@@ -583,11 +545,11 @@ mod tests {
         r.job_failed(JobId(7));
         r.job_finished(JobId(3), t(500));
         r.job_killed(JobId(5), t(600));
-        r.retire(JobId(3));
         r.retire(JobId(5));
+        r.retire(JobId(3));
         r.add_occupancy(16, SimDuration::from_secs(445));
         r.add_waste(4, SimDuration::from_secs(20));
-        assert_eq!(r.len(), 3, "J7 and J9 live, J5 waiting");
+        assert_eq!(r.len(), 2, "J7 and J9 live");
         r
     }
 
@@ -649,33 +611,158 @@ mod tests {
         }
     }
 
-    /// Offset of the FIFO entry of live job `id`: its id bytes, the
-    /// retired flag (0) and the record's kind tag.
-    fn fifo_entry(bytes: &[u8], id: u64, kind_tag: u8) -> usize {
-        let mut needle = id.to_le_bytes().to_vec();
-        needle.extend([0, kind_tag]);
-        bytes
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .expect("entry is in the image")
+    /// Offsets of the live-record ids in `r`'s image, in image order.
+    fn live_id_offsets(r: &Recorder) -> Vec<usize> {
+        let mut w = hws_sim::SnapWriter::new();
+        w.put_u32(r.system_size);
+        r.acc.encode_snap(&mut w);
+        r.classes.encode_snap(&mut w);
+        let mut at = w.len() + 8;
+        let mut ids: Vec<JobId> = r.live.keys().copied().collect();
+        ids.sort_unstable();
+        let mut offsets = Vec::new();
+        for id in ids {
+            offsets.push(at);
+            let mut w = hws_sim::SnapWriter::new();
+            r.live[&id].encode_snap(&mut w);
+            at += 8 + w.len();
+        }
+        offsets
     }
 
     #[test]
-    fn snap_decode_rejects_a_duplicated_fifo_id() {
-        let mut bytes = encode(&busy_recorder());
-        let at = fifo_entry(&bytes, 9, 0);
-        bytes[at..at + 8].copy_from_slice(&7u64.to_le_bytes());
-        let err = decode(&bytes).expect_err("J7 listed twice");
-        assert!(err.to_string().contains("submitted twice"), "{err}");
+    fn snap_decode_rejects_unsorted_or_duplicated_live_ids() {
+        let r = busy_recorder();
+        let bytes = encode(&r);
+        let [_, j9] = live_id_offsets(&r)[..] else {
+            panic!("J7 and J9 are live");
+        };
+        assert_eq!(bytes[j9..j9 + 8], 9u64.to_le_bytes());
+        for (id, why) in [(7u64, "duplicated"), (6, "unsorted")] {
+            let mut bad = bytes.clone();
+            bad[j9..j9 + 8].copy_from_slice(&id.to_le_bytes());
+            let err = decode(&bad).expect_err(why);
+            assert!(
+                err.to_string()
+                    .contains("live record ids not strictly ascending"),
+                "{why}: {err}"
+            );
+        }
     }
 
     #[test]
-    fn snap_decode_rejects_a_retired_fifo_front() {
-        let mut bytes = encode(&busy_recorder());
-        let at = fifo_entry(&bytes, 7, 2) + 8;
-        assert_eq!(bytes[at], 0, "J7 is live");
-        bytes[at] = 1;
-        let err = decode(&bytes).expect_err("a retired front would have folded");
-        assert!(err.to_string().contains("heads the fold"), "{err}");
+    fn snap_decode_refuses_sums_no_session_reaches() {
+        // The image's first field after the system size is the turnaround
+        // sum; the busy recorder's span is 50..600 s.
+        let bytes = encode(&busy_recorder());
+        let mut bad = bytes.clone();
+        bad[4..20].copy_from_slice(&u128::MAX.to_le_bytes());
+        let err = decode(&bad).expect_err("a turnaround sum at u128::MAX");
+        assert!(err.to_string().contains("turnaround sum"), "{err}");
+        // One folded completion (J3, 450 s) over a 550 s span: 551 s is
+        // out of reach, 550 s is not.
+        for (sum, ok) in [(550u128, true), (551, false)] {
+            bad[4..20].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(decode(&bad).is_ok(), ok, "turnaround sum {sum}");
+        }
+        // A sum over no jobs must be 0.
+        let mut w = hws_sim::SnapWriter::new();
+        recorder(8).encode_snap(&mut w);
+        let mut bad = w.into_bytes();
+        bad[4] = 1;
+        let err = decode(&bad).expect_err("a sum over no jobs");
+        assert!(err.to_string().contains("over 0 jobs"), "{err}");
+        // Every class sum is checked too: the capability class's
+        // turnaround sum sits after the capacity class and four counts.
+        let r = busy_recorder();
+        let mut w = hws_sim::SnapWriter::new();
+        w.put_u32(r.system_size);
+        r.acc.encode_snap(&mut w);
+        let at = w.len() + (4 * 8 + 8 + 32) + 4 * 8 + 8;
+        let mut bad = bytes.clone();
+        assert_eq!(bad[at..at + 16], 450u128.to_le_bytes(), "J3's turnaround");
+        bad[at..at + 16].copy_from_slice(&u128::MAX.to_le_bytes());
+        let err = decode(&bad).expect_err("a class sum at u128::MAX");
+        assert!(err.to_string().contains("class turnaround sum"), "{err}");
+    }
+
+    mod order_free {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// SplitMix64 Fisher–Yates: a permutation of `0..n` per seed.
+        fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                order.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+            }
+            order
+        }
+
+        /// (kind, class, submit, wait, run, preemptions, killed).
+        type Job = (u8, u8, u64, u64, u64, u32, bool);
+
+        /// Submit and run `jobs` (J0, J1, ... in order), then retire the
+        /// first `retired` of them in `order`.
+        fn session(jobs: &[Job], order: &[usize], retired: usize) -> Recorder {
+            let mut r = recorder(64);
+            for (i, &(kind, class, submit, wait, run, preemptions, killed)) in
+                jobs.iter().enumerate()
+            {
+                let id = JobId(i as u64);
+                let kind = [JobKind::Rigid, JobKind::OnDemand, JobKind::Malleable][kind as usize];
+                let class = [JobClass::Capacity, JobClass::Capability][class as usize];
+                r.job_submitted_full(id, kind, class, 4, t(submit), NoticeCategory::Late);
+                r.job_started(id, t(submit + wait));
+                (0..preemptions).for_each(|_| r.job_preempted(id));
+                if killed {
+                    r.job_killed(id, t(submit + wait + run));
+                } else {
+                    r.job_finished(id, t(submit + wait + run));
+                }
+            }
+            for &i in &order[..retired] {
+                r.retire(JobId(i as u64));
+            }
+            r
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Retiring the same records in two random orders gives the
+            /// same report, class breakdown and image bits, whether all or
+            /// some of them retired; the image decodes (its sums are in
+            /// reach) and re-encodes to the same bytes.
+            #[test]
+            fn retirement_order_does_not_move_a_bit(
+                jobs in proptest::collection::vec(
+                    (0..3u8, 0..2u8, 0..50_000u64, 0..20_000u64, 0..90_000u64, 0..3u32, any::<bool>()),
+                    1..40,
+                ),
+                seeds in (0..u64::MAX, 0..u64::MAX),
+                retired_pct in 0..=100usize,
+            ) {
+                let retired = jobs.len() * retired_pct / 100;
+                let a = session(&jobs, &permutation(jobs.len(), seeds.0), jobs.len());
+                let b = session(&jobs, &permutation(jobs.len(), seeds.1), jobs.len());
+                prop_assert!(a.is_empty());
+                prop_assert_eq!(Metrics::compute(&a), Metrics::compute(&b));
+                prop_assert_eq!(ClassBreakdown::compute(&a), ClassBreakdown::compute(&b));
+                prop_assert_eq!(encode(&a), encode(&b));
+                let a = session(&jobs, &permutation(jobs.len(), seeds.0), retired);
+                let b = session(&jobs, &permutation(jobs.len(), seeds.1), retired);
+                prop_assert_eq!(Metrics::compute(&a), Metrics::compute(&b));
+                prop_assert_eq!(ClassBreakdown::compute(&a), ClassBreakdown::compute(&b));
+                let bytes = encode(&a);
+                let back = decode(&bytes).expect("a real session's image decodes");
+                prop_assert_eq!(encode(&back), bytes);
+                prop_assert_eq!(Metrics::compute(&back), Metrics::compute(&a));
+            }
+        }
     }
 }

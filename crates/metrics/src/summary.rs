@@ -47,25 +47,68 @@ pub struct Metrics {
     pub total_failures: u64,
 }
 
+/// A bounded slowdown is an `f64` of at least 1, so a whole number of
+/// units of 2⁻⁵²: [`MetricsAcc`] sums it as `u128` units of this size.
+const SLOW_UNIT: f64 = (1u64 << 52) as f64;
+
+/// `s ≥ 1` as a whole number of 2⁻⁵² units, exactly: the lowest bit of
+/// its 53-bit significand weighs at least 2⁻⁵², scaling by 2⁵² is exact
+/// (a power of two), and the integer product fits a `u128` while
+/// `s < 2⁷⁶` (a record's slowdown is below 2⁶¹).
+pub(crate) fn slowdown_units(s: f64) -> u128 {
+    (s * SLOW_UNIT) as u128
+}
+
+/// `sum += v`, panicking rather than wrapping. No session reaches the
+/// panic: a turnaround or wait is below 2⁶⁴ s, so a seconds sum needs more
+/// than 2⁶⁴ jobs to wrap; a slowdown is at most `max(turnaround / 10 s, 1)`,
+/// so its unit sum wraps only past 2⁷⁶ summed slowdowns, i.e. about 2⁷⁹
+/// job-seconds of turnaround (some 2·10¹⁶ job-years).
+pub(crate) fn add(sum: &mut u128, v: u128) {
+    *sum = sum.checked_add(v).expect("metric sum overflows u128");
+}
+
+/// Refuse `sum` of `n` terms if it exceeds `n · each`, the largest a real
+/// session reaches; over no terms that refuses any non-zero sum.
+pub(crate) fn check_sum(what: &str, sum: u128, n: usize, each: u128) -> Result<(), String> {
+    if sum > (n as u128).saturating_mul(each) {
+        return Err(format!(
+            "{what} sum {sum} over {n} jobs exceeds {each} each"
+        ));
+    }
+    Ok(())
+}
+
+/// `sum / n`, or 0 over no terms: every mean and rate rounds here, once.
+pub(crate) fn mean(sum: f64, n: usize) -> f64 {
+    if n > 0 {
+        sum / n as f64
+    } else {
+        0.0
+    }
+}
+
 /// Incremental fold of per-job records into the scalar state behind
-/// [`Metrics`]. The push order is part of the bitwise-determinism
-/// contract: the [`Recorder`] pushes records in submission order, each
-/// as soon as it and every earlier submission have retired, and
-/// [`Metrics::compute`] pushes the records still held in the same order.
-#[derive(Debug, Clone)]
+/// [`Metrics`]. Every sum is an exact integer (seconds, and slowdowns in
+/// 2⁻⁵² units), so the fold is order-free: the [`Recorder`] pushes each
+/// record as its job retires, [`Metrics::compute`] pushes the live ones
+/// in any order, and the report is the same bits.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsAcc {
     instant_threshold: SimDuration,
-    sum_tat: f64,
+    /// Turnaround seconds over completed jobs.
+    tat_secs: u128,
     n_completed: usize,
     killed: usize,
-    /// Per kind: (tat_sum, completed, preempted, total).
-    per: [(f64, usize, usize, usize); 3],
+    /// Per kind: (turnaround seconds, completed, preempted, total).
+    per: [(u128, usize, usize, usize); 3],
     od_total: usize,
     od_instant: usize,
     od_strict: usize,
-    wait_sum: f64,
+    wait_secs: u128,
     wait_n: usize,
-    slow_sum: f64,
+    /// Bounded slowdowns in units of 2⁻⁵² ([`slowdown_units`]).
+    slow_units: u128,
     slow_n: usize,
     cat_inst: [(usize, usize); 4],
     total_failures: u64,
@@ -78,19 +121,7 @@ impl MetricsAcc {
     pub fn new(instant_threshold: SimDuration) -> Self {
         MetricsAcc {
             instant_threshold,
-            sum_tat: 0.0,
-            n_completed: 0,
-            killed: 0,
-            per: [(0.0, 0, 0, 0); 3],
-            od_total: 0,
-            od_instant: 0,
-            od_strict: 0,
-            wait_sum: 0.0,
-            wait_n: 0,
-            slow_sum: 0.0,
-            slow_n: 0,
-            cat_inst: [(0, 0); 4],
-            total_failures: 0,
+            ..Default::default()
         }
     }
 
@@ -111,18 +142,17 @@ impl MetricsAcc {
         }
         self.total_failures += u64::from(r.failures);
         if let Some(tat) = r.turnaround() {
-            let h = tat.as_hours_f64();
-            self.sum_tat += h;
+            add(&mut self.tat_secs, u128::from(tat.as_secs()));
             self.n_completed += 1;
-            self.per[idx].0 += h;
+            add(&mut self.per[idx].0, u128::from(tat.as_secs()));
             self.per[idx].1 += 1;
         }
         if let Some(w) = r.wait() {
-            self.wait_sum += w.as_hours_f64();
+            add(&mut self.wait_secs, u128::from(w.as_secs()));
             self.wait_n += 1;
         }
         if let Some(s) = r.bounded_slowdown() {
-            self.slow_sum += s;
+            add(&mut self.slow_units, slowdown_units(s));
             self.slow_n += 1;
         }
         if r.kind == JobKind::OnDemand {
@@ -146,15 +176,14 @@ impl MetricsAcc {
         }
     }
 
-    /// Write every sum and count; floats as bit patterns, so the fold
-    /// round-trips exactly. The threshold is the session's, not the
+    /// Write every sum and count. The threshold is the session's, not the
     /// image's.
     pub(crate) fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.sum_tat);
+        w.put_u128(self.tat_secs);
         w.put_len(self.n_completed);
         w.put_len(self.killed);
         for &(tat, done, preempted, total) in &self.per {
-            w.put_f64(tat);
+            w.put_u128(tat);
             w.put_len(done);
             w.put_len(preempted);
             w.put_len(total);
@@ -162,9 +191,9 @@ impl MetricsAcc {
         w.put_len(self.od_total);
         w.put_len(self.od_instant);
         w.put_len(self.od_strict);
-        w.put_f64(self.wait_sum);
+        w.put_u128(self.wait_secs);
         w.put_len(self.wait_n);
-        w.put_f64(self.slow_sum);
+        w.put_u128(self.slow_units);
         w.put_len(self.slow_n);
         for &(instant, n) in &self.cat_inst {
             w.put_len(instant);
@@ -178,18 +207,18 @@ impl MetricsAcc {
         instant_threshold: SimDuration,
     ) -> Result<Self, SnapError> {
         let mut a = MetricsAcc::new(instant_threshold);
-        a.sum_tat = r.get_f64()?;
+        a.tat_secs = r.get_u128()?;
         a.n_completed = r.get_len()?;
         a.killed = r.get_len()?;
         for slot in &mut a.per {
-            *slot = (r.get_f64()?, r.get_len()?, r.get_len()?, r.get_len()?);
+            *slot = (r.get_u128()?, r.get_len()?, r.get_len()?, r.get_len()?);
         }
         a.od_total = r.get_len()?;
         a.od_instant = r.get_len()?;
         a.od_strict = r.get_len()?;
-        a.wait_sum = r.get_f64()?;
+        a.wait_secs = r.get_u128()?;
         a.wait_n = r.get_len()?;
-        a.slow_sum = r.get_f64()?;
+        a.slow_units = r.get_u128()?;
         a.slow_n = r.get_len()?;
         for slot in &mut a.cat_inst {
             *slot = (r.get_len()?, r.get_len()?);
@@ -198,25 +227,32 @@ impl MetricsAcc {
         Ok(a)
     }
 
-    /// Combine the folded per-job state with the recorder's run-level
-    /// aggregates (span, occupancy) into the report.
-    pub fn finish(&self, rec: &Recorder) -> Metrics {
-        let instant_by_category = self
-            .cat_inst
-            .map(|(i, n)| if n > 0 { i as f64 / n as f64 } else { 0.0 });
+    /// Refuse sums a session whose submissions and finishes lie within
+    /// `span_secs` cannot reach. A folded record is final (finished or
+    /// killed), so its turnaround and wait are at most the span, and its
+    /// bounded slowdown at most `max(span / 10 s, 1)`: rounding is
+    /// monotone, so the `f64` quotient of a smaller turnaround by a runtime
+    /// of at least 10 s cannot exceed that of the span by 10 s.
+    pub(crate) fn check_sums(&self, span_secs: u64) -> Result<(), String> {
+        let span = u128::from(span_secs);
+        let slow_each = slowdown_units((span_secs as f64 / 10.0).max(1.0));
+        check_sum("turnaround", self.tat_secs, self.n_completed, span)?;
+        for (k, &(tat, done, _, _)) in self.per.iter().enumerate() {
+            check_sum(&format!("kind {k} turnaround"), tat, done, span)?;
+        }
+        check_sum("wait", self.wait_secs, self.wait_n, span)?;
+        check_sum("slowdown", self.slow_units, self.slow_n, slow_each)
+    }
 
+    /// Combine the folded per-job state with the recorder's run-level
+    /// aggregates (span, occupancy) into the report. Each mean rounds
+    /// once, from its exact sum.
+    pub fn finish(&self, rec: &Recorder) -> Metrics {
+        let hours = |secs: u128, n: usize| mean(secs as f64 / 3600.0, n);
         let kind_stats = |i: usize| KindStats {
             completed: self.per[i].1,
-            avg_turnaround_h: if self.per[i].1 > 0 {
-                self.per[i].0 / self.per[i].1 as f64
-            } else {
-                0.0
-            },
-            preemption_ratio: if self.per[i].3 > 0 {
-                self.per[i].2 as f64 / self.per[i].3 as f64
-            } else {
-                0.0
-            },
+            avg_turnaround_h: hours(self.per[i].0, self.per[i].1),
+            preemption_ratio: mean(self.per[i].2 as f64, self.per[i].3),
         };
 
         let (span_hours, capacity_ns) = match rec.span() {
@@ -229,55 +265,30 @@ impl MetricsAcc {
             }
             _ => (0.0, 0),
         };
-        let useful = rec
-            .occupied_node_seconds()
-            .saturating_sub(rec.wasted_node_seconds());
-        let utilization = if capacity_ns > 0 {
-            useful as f64 / capacity_ns as f64
-        } else {
-            0.0
-        };
-        let raw_occupancy = if capacity_ns > 0 {
-            rec.occupied_node_seconds() as f64 / capacity_ns as f64
-        } else {
-            0.0
-        };
-
-        Metrics {
-            avg_turnaround_h: if self.n_completed > 0 {
-                self.sum_tat / self.n_completed as f64
+        let share = |ns: u128| {
+            if capacity_ns > 0 {
+                ns as f64 / capacity_ns as f64
             } else {
                 0.0
-            },
+            }
+        };
+        let occupied = rec.occupied_node_seconds();
+
+        Metrics {
+            avg_turnaround_h: hours(self.tat_secs, self.n_completed),
             rigid: kind_stats(0),
             on_demand: kind_stats(1),
             malleable: kind_stats(2),
-            instant_start_rate: if self.od_total > 0 {
-                self.od_instant as f64 / self.od_total as f64
-            } else {
-                0.0
-            },
-            strict_instant_rate: if self.od_total > 0 {
-                self.od_strict as f64 / self.od_total as f64
-            } else {
-                0.0
-            },
-            utilization,
-            raw_occupancy,
+            instant_start_rate: mean(self.od_instant as f64, self.od_total),
+            strict_instant_rate: mean(self.od_strict as f64, self.od_total),
+            utilization: share(occupied.saturating_sub(rec.wasted_node_seconds())),
+            raw_occupancy: share(occupied),
             completed_jobs: self.n_completed,
             killed_jobs: self.killed,
             span_hours,
-            avg_wait_h: if self.wait_n > 0 {
-                self.wait_sum / self.wait_n as f64
-            } else {
-                0.0
-            },
-            avg_bounded_slowdown: if self.slow_n > 0 {
-                self.slow_sum / self.slow_n as f64
-            } else {
-                0.0
-            },
-            instant_by_category,
+            avg_wait_h: hours(self.wait_secs, self.wait_n),
+            avg_bounded_slowdown: mean(self.slow_units as f64 / SLOW_UNIT, self.slow_n),
+            instant_by_category: self.cat_inst.map(|(i, n)| mean(i as f64, n)),
             total_failures: self.total_failures,
         }
     }
@@ -285,12 +296,10 @@ impl MetricsAcc {
 
 impl Metrics {
     /// Fold a recorder into the report: the recorder's fold so far,
-    /// continued over the records it still holds in submission order.
+    /// continued over its live records.
     pub fn compute(rec: &Recorder) -> Metrics {
         let mut acc = rec.metrics_acc().clone();
-        for r in rec.unfolded() {
-            acc.push(r);
-        }
+        rec.live_records().for_each(|r| acc.push(r));
         acc.finish(rec)
     }
 
@@ -441,6 +450,23 @@ mod tests {
         assert!((m.strict_instant_rate - 0.5).abs() < 1e-9);
         assert!((m.rigid.avg_turnaround_h - 2.0).abs() < 1e-9);
         assert!((m.on_demand.avg_turnaround_h - 1.0833).abs() < 1e-3);
+    }
+
+    #[test]
+    fn slowdown_units_are_exact_at_the_edges() {
+        let big = u64::MAX as f64 / 10.0; // no record's slowdown exceeds it
+        for (s, units) in [
+            (1.0, 1u128 << 52),
+            (1.0 + f64::EPSILON, (1 << 52) + 1),
+            // Near 2³⁰ the finest fraction is 2⁻²².
+            ((1u64 << 30) as f64 + 2f64.powi(-22), (1 << 82) + (1 << 30)),
+            ((1u64 << 30) as f64 - 0.375, (1 << 82) - (3 << 49)),
+            ((1u64 << 60) as f64 + 256.0, (1 << 112) + (1 << 60)),
+            (big, (big as u128) << 52),
+        ] {
+            assert_eq!(slowdown_units(s), units, "{s}");
+            assert_eq!((units as f64 / SLOW_UNIT).to_bits(), s.to_bits(), "{s}");
+        }
     }
 
     #[test]

@@ -87,6 +87,12 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Low 64 bits, then high 64 bits.
+    pub fn put_u128(&mut self, v: u128) {
+        self.put_u64(v as u64);
+        self.put_u64((v >> 64) as u64);
+    }
+
     /// Lengths/counts travel as u64 so the format is pointer-width-free.
     pub fn put_len(&mut self, v: usize) {
         self.put_u64(v as u64);
@@ -203,6 +209,10 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
+    pub fn get_u128(&mut self) -> Result<u128, SnapError> {
+        Ok(u128::from(self.get_u64()?) | (u128::from(self.get_u64()?) << 64))
+    }
+
     /// Length field with a sanity cap: a corrupted length must not drive a
     /// multi-gigabyte allocation before the next read fails.
     pub fn get_len(&mut self) -> Result<usize, SnapError> {
@@ -259,6 +269,7 @@ mod tests {
         w.put_bool(true);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
+        w.put_u128(u128::MAX - (5 << 64) - 2);
         w.put_f64(-0.1);
         w.put_str("héllo");
         w.put_bytes(&[1, 2, 3]);
@@ -271,6 +282,7 @@ mod tests {
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
+        assert_eq!(r.get_u128().unwrap(), u128::MAX - (5 << 64) - 2);
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.1f64).to_bits());
         assert_eq!(r.get_string().unwrap(), "héllo");
         assert_eq!(r.get_bytes().unwrap(), &[1, 2, 3]);
