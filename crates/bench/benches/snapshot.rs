@@ -1,5 +1,5 @@
 //! Microbench of the checkpoint path and of what-if forking: the cluster
-//! invariant scan `Cluster::decode_snap` ends with, snapshot encode,
+//! invariant scan a cluster restore ends with, snapshot encode,
 //! `SchedulerService::restore`, the in-memory `SchedulerService::fork`
 //! each what-if fork takes instead, and one six-mechanism `what_if`
 //! forecast — on the bundled `theta_quick.swf` fixture, cut at the

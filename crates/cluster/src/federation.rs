@@ -27,8 +27,9 @@
 
 use crate::backend::ClusterBackend;
 use crate::node::{NodeId, NodeState};
+use crate::SnapshotBackend;
 use crate::{Cluster, ReleaseOutcome};
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
+use hws_sim::snap::{get_sorted, put_sorted, Snap, SnapError, SnapReader, SnapWriter, SortedIds};
 use hws_workload::{JobId, JobKind, JobMap, JobSpec};
 use std::sync::Arc;
 
@@ -689,45 +690,31 @@ impl ClusterBackend for Federation {
     }
 }
 
-impl Federation {
-    /// Serialize the federation's dynamic state: every shard's node state
-    /// plus the sticky `home` pins and the per-job routing metadata, both
-    /// in sorted job-id order. The placement policy and shard names are
-    /// deliberately *not* serialized (a policy is arbitrary code); decoding
-    /// re-supplies them via the same [`FederationConfig`].
-    pub fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_len(self.shards.len());
-        for c in &self.shards {
-            c.encode_snap(w);
-        }
-        let mut homes: Vec<(JobId, usize)> = self.home.iter().map(|(&j, &s)| (j, s)).collect();
-        homes.sort();
-        w.put_len(homes.len());
-        for (job, shard) in homes {
-            w.put_u64(job.0);
-            w.put_u32(shard as u32);
-        }
-        let mut metas: Vec<(JobId, JobMeta)> = self.meta.iter().map(|(&j, &m)| (j, m)).collect();
-        metas.sort_by_key(|(j, _)| *j);
-        w.put_len(metas.len());
-        for (job, m) in metas {
-            w.put_u64(job.0);
-            w.put_u8(match m.kind {
-                JobKind::Rigid => 0,
-                JobKind::OnDemand => 1,
-                JobKind::Malleable => 2,
-            });
-            w.put_u32(m.size);
-            w.put_opt_u32(m.site_hint);
-        }
+hws_sim::snap_struct!(JobMeta {
+    kind,
+    size,
+    site_hint,
+});
+
+/// Every shard's machine state, then the sticky `home` pins and the
+/// per-job routing metadata as sorted-id maps. The placement policy and
+/// shard names are deliberately *not* serialized (a policy is arbitrary
+/// code); restoring re-supplies them from the same [`FederationConfig`],
+/// which must match the encoded shard shapes exactly, and then
+/// [`ClusterBackend::check_invariants`] re-validates the whole state.
+impl SnapshotBackend for Federation {
+    type Ctx = FederationConfig;
+
+    fn snapshot(&self, w: &mut SnapWriter) {
+        self.shards.len().put(w);
+        self.shards.iter().for_each(|c| c.snapshot(w));
+        let home: Vec<(JobId, u32)> = self.home.iter().map(|(&j, &s)| (j, s as u32)).collect();
+        put_sorted(w, home.iter().map(|(j, s)| (j, s)));
+        self.meta.put_sorted(w);
     }
 
-    /// Decode a federation written by [`Federation::encode_snap`] against
-    /// the same [`FederationConfig`] it was built from. The config must
-    /// match the encoded shard shapes exactly; afterwards
-    /// [`ClusterBackend::check_invariants`] re-validates the whole state.
-    pub fn decode_snap(r: &mut SnapReader<'_>, cfg: &FederationConfig) -> Result<Self, SnapError> {
-        let n_shards = r.get_len()?;
+    fn restore(r: &mut SnapReader<'_>, cfg: &FederationConfig) -> Result<Self, SnapError> {
+        let n_shards = usize::get(r)?;
         if n_shards != cfg.shards.len() {
             return Err(r.err(format!(
                 "snapshot has {n_shards} shards, config has {}",
@@ -736,7 +723,7 @@ impl Federation {
         }
         let mut shards = Vec::with_capacity(n_shards);
         for (i, spec) in cfg.shards.iter().enumerate() {
-            let c = Cluster::decode_snap(r)?;
+            let c = Cluster::restore(r, &())?;
             if c.total_nodes() != spec.nodes {
                 return Err(r.err(format!(
                     "shard {i} ({}) has {} nodes in the snapshot, {} in the config",
@@ -747,53 +734,16 @@ impl Federation {
             }
             shards.push(c);
         }
-        let n_homes = r.get_len()?;
-        let mut home = JobMap::with_capacity_and_hasher(n_homes, Default::default());
-        let mut prev: Option<u64> = None;
-        for _ in 0..n_homes {
-            let job = r.get_u64()?;
-            if prev.is_some_and(|p| p >= job) {
-                return Err(r.err(format!("home pins not strictly sorted at job {job}")));
-            }
-            prev = Some(job);
-            let shard = r.get_u32()? as usize;
-            if shard >= n_shards {
-                return Err(r.err(format!("job {job} pinned to nonexistent shard {shard}")));
-            }
-            home.insert(JobId(job), shard);
-        }
-        let n_meta = r.get_len()?;
-        let mut meta = JobMap::with_capacity_and_hasher(n_meta, Default::default());
-        let mut prev: Option<u64> = None;
-        for _ in 0..n_meta {
-            let job = r.get_u64()?;
-            if prev.is_some_and(|p| p >= job) {
-                return Err(r.err(format!("job metadata not strictly sorted at job {job}")));
-            }
-            prev = Some(job);
-            let kind = match r.get_u8()? {
-                0 => JobKind::Rigid,
-                1 => JobKind::OnDemand,
-                2 => JobKind::Malleable,
-                t => return Err(r.err(format!("bad job kind tag {t}"))),
-            };
-            let size = r.get_u32()?;
-            let site_hint = r.get_opt_u32()?;
-            meta.insert(
-                JobId(job),
-                JobMeta {
-                    kind,
-                    size,
-                    site_hint,
-                },
-            );
+        let home: Vec<(JobId, u32)> = get_sorted(r, "home pin")?;
+        if let Some((job, s)) = home.iter().find(|(_, s)| *s as usize >= n_shards) {
+            return Err(r.err(format!("{job} pinned to nonexistent shard {s}")));
         }
         let fed = Federation {
             shards,
             names: cfg.shards.iter().map(|s| s.name.clone()).collect(),
             policy: Arc::clone(&cfg.policy),
-            home,
-            meta,
+            home: home.into_iter().map(|(j, s)| (j, s as usize)).collect(),
+            meta: SortedIds::get_sorted(r, "job metadata")?,
             max_shard: cfg.shards.iter().map(|s| s.nodes).max().unwrap_or(0),
             configured_total: cfg.total_nodes(),
         };
@@ -801,7 +751,9 @@ impl Federation {
             .map_err(|e| r.err(format!("restored federation fails invariants: {e}")))?;
         Ok(fed)
     }
+}
 
+impl Federation {
     /// Resolve where an allocation of `k` nodes for `job` should go: the
     /// sticky home when pinned, else a fresh policy decision restricted to
     /// shards that pass `can_host` right now. Pins the job on success.

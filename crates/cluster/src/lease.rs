@@ -8,7 +8,7 @@
 //! starvation effect), a shrunk lender that is still running expands, and
 //! anything else falls into the free pool.
 
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
+use hws_sim::snap::{put_sorted, Snap, SnapError, SnapReader, SnapWriter, SortedIds};
 use hws_workload::{JobId, JobMap};
 
 /// `nodes` nodes borrowed from `lender`.
@@ -79,62 +79,36 @@ impl LeaseLedger {
     pub fn borrowers(&self) -> usize {
         self.leases.values().filter(|v| !v.is_empty()).count()
     }
+}
 
-    /// Serialize the ledger. Borrowers are written in sorted id order and
-    /// empty lease lists (left behind by [`LeaseLedger::forget_lender`]) are
-    /// skipped, so two semantically equal ledgers encode identically.
-    pub fn encode_snap(&self, w: &mut SnapWriter) {
-        let mut borrowers: Vec<JobId> = self
-            .leases
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(b, _)| *b)
-            .collect();
-        borrowers.sort();
-        w.put_len(borrowers.len());
-        for b in borrowers {
-            w.put_u64(b.0);
-            let v = &self.leases[&b];
-            w.put_len(v.len());
-            for l in v {
-                w.put_u64(l.lender.0);
-                w.put_u32(l.nodes);
-                w.put_bool(l.by_preemption);
-            }
+hws_sim::snap_struct!(Lease { lender, nodes, by_preemption } check Lease::check);
+
+impl Lease {
+    fn check(&self) -> Result<(), String> {
+        if self.nodes == 0 {
+            return Err(format!("zero-node lease from {}", self.lender));
         }
+        Ok(())
+    }
+}
+
+/// Borrowers in ascending id order. Empty lease lists (left behind by
+/// [`LeaseLedger::forget_lender`]) are skipped, so two semantically equal
+/// ledgers encode identically, and refused on decode.
+impl Snap for LeaseLedger {
+    fn put(&self, w: &mut SnapWriter) {
+        put_sorted(w, self.leases.iter().filter(|(_, v)| !v.is_empty()));
     }
 
-    /// Decode a ledger written by [`LeaseLedger::encode_snap`].
-    pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_len()?;
-        let mut leases: JobMap<Vec<Lease>> =
-            JobMap::with_capacity_and_hasher(n, Default::default());
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let b = r.get_u64()?;
-            if prev.is_some_and(|p| p >= b) {
-                return Err(r.err(format!("lease borrowers not strictly sorted at {b}")));
-            }
-            prev = Some(b);
-            let k = r.get_len()?;
-            if k == 0 {
-                return Err(r.err(format!("empty lease list for borrower {b}")));
-            }
-            let mut v = Vec::with_capacity(k);
-            for _ in 0..k {
-                let lender = JobId(r.get_u64()?);
-                let nodes = r.get_u32()?;
-                if nodes == 0 {
-                    return Err(r.err("zero-node lease"));
-                }
-                let by_preemption = r.get_bool()?;
-                v.push(Lease {
-                    lender,
-                    nodes,
-                    by_preemption,
-                });
-            }
-            leases.insert(JobId(b), v);
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let leases: JobMap<Vec<Lease>> = SortedIds::get_sorted(r, "lease borrower")?;
+        if let Some(b) = leases
+            .iter()
+            .filter(|(_, v)| v.is_empty())
+            .map(|(b, _)| b)
+            .min()
+        {
+            return Err(r.err(format!("empty lease list for borrower {b}")));
         }
         Ok(LeaseLedger { leases })
     }
@@ -215,10 +189,10 @@ mod tests {
         l.record(j(7), j(9), 3, true);
         l.forget_lender(j(9)); // leaves borrower 7 with an empty list
         let mut w = SnapWriter::new();
-        l.encode_snap(&mut w);
+        l.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let mut back = LeaseLedger::decode_snap(&mut r).expect("decodes");
+        let mut back = LeaseLedger::get(&mut r).expect("decodes");
         r.expect_end().expect("consumed exactly");
         assert_eq!(back.owed_by(j(9)), 6);
         assert_eq!(back.owed_by(j(8)), 1);
@@ -230,7 +204,7 @@ mod tests {
         l2.record(j(9), j(2), 2, false);
         l2.record(j(8), j(1), 1, false);
         let mut w2 = SnapWriter::new();
-        l2.encode_snap(&mut w2);
+        l2.put(&mut w2);
         assert_eq!(w2.into_bytes(), bytes);
     }
 
@@ -240,27 +214,27 @@ mod tests {
         l.record(j(9), j(1), 4, true);
         l.record(j(8), j(2), 2, false);
         let mut w = SnapWriter::new();
-        l.encode_snap(&mut w);
+        l.put(&mut w);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
             assert!(
-                LeaseLedger::decode_snap(&mut r).is_err() || r.expect_end().is_err(),
+                LeaseLedger::get(&mut r).is_err() || r.expect_end().is_err(),
                 "truncation at {cut} must not decode cleanly"
             );
         }
         // Unsorted borrowers are rejected.
         let mut w = SnapWriter::new();
-        w.put_len(2);
+        2usize.put(&mut w);
         for b in [9u64, 8] {
-            w.put_u64(b);
-            w.put_len(1);
-            w.put_u64(1);
-            w.put_u32(4);
-            w.put_bool(true);
+            b.put(&mut w);
+            1usize.put(&mut w);
+            1u64.put(&mut w);
+            4u32.put(&mut w);
+            true.put(&mut w);
         }
         let bytes = w.into_bytes();
-        assert!(LeaseLedger::decode_snap(&mut SnapReader::new(&bytes)).is_err());
+        assert!(LeaseLedger::get(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

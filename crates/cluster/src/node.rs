@@ -1,5 +1,6 @@
 //! Node identity and per-node state.
 
+use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use hws_workload::JobId;
 use std::fmt;
 
@@ -12,6 +13,17 @@ impl NodeId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+impl Snap for NodeId {
+    #[inline]
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+    }
+    #[inline]
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(NodeId(u32::get(r)?))
     }
 }
 
@@ -38,6 +50,14 @@ pub enum NodeState {
     /// only through an explicit rejoin.
     Down,
 }
+
+hws_sim::snap_enum!(NodeState {
+    0 => Free,
+    1 => Busy { job },
+    2 => Reserved { holder },
+    3 => ReservedBusy { holder, job },
+    4 => Down,
+});
 
 #[cfg(test)]
 mod tests {

@@ -5,37 +5,37 @@
 //! forks skip the bytes and clone the backend). This module provides the
 //! cluster half: a lossless codec for [`Cluster`] and the
 //! [`SnapshotBackend`] trait that lets the driver snapshot any backend
-//! generically ([`Federation`] implements it against its
-//! [`FederationConfig`]).
+//! generically ([`Federation`](crate::Federation) implements it against
+//! its [`FederationConfig`](crate::FederationConfig)).
 //!
 //! ## Format notes
 //!
-//! * Little-endian fixed-width primitives via [`SnapWriter`]; the caller
-//!   owns the version byte.
+//! * Little-endian fixed-width values via [`Snap`]; the caller owns the
+//!   version byte.
 //! * **Order is data.** The free-list stack order and each job's node-list
 //!   order feed future allocation decisions, so they are serialized
 //!   verbatim; restore-then-continue must be bitwise identical to an
 //!   uninterrupted run.
-//! * Unordered maps (allocations, reservations) are written in sorted
-//!   job-id order so equal states encode to equal bytes.
+//! * Unordered maps (allocations, reservations) go through the sorted-id
+//!   map codec ([`SortedIds`]) so equal states encode to equal bytes.
 //! * Derived accounting (splits, squatter index, reserved-idle total) is
 //!   *not* serialized; decoding rebuilds it and then runs
 //!   [`Cluster::check_invariants`], so a corrupted snapshot fails closed
 //!   instead of producing a subtly inconsistent machine.
 
 use crate::node::{NodeId, NodeState};
-use crate::{Cluster, ClusterBackend, Federation, FederationConfig, Split};
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
+use crate::{Cluster, ClusterBackend, Split};
+use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter, SortedIds};
 use hws_workload::{JobId, JobMap};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A [`ClusterBackend`] whose full dynamic state can round-trip through
 /// the snapshot byte format.
 ///
 /// `Ctx` carries whatever the byte stream deliberately omits because it is
 /// code rather than data: nothing for a bare [`Cluster`], the
-/// [`FederationConfig`] (placement policy, shard names) for a
-/// [`Federation`]. Restoring against a context that does not match the
+/// [`FederationConfig`](crate::FederationConfig) (placement policy, shard
+/// names) for a [`Federation`](crate::Federation). Restoring against a context that does not match the
 /// encoder's is an error, not silent misbehavior.
 ///
 /// `Clone` is the in-memory fork: a clone must continue bitwise as a
@@ -52,224 +52,102 @@ pub trait SnapshotBackend: ClusterBackend + Clone {
     fn restore(r: &mut SnapReader<'_>, ctx: &Self::Ctx) -> Result<Self, SnapError>;
 }
 
+/// The full machine state: the node count and per-node states, the
+/// free-list stack in order, each job's allocation and each holder's idle
+/// reservation in node order (jobs ascending), and the draining marks.
+/// Decoding checks that every node is claimed exactly once, by a list
+/// matching its state, then rebuilds the derived accounting and runs
+/// [`Cluster::check_invariants`]. Malformed input errors, never panics.
 impl SnapshotBackend for Cluster {
     type Ctx = ();
 
     fn snapshot(&self, w: &mut SnapWriter) {
-        self.encode_snap(w);
+        self.total_nodes().put(w);
+        self.nodes.iter().for_each(|st| st.put(w));
+        self.free_list.put(w);
+        self.alloc.put_sorted(w);
+        self.reserved_idle.put_sorted(w);
+        self.draining.put_sorted(w);
     }
 
-    fn restore(r: &mut SnapReader<'_>, _ctx: &()) -> Result<Self, SnapError> {
-        Cluster::decode_snap(r)
-    }
-}
-
-impl SnapshotBackend for Federation {
-    type Ctx = FederationConfig;
-
-    fn snapshot(&self, w: &mut SnapWriter) {
-        self.encode_snap(w);
-    }
-
-    fn restore(r: &mut SnapReader<'_>, cfg: &FederationConfig) -> Result<Self, SnapError> {
-        Federation::decode_snap(r, cfg)
-    }
-}
-
-fn encode_node(st: &NodeState, w: &mut SnapWriter) {
-    match *st {
-        NodeState::Free => w.put_u8(0),
-        NodeState::Busy { job } => {
-            w.put_u8(1);
-            w.put_u64(job.0);
-        }
-        NodeState::Reserved { holder } => {
-            w.put_u8(2);
-            w.put_u64(holder.0);
-        }
-        NodeState::ReservedBusy { holder, job } => {
-            w.put_u8(3);
-            w.put_u64(holder.0);
-            w.put_u64(job.0);
-        }
-        NodeState::Down => w.put_u8(4),
-    }
-}
-
-fn decode_node(r: &mut SnapReader<'_>) -> Result<NodeState, SnapError> {
-    Ok(match r.get_u8()? {
-        0 => NodeState::Free,
-        1 => NodeState::Busy {
-            job: JobId(r.get_u64()?),
-        },
-        2 => NodeState::Reserved {
-            holder: JobId(r.get_u64()?),
-        },
-        3 => NodeState::ReservedBusy {
-            holder: JobId(r.get_u64()?),
-            job: JobId(r.get_u64()?),
-        },
-        4 => NodeState::Down,
-        t => return Err(r.err(format!("bad node state tag {t}"))),
-    })
-}
-
-/// Reads one `job → [nodes]` table (allocations or reservations), in
-/// strictly sorted job order, validating every node id against `expect`
-/// and marking it in the exactly-once occupancy bitmap.
-fn decode_node_table(
-    r: &mut SnapReader<'_>,
-    nodes: &[NodeState],
-    seen: &mut [bool],
-    what: &str,
-    expect: impl Fn(JobId, NodeState) -> bool,
-) -> Result<JobMap<Vec<NodeId>>, SnapError> {
-    let n = r.get_len()?;
-    let mut table = JobMap::with_capacity_and_hasher(n, Default::default());
-    let mut prev: Option<u64> = None;
-    for _ in 0..n {
-        let job = r.get_u64()?;
-        if prev.is_some_and(|p| p >= job) {
-            return Err(r.err(format!("{what} table not strictly sorted at job {job}")));
-        }
-        prev = Some(job);
-        let k = r.get_len()?;
-        if k == 0 {
-            return Err(r.err(format!("empty {what} list for job {job}")));
-        }
-        let mut list = Vec::with_capacity(k);
-        for _ in 0..k {
-            let id = r.get_u32()?;
-            let Some(&st) = nodes.get(id as usize) else {
-                return Err(r.err(format!("{what} node {id} out of range")));
-            };
-            if !expect(JobId(job), st) {
-                return Err(r.err(format!("{what} node {id} for job {job} is in state {st:?}")));
-            }
-            if std::mem::replace(&mut seen[id as usize], true) {
-                return Err(r.err(format!("node {id} listed twice")));
-            }
-            list.push(NodeId(id));
-        }
-        table.insert(JobId(job), list);
-    }
-    Ok(table)
-}
-
-impl Cluster {
-    /// Serialize the full machine state: per-node states, the free-list
-    /// stack in order, and each job's allocation / reservation node lists
-    /// in order (jobs sorted by id).
-    pub fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.total_nodes());
-        for st in &self.nodes {
-            encode_node(st, w);
-        }
-        w.put_len(self.free_list.len());
-        for id in &self.free_list {
-            w.put_u32(id.0);
-        }
-        let mut jobs: Vec<JobId> = self.alloc.keys().copied().collect();
-        jobs.sort();
-        w.put_len(jobs.len());
-        for job in jobs {
-            w.put_u64(job.0);
-            let list = &self.alloc[&job];
-            w.put_len(list.len());
-            for id in list {
-                w.put_u32(id.0);
-            }
-        }
-        let mut holders: Vec<JobId> = self.reserved_idle.keys().copied().collect();
-        holders.sort();
-        w.put_len(holders.len());
-        for holder in holders {
-            w.put_u64(holder.0);
-            let list = &self.reserved_idle[&holder];
-            w.put_len(list.len());
-            for id in list {
-                w.put_u32(id.0);
-            }
-        }
-        // Draining marks (already a sorted set; Down nodes are carried by
-        // the per-node states themselves and belong to no list).
-        w.put_len(self.draining.len());
-        for &id in &self.draining {
-            w.put_u32(id);
-        }
-    }
-
-    /// Decode a cluster written by [`Cluster::encode_snap`]. Every node
-    /// must be claimed exactly once across the free list, the allocations,
-    /// and the reservations, with a state matching its claimant; the
-    /// derived accounting is rebuilt and cross-checked via
-    /// [`Cluster::check_invariants`]. Malformed input errors, never
-    /// panics.
-    pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_u32()? as usize;
+    fn restore(r: &mut SnapReader<'_>, _: &()) -> Result<Self, SnapError> {
+        let n = u32::get(r)? as usize;
         if n == 0 {
             return Err(r.err("cluster must have at least one node"));
         }
-        if n > r.remaining() {
-            // Each node costs at least its one-byte tag.
-            return Err(r.err(format!("implausible node count {n}")));
-        }
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(decode_node(r)?);
-        }
-        let mut seen = vec![false; n];
-        // Down nodes live in no list: claim them straight from the state
-        // array so the exactly-once check still covers the whole machine.
-        let mut down_count = 0u32;
-        for (i, st) in nodes.iter().enumerate() {
-            if *st == NodeState::Down {
-                seen[i] = true;
-                down_count += 1;
+        let nodes = NodeState::get_n(r, n)?;
+        let free_list = Snap::get(r)?;
+        let alloc = SortedIds::get_sorted(r, "allocation")?;
+        let reserved_idle = SortedIds::get_sorted(r, "reservation")?;
+        let draining = SortedIds::get_sorted(r, "draining")?;
+        Cluster::from_parts(nodes, free_list, alloc, reserved_idle, draining).map_err(|e| r.err(e))
+    }
+}
+
+impl Cluster {
+    /// Assemble a decoded machine, refusing it unless every node is
+    /// claimed exactly once (down nodes by their state, the rest by the
+    /// free list, an allocation or a reservation naming it in a matching
+    /// state) and the derived accounting rebuilt from the lists passes
+    /// [`Cluster::check_invariants`].
+    fn from_parts(
+        nodes: Vec<NodeState>,
+        free_list: Vec<NodeId>,
+        alloc: JobMap<Vec<NodeId>>,
+        reserved_idle: JobMap<Vec<NodeId>>,
+        draining: BTreeSet<u32>,
+    ) -> Result<Self, String> {
+        let mut seen: Vec<bool> = nodes.iter().map(|st| *st == NodeState::Down).collect();
+        let mut claim = |what: &str, list: &[NodeId], owns: fn(NodeState, JobId) -> bool, of| {
+            for &id in list {
+                let Some(&st) = nodes.get(id.index()) else {
+                    return Err(format!("{what} node {id} out of range"));
+                };
+                if !owns(st, of) {
+                    return Err(format!("{what} node {id} is in state {st:?}"));
+                }
+                if std::mem::replace(&mut seen[id.index()], true) {
+                    return Err(format!("node {id} listed twice"));
+                }
             }
-        }
-        let n_free = r.get_len()?;
-        let mut free_list = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            let id = r.get_u32()?;
-            let Some(&st) = nodes.get(id as usize) else {
-                return Err(r.err(format!("free-list node {id} out of range")));
-            };
-            if st != NodeState::Free {
-                return Err(r.err(format!("free-list node {id} is in state {st:?}")));
-            }
-            if std::mem::replace(&mut seen[id as usize], true) {
-                return Err(r.err(format!("node {id} listed twice")));
-            }
-            free_list.push(NodeId(id));
-        }
-        let alloc = decode_node_table(r, &nodes, &mut seen, "allocation", |job, st| {
-            matches!(st, NodeState::Busy { job: j } if j == job)
-                || matches!(st, NodeState::ReservedBusy { job: j, .. } if j == job)
-        })?;
-        let reserved_idle = decode_node_table(
-            r,
-            &nodes,
-            &mut seen,
-            "reservation",
-            |holder, st| matches!(st, NodeState::Reserved { holder: h } if h == holder),
+            Ok(())
+        };
+        claim(
+            "free-list",
+            &free_list,
+            |st, _| st == NodeState::Free,
+            JobId(0),
         )?;
-        if let Some(orphan) = seen.iter().position(|s| !s) {
-            return Err(r.err(format!("node {orphan} claimed by no list")));
+        for (&job, list) in &alloc {
+            if list.is_empty() {
+                return Err(format!("empty allocation list for {job}"));
+            }
+            claim(
+                "allocation",
+                list,
+                |st, job| {
+                    matches!(st, NodeState::Busy { job: j }
+                    | NodeState::ReservedBusy { job: j, .. } if j == job)
+                },
+                job,
+            )?;
         }
-        let n_draining = r.get_len()?;
-        let mut draining = Vec::with_capacity(n_draining);
-        let mut prev_drain: Option<u32> = None;
-        for _ in 0..n_draining {
-            let id = r.get_u32()?;
-            if prev_drain.is_some_and(|p| p >= id) {
-                return Err(r.err(format!("draining list not strictly sorted at {id}")));
+        for (&holder, list) in &reserved_idle {
+            if list.is_empty() {
+                return Err(format!("empty reservation list for {holder}"));
             }
-            prev_drain = Some(id);
-            if id as usize >= n {
-                return Err(r.err(format!("draining node {id} out of range")));
-            }
-            draining.push(id);
+            claim(
+                "reservation",
+                list,
+                |st, holder| matches!(st, NodeState::Reserved { holder: h } if h == holder),
+                holder,
+            )?;
+        }
+        if let Some(orphan) = seen.iter().position(|s| !s) {
+            return Err(format!("node {orphan} claimed by no list"));
+        }
+        if let Some(id) = draining.iter().find(|&&id| id as usize >= nodes.len()) {
+            return Err(format!("draining node {id} out of range"));
         }
         // Rebuild the derived accounting from the authoritative state.
         let mut splits = JobMap::with_capacity_and_hasher(alloc.len(), Default::default());
@@ -291,22 +169,21 @@ impl Cluster {
             }
             splits.insert(job, split);
         }
-        let reserved_idle_total = reserved_idle.values().map(|v| v.len() as u32).sum();
         let cluster = Cluster {
+            down_count: nodes.iter().filter(|st| **st == NodeState::Down).count() as u32,
+            reserved_idle_total: reserved_idle.values().map(|v| v.len() as u32).sum(),
             nodes,
             free_list,
             alloc,
             reserved_idle,
             splits,
             squatter_index,
-            reserved_idle_total,
-            draining: draining.into_iter().collect(),
-            down_count,
+            draining,
             spare: Vec::new(),
         };
         cluster
             .check_invariants()
-            .map_err(|e| r.err(format!("restored cluster fails invariants: {e}")))?;
+            .map_err(|e| format!("restored cluster fails invariants: {e}"))?;
         Ok(cluster)
     }
 }
@@ -314,6 +191,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Federation, FederationConfig};
 
     fn j(n: u64) -> JobId {
         JobId(n)
@@ -335,7 +213,7 @@ mod tests {
 
     fn encode(c: &Cluster) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        c.encode_snap(&mut w);
+        c.snapshot(&mut w);
         w.into_bytes()
     }
 
@@ -344,7 +222,7 @@ mod tests {
         let c = busy_cluster();
         let bytes = encode(&c);
         let mut r = SnapReader::new(&bytes);
-        let back = Cluster::decode_snap(&mut r).expect("decodes");
+        let back = Cluster::restore(&mut r, &()).expect("decodes");
         r.expect_end().expect("consumed exactly");
         assert_eq!(encode(&back), bytes, "re-encode must reproduce the bytes");
         assert_eq!(back.free_count(), c.free_count());
@@ -357,7 +235,7 @@ mod tests {
     fn restored_cluster_continues_identically() {
         let mut a = busy_cluster();
         let bytes = encode(&a);
-        let mut b = Cluster::decode_snap(&mut SnapReader::new(&bytes)).expect("decodes");
+        let mut b = Cluster::restore(&mut SnapReader::new(&bytes), &()).expect("decodes");
         // The same operation sequence must yield identical node choices —
         // the free-list order survived the round trip.
         assert_eq!(a.allocate(j(4), 3).map(<[NodeId]>::to_vec), {
@@ -374,57 +252,59 @@ mod tests {
         for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
             assert!(
-                Cluster::decode_snap(&mut r).is_err() || r.expect_end().is_err(),
+                Cluster::restore(&mut r, &()).is_err() || r.expect_end().is_err(),
                 "truncation at {cut} must not decode cleanly"
             );
         }
         // A free-list entry pointing at a busy node is caught immediately.
         let mut w = SnapWriter::new();
-        w.put_u32(2);
-        w.put_u8(1); // node 0: Busy { job 1 }
-        w.put_u64(1);
-        w.put_u8(0); // node 1: Free
-        w.put_len(1);
-        w.put_u32(0); // free list claims the busy node
-        w.put_len(1);
-        w.put_u64(1);
-        w.put_len(1);
-        w.put_u32(1);
-        w.put_len(0);
+        2u32.put(&mut w);
+        1u8.put(&mut w); // node 0: Busy { job 1 }
+        1u64.put(&mut w);
+        0u8.put(&mut w); // node 1: Free
+        1usize.put(&mut w);
+        0u32.put(&mut w); // free list claims the busy node
+        1usize.put(&mut w);
+        1u64.put(&mut w);
+        1usize.put(&mut w);
+        1u32.put(&mut w);
+        0usize.put(&mut w);
         let bad = w.into_bytes();
-        assert!(Cluster::decode_snap(&mut SnapReader::new(&bad)).is_err());
+        assert!(Cluster::restore(&mut SnapReader::new(&bad), &()).is_err());
     }
 
     #[test]
     fn node_claimed_twice_or_never_is_rejected() {
         // Node 1 in both the free list and an allocation.
         let mut w = SnapWriter::new();
-        w.put_u32(2);
-        w.put_u8(0);
-        w.put_u8(1);
-        w.put_u64(7);
-        w.put_len(1);
-        w.put_u32(0);
-        w.put_len(1);
-        w.put_u64(7);
-        w.put_len(2);
-        w.put_u32(1);
-        w.put_u32(1);
-        w.put_len(0);
+        2u32.put(&mut w);
+        0u8.put(&mut w);
+        1u8.put(&mut w);
+        7u64.put(&mut w);
+        1usize.put(&mut w);
+        0u32.put(&mut w);
+        1usize.put(&mut w);
+        7u64.put(&mut w);
+        2usize.put(&mut w);
+        1u32.put(&mut w);
+        1u32.put(&mut w);
+        0usize.put(&mut w);
+        0usize.put(&mut w); // no draining marks
         let bytes = w.into_bytes();
-        let err = Cluster::decode_snap(&mut SnapReader::new(&bytes)).unwrap_err();
+        let err = Cluster::restore(&mut SnapReader::new(&bytes), &()).unwrap_err();
         assert!(err.what.contains("twice"), "got: {err}");
         // A node no list claims.
         let mut w = SnapWriter::new();
-        w.put_u32(2);
-        w.put_u8(0);
-        w.put_u8(0);
-        w.put_len(1);
-        w.put_u32(0);
-        w.put_len(0);
-        w.put_len(0);
+        2u32.put(&mut w);
+        0u8.put(&mut w);
+        0u8.put(&mut w);
+        1usize.put(&mut w);
+        0u32.put(&mut w);
+        0usize.put(&mut w);
+        0usize.put(&mut w);
+        0usize.put(&mut w); // no draining marks
         let bytes = w.into_bytes();
-        let err = Cluster::decode_snap(&mut SnapReader::new(&bytes)).unwrap_err();
+        let err = Cluster::restore(&mut SnapReader::new(&bytes), &()).unwrap_err();
         assert!(err.what.contains("claimed by no list"), "got: {err}");
     }
 

@@ -4,12 +4,12 @@
 //! carry the free-list stack and every node list verbatim. This test
 //! drives a Theta-sized machine (4,392 nodes) through 5,000 seeded ops,
 //! every mutating op kind included, and pins the FNV-1a digest of
-//! [`Cluster::encode_snap`] taken at checkpoints along the way. Any
+//! the cluster snapshot taken at checkpoints along the way. Any
 //! change that moves a node id to another position (in the free list, an
 //! allocation or an idle reservation) changes the digest, including on
 //! the squat and drain paths that the outage baseline reaches rarely.
 
-use hws_cluster::{Cluster, NodeId, NodeState};
+use hws_cluster::{Cluster, NodeId, NodeState, SnapshotBackend};
 use hws_sim::snap::SnapWriter;
 use hws_workload::JobId;
 
@@ -234,7 +234,7 @@ fn run() -> (u64, Hits) {
         }
         if step % 250 == 249 {
             let mut w = SnapWriter::new();
-            c.encode_snap(&mut w);
+            c.snapshot(&mut w);
             digest = fnv1a(digest, &w.into_bytes());
         }
     }

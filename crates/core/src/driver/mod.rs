@@ -37,6 +37,8 @@ mod snapshot;
 mod tests;
 #[cfg(test)]
 mod tests_hooks;
+#[cfg(test)]
+mod tests_snap;
 mod waitq;
 
 pub use self::core::SimCore;

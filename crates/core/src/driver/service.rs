@@ -45,7 +45,7 @@ use super::{finish, SimOutcome};
 use crate::config::{Mechanism, SimConfig};
 use crate::jobstate::Status;
 use hws_cluster::{Cluster, Federation, NodeId, SnapshotBackend};
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
+use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter, SortedIds};
 use hws_sim::{Engine, SimTime};
 use hws_workload::{earliest_event, JobId, JobSpec, LogEntry, SubmissionLog, SubmitOp};
 use std::collections::{BTreeMap, BTreeSet};
@@ -407,20 +407,13 @@ impl<B: SnapshotBackend> SchedulerService<B> {
     pub fn snapshot(&self) -> Vec<u8> {
         let engine_image = snapshot_engine(&self.engine);
         let mut w = SnapWriter::with_capacity(engine_image.len() + 1024);
-        w.put_u8(SERVICE_SNAP_VERSION);
-        w.put_bytes(&engine_image);
-        w.put_len(self.buffer.len());
-        for spec in self.buffer.iter() {
-            spec.encode_snap(&mut w);
-        }
-        w.put_len(self.cancelled.len());
-        for id in &self.cancelled {
-            w.put_u64(id.0);
-        }
-        w.put_len(self.seen.len());
-        for id in &self.seen {
-            w.put_u64(id.0);
-        }
+        SERVICE_SNAP_VERSION.put(&mut w);
+        engine_image.put(&mut w);
+        // The buffered specs in buffer order, as a `Vec<JobSpec>`.
+        self.buffer.len().put(&mut w);
+        self.buffer.iter().for_each(|spec| spec.put(&mut w));
+        self.cancelled.put_sorted(&mut w);
+        self.seen.put_sorted(&mut w);
         w.into_bytes()
     }
 
@@ -446,21 +439,20 @@ impl<B: SnapshotBackend> SchedulerService<B> {
         }
         let engine_image = r.get_bytes()?;
         let engine = restore_engine::<B>(engine_image, cfg, &ctx)?;
-        let n_buf = r.get_len()?;
+        let specs: Vec<JobSpec> = Snap::get(&mut r)?;
+        let cancelled = SortedIds::get_sorted(&mut r, "cancelled")?;
+        let seen: BTreeSet<JobId> = SortedIds::get_sorted(&mut r, "seen")?;
+        r.expect_end()?;
         let mut buffer = Arrivals::default();
-        for _ in 0..n_buf {
-            let spec = JobSpec::decode_snap(&mut r)?;
+        for spec in specs {
             let id = spec.id;
+            if !seen.contains(&id) {
+                return Err(r.err(format!("buffered job {id} missing from id history")));
+            }
             if !buffer.push(spec) {
                 return Err(r.err(format!("duplicate buffered job {id}")));
             }
         }
-        let cancelled = get_id_set(&mut r)?;
-        let seen = get_id_set(&mut r)?;
-        if let Some(spec) = buffer.iter().find(|s| !seen.contains(&s.id)) {
-            return Err(r.err(format!("buffered job {} missing from id history", spec.id)));
-        }
-        r.expect_end()?;
         Ok(SchedulerService {
             engine,
             buffer,
@@ -660,21 +652,6 @@ impl<B: SnapshotBackend> SchedulerService<B> {
     pub fn live_nodes(&self) -> u32 {
         self.engine.sim.cluster.live_nodes()
     }
-}
-
-fn get_id_set(r: &mut SnapReader<'_>) -> Result<BTreeSet<JobId>, SnapError> {
-    let n = r.get_len()?;
-    let mut set = BTreeSet::new();
-    let mut prev: Option<u64> = None;
-    for _ in 0..n {
-        let id = r.get_u64()?;
-        if prev.is_some_and(|p| p >= id) {
-            return Err(r.err(format!("id set not strictly ascending at {id}")));
-        }
-        prev = Some(id);
-        set.insert(JobId(id));
-    }
-    Ok(set)
 }
 
 /// Replay a full [`SubmissionLog`] through a fresh [`SchedulerService`]

@@ -8,8 +8,10 @@
 //! flag ring), and the full [`SimCore`]: job arena, backend (via
 //! [`SnapshotBackend`]), scheduler collections, the recorder's fold, and
 //! the timeline.
-//! Every unordered collection is serialized in sorted order so identical
-//! states produce identical bytes regardless of hash-map history.
+//! Every section goes through its type's one [`Snap`] layout; id-keyed
+//! collections go through the sorted-id-map codec ([`SortedIds`]), so
+//! identical states produce identical bytes regardless of hash-map
+//! history.
 //!
 //! Two things are deliberately **not** in the stream:
 //!
@@ -23,17 +25,18 @@
 //! draining the simulation is bitwise-identical (metrics fingerprint) to
 //! never having snapshotted at all.
 
+use super::alloc::Claim;
 use super::core::{Scratch, SimCore};
 use super::events::Ev;
 use super::hooks::hooks_for;
+use super::outage::OutageState;
 use crate::config::SimConfig;
+use crate::jobtable::JobTable;
 use crate::timeline::{Timeline, TimelineEvent};
-use hws_cluster::{LeaseLedger, SnapshotBackend};
-use hws_metrics::Recorder;
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
-use hws_sim::{Engine, EventId, EventQueue, QueueSnapshot, SimTime};
-use hws_workload::{JobId, JobMap};
-use std::collections::BTreeSet;
+use hws_cluster::SnapshotBackend;
+use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter, SortedIds};
+use hws_sim::{Engine, EventQueue, SimTime};
+use hws_workload::JobId;
 
 /// Format version; bump on any layout change. Version 2 added the outage
 /// engine: the `Ev::Outage` tag and the outage-state section between the
@@ -52,145 +55,53 @@ use std::collections::BTreeSet;
 /// retired flag.
 const SNAP_VERSION: u8 = 6;
 
-// ---------------------------------------------------------------------
-// Event codec.
-// ---------------------------------------------------------------------
-
-fn encode_ev(ev: &Ev, w: &mut SnapWriter) {
-    match *ev {
-        Ev::Submit(j) => {
-            w.put_u8(0);
-            w.put_u64(j.0);
-        }
-        Ev::Notice(j) => {
-            w.put_u8(1);
-            w.put_u64(j.0);
-        }
-        Ev::ReservationTimeout(j) => {
-            w.put_u8(2);
-            w.put_u64(j.0);
-        }
-        Ev::Finish { job, epoch } => {
-            w.put_u8(3);
-            w.put_u64(job.0);
-            w.put_u64(epoch);
-        }
-        Ev::Kill { job, epoch } => {
-            w.put_u8(4);
-            w.put_u64(job.0);
-            w.put_u64(epoch);
-        }
-        Ev::DrainEnd { job, epoch } => {
-            w.put_u8(5);
-            w.put_u64(job.0);
-            w.put_u64(epoch);
-        }
-        Ev::PlannedPreempt { victim, od, epoch } => {
-            w.put_u8(6);
-            w.put_u64(victim.0);
-            w.put_u64(od.0);
-            w.put_u64(epoch);
-        }
-        Ev::Fail { job, epoch } => {
-            w.put_u8(7);
-            w.put_u64(job.0);
-            w.put_u64(epoch);
-        }
-        Ev::Pass => w.put_u8(8),
-        Ev::Outage { idx } => {
-            w.put_u8(9);
-            w.put_u32(idx);
-        }
-    }
-}
-
-fn decode_ev(r: &mut SnapReader<'_>) -> Result<Ev, SnapError> {
-    Ok(match r.get_u8()? {
-        0 => Ev::Submit(JobId(r.get_u64()?)),
-        1 => Ev::Notice(JobId(r.get_u64()?)),
-        2 => Ev::ReservationTimeout(JobId(r.get_u64()?)),
-        3 => Ev::Finish {
-            job: JobId(r.get_u64()?),
-            epoch: r.get_u64()?,
-        },
-        4 => Ev::Kill {
-            job: JobId(r.get_u64()?),
-            epoch: r.get_u64()?,
-        },
-        5 => Ev::DrainEnd {
-            job: JobId(r.get_u64()?),
-            epoch: r.get_u64()?,
-        },
-        6 => Ev::PlannedPreempt {
-            victim: JobId(r.get_u64()?),
-            od: JobId(r.get_u64()?),
-            epoch: r.get_u64()?,
-        },
-        7 => Ev::Fail {
-            job: JobId(r.get_u64()?),
-            epoch: r.get_u64()?,
-        },
-        8 => Ev::Pass,
-        9 => Ev::Outage { idx: r.get_u32()? },
-        b => return Err(r.err(format!("bad event tag {b}"))),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Timeline codec.
-// ---------------------------------------------------------------------
-
-fn encode_timeline_ev(ev: &TimelineEvent, w: &mut SnapWriter) {
-    match *ev {
-        TimelineEvent::Submitted => w.put_u8(0),
-        TimelineEvent::NoticeReceived => w.put_u8(1),
-        TimelineEvent::Started { size } => {
-            w.put_u8(2);
-            w.put_u32(size);
-        }
-        TimelineEvent::Preempted => w.put_u8(3),
-        TimelineEvent::DrainStarted => w.put_u8(4),
-        TimelineEvent::Shrunk { from, to } => {
-            w.put_u8(5);
-            w.put_u32(from);
-            w.put_u32(to);
-        }
-        TimelineEvent::Expanded { from, to } => {
-            w.put_u8(6);
-            w.put_u32(from);
-            w.put_u32(to);
-        }
-        TimelineEvent::Finished => w.put_u8(7),
-        TimelineEvent::Failed => w.put_u8(8),
-        TimelineEvent::Killed => w.put_u8(9),
-    }
-}
-
-fn decode_timeline_ev(r: &mut SnapReader<'_>) -> Result<TimelineEvent, SnapError> {
-    Ok(match r.get_u8()? {
-        0 => TimelineEvent::Submitted,
-        1 => TimelineEvent::NoticeReceived,
-        2 => TimelineEvent::Started { size: r.get_u32()? },
-        3 => TimelineEvent::Preempted,
-        4 => TimelineEvent::DrainStarted,
-        5 => TimelineEvent::Shrunk {
-            from: r.get_u32()?,
-            to: r.get_u32()?,
-        },
-        6 => TimelineEvent::Expanded {
-            from: r.get_u32()?,
-            to: r.get_u32()?,
-        },
-        7 => TimelineEvent::Finished,
-        8 => TimelineEvent::Failed,
-        9 => TimelineEvent::Killed,
-        b => return Err(r.err(format!("bad timeline tag {b}"))),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Engine + SimCore snapshot.
-// ---------------------------------------------------------------------
+// Layouts of the engine's value types.
+hws_sim::snap_enum!(Ev {
+    0 => Submit(job),
+    1 => Notice(job),
+    2 => ReservationTimeout(job),
+    3 => Finish { job, epoch },
+    4 => Kill { job, epoch },
+    5 => DrainEnd { job, epoch },
+    6 => PlannedPreempt { victim, od, epoch },
+    7 => Fail { job, epoch },
+    8 => Pass,
+    9 => Outage { idx },
+});
+hws_sim::snap_enum!(TimelineEvent {
+    0 => Submitted,
+    1 => NoticeReceived,
+    2 => Started { size },
+    3 => Preempted,
+    4 => DrainStarted,
+    5 => Shrunk { from, to },
+    6 => Expanded { from, to },
+    7 => Finished,
+    8 => Failed,
+    9 => Killed,
+});
+hws_sim::snap_struct!(Timeline { entries });
+hws_sim::snap_struct!(Claim {
+    od,
+    target,
+    phase,
+    since,
+});
+hws_sim::snap_struct!(OutageState {
+    applied,
+    downs,
+    drains,
+    rejoins,
+    interrupted_jobs,
+    shrunk_jobs,
+    infeasible_killed,
+    lost_node_seconds,
+    degraded_wall_seconds,
+    last_accrual,
+    evicted_at: "evicted job",
+    recoveries,
+    recovery_latency_total,
+});
 
 /// Serialize a paused engine (event queue + full simulation state) into a
 /// standalone byte image.
@@ -209,133 +120,32 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
             && core.scratch.candidates.is_empty(),
         "snapshot taken mid-dispatch (scratch buffers in use)"
     );
-    let mut w = SnapWriter::with_capacity(4096);
-    w.put_u8(SNAP_VERSION);
-    w.put_u64(engine.now().as_secs());
-    w.put_u64(engine.delivered());
-
-    let qs = engine.queue.to_snapshot();
-    w.put_len(qs.entries.len());
-    for (t, seq, ev) in &qs.entries {
-        w.put_u64(t.as_secs());
-        w.put_u64(*seq);
-        encode_ev(ev, &mut w);
-    }
-    w.put_bytes(&qs.flags);
-    w.put_u64(qs.flag_base);
-    w.put_u64(qs.next_seq);
-    w.put_u64(qs.next_arrival_seq);
-    w.put_u64(qs.watermark.as_secs());
-    w.put_u64(qs.n_cancelled_popped);
-
-    core.table.encode_snap(&mut w);
-    core.cluster.snapshot(&mut w);
-
-    // Waiting ids in index (priority) order, then the key epoch. The keys
-    // themselves are derivable — restore recomputes them — so only the
-    // membership and the epoch go into the stream.
-    w.put_len(core.queue.len());
-    for &(_, j) in core.queue.iter() {
-        w.put_u64(j.0);
-    }
-    w.put_u64(core.queue.epoch().as_secs());
-    put_id_set(&mut w, &core.od_front);
-    w.put_len(core.claims.len());
-    for c in &core.claims {
-        w.put_u64(c.od.0);
-        w.put_u32(c.target);
-        w.put_u8(c.phase);
-        w.put_u64(c.since.as_secs());
-    }
-    core.leases.encode_snap(&mut w);
-    put_id_set(&mut w, &core.squattable);
-    put_id_set(&mut w, &core.noticed);
-
-    let mut timeouts: Vec<(JobId, EventId)> =
-        core.timeout_ev.iter().map(|(&j, &e)| (j, e)).collect();
-    timeouts.sort_by_key(|&(j, _)| j);
-    w.put_len(timeouts.len());
-    for (j, e) in timeouts {
-        w.put_u64(j.0);
-        w.put_u64(e.raw());
-    }
-    let mut plans: Vec<(&JobId, &Vec<EventId>)> = core.cup_plans.iter().collect();
-    plans.sort_by_key(|&(j, _)| *j);
-    w.put_len(plans.len());
-    for (j, evs) in plans {
-        w.put_u64(j.0);
-        w.put_len(evs.len());
-        for e in evs {
-            w.put_u64(e.raw());
-        }
-    }
-
-    w.put_bool(core.pass_pending);
-    w.put_u32(core.cap_running);
-    w.put_len(core.shard_occ.len());
-    for &occ in &core.shard_occ {
-        w.put_u128(occ);
-    }
-    w.put_len(core.shard_starts.len());
-    for &s in &core.shard_starts {
-        w.put_u64(s);
-    }
-
-    match &core.outage {
-        None => w.put_bool(false),
-        Some(o) => {
-            w.put_bool(true);
-            w.put_u32(o.applied);
-            w.put_u64(o.downs);
-            w.put_u64(o.drains);
-            w.put_u64(o.rejoins);
-            w.put_u64(o.interrupted_jobs);
-            w.put_u64(o.shrunk_jobs);
-            w.put_u64(o.infeasible_killed);
-            w.put_u128(o.lost_node_seconds);
-            w.put_u64(o.degraded_wall_seconds);
-            w.put_u64(o.last_accrual.as_secs());
-            // BTreeMap: already id-sorted.
-            w.put_len(o.evicted_at.len());
-            for (j, t) in &o.evicted_at {
-                w.put_u64(j.0);
-                w.put_u64(t.as_secs());
-            }
-            w.put_u64(o.recoveries);
-            w.put_u64(o.recovery_latency_total);
-        }
-    }
-
-    core.rec.encode_snap(&mut w);
-    w.put_len(core.timeline.entries.len());
-    for (t, j, ev) in &core.timeline.entries {
-        w.put_u64(t.as_secs());
-        w.put_u64(j.0);
-        encode_timeline_ev(ev, &mut w);
-    }
-    w.into_bytes()
-}
-
-fn put_id_set(w: &mut SnapWriter, set: &BTreeSet<JobId>) {
-    w.put_len(set.len());
-    for j in set {
-        w.put_u64(j.0);
-    }
-}
-
-fn get_id_set(r: &mut SnapReader<'_>) -> Result<BTreeSet<JobId>, SnapError> {
-    let n = r.get_len()?;
-    let mut set = BTreeSet::new();
-    let mut prev: Option<u64> = None;
-    for _ in 0..n {
-        let id = r.get_u64()?;
-        if prev.is_some_and(|p| p >= id) {
-            return Err(r.err(format!("id set not strictly ascending at {id}")));
-        }
-        prev = Some(id);
-        set.insert(JobId(id));
-    }
-    Ok(set)
+    let w = &mut SnapWriter::with_capacity(4096);
+    SNAP_VERSION.put(w);
+    (engine.now(), engine.delivered()).put(w);
+    engine.queue.put(w);
+    core.table.put(w);
+    core.cluster.snapshot(w);
+    // Waiting ids in index (priority) order, as a `Vec<JobId>`, then the
+    // key epoch. The keys themselves are derivable — restore recomputes
+    // them — so only the membership and the epoch go into the stream.
+    core.queue.len().put(w);
+    core.queue.iter().for_each(|(_, j)| j.put(w));
+    core.queue.epoch().put(w);
+    core.od_front.put_sorted(w);
+    core.claims.put(w);
+    core.leases.put(w);
+    core.squattable.put_sorted(w);
+    core.noticed.put_sorted(w);
+    core.timeout_ev.put_sorted(w);
+    core.cup_plans.put_sorted(w);
+    (core.pass_pending, core.cap_running).put(w);
+    core.shard_occ.put(w);
+    core.shard_starts.put(w);
+    core.outage.put(w);
+    core.rec.put(w);
+    core.timeline.put(w);
+    std::mem::take(w).into_bytes()
 }
 
 /// Rebuild a paused engine from bytes written by [`snapshot_engine`].
@@ -343,206 +153,83 @@ fn get_id_set(r: &mut SnapReader<'_>) -> Result<BTreeSet<JobId>, SnapError> {
 /// `cfg` must describe the same scheduling setup the encoder ran (same
 /// policy knobs; the *mechanism* may differ — that is the what-if hook),
 /// and `ctx` is the backend's reconstruction context
-/// ([`SnapshotBackend::Ctx`]). Malformed or truncated bytes error
-/// cleanly; this function never panics on bad input.
+/// ([`SnapshotBackend::Ctx`]). Every section is read through its codec;
+/// then the whole state is checked: shard accumulators against the
+/// backend, outage state against the config, live records against the
+/// job table, and the waiting queue against the job statuses. Malformed
+/// or truncated bytes error cleanly; this function never panics on bad
+/// input.
 pub(super) fn restore_engine<B: SnapshotBackend>(
     bytes: &[u8],
     cfg: &SimConfig,
     ctx: &B::Ctx,
 ) -> Result<Engine<SimCore<B>>, SnapError> {
-    let mut r = SnapReader::new(bytes);
+    let r = &mut SnapReader::new(bytes);
     let version = r.get_u8()?;
     if version != SNAP_VERSION {
         return Err(r.err(format!(
             "snapshot version {version} (this build reads {SNAP_VERSION})"
         )));
     }
-    let now = SimTime::from_secs(r.get_u64()?);
-    let delivered = r.get_u64()?;
-
-    let n_entries = r.get_len()?;
-    let mut entries = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
-        let t = SimTime::from_secs(r.get_u64()?);
-        let seq = r.get_u64()?;
-        let ev = decode_ev(&mut r)?;
-        entries.push((t, seq, ev));
-    }
-    let flags = r.get_bytes()?.to_vec();
-    let qs = QueueSnapshot {
-        entries,
-        flags,
-        flag_base: r.get_u64()?,
-        next_seq: r.get_u64()?,
-        next_arrival_seq: r.get_u64()?,
-        watermark: SimTime::from_secs(r.get_u64()?),
-        n_cancelled_popped: r.get_u64()?,
-    };
-    let queue_pos = r.pos();
-    let equeue = EventQueue::from_snapshot(qs).map_err(|e| SnapError::new(queue_pos, e))?;
-
-    let table = crate::jobtable::JobTable::decode_snap(&mut r)?;
-    let cluster = B::restore(&mut r, ctx)?;
-
-    let wait_pos = r.pos();
-    let n_queue = r.get_len()?;
-    let mut wait_ids = Vec::with_capacity(n_queue);
-    for _ in 0..n_queue {
-        wait_ids.push(JobId(r.get_u64()?));
-    }
-    let wait_epoch = SimTime::from_secs(r.get_u64()?);
-    let od_front = get_id_set(&mut r)?;
-    let n_claims = r.get_len()?;
-    let mut claims = Vec::with_capacity(n_claims);
-    for _ in 0..n_claims {
-        claims.push(super::alloc::Claim {
-            od: JobId(r.get_u64()?),
-            target: r.get_u32()?,
-            phase: r.get_u8()?,
-            since: SimTime::from_secs(r.get_u64()?),
-        });
-    }
-    let leases = LeaseLedger::decode_snap(&mut r)?;
-    let squattable = get_id_set(&mut r)?;
-    let noticed = get_id_set(&mut r)?;
-
-    let n_timeouts = r.get_len()?;
-    let mut timeout_ev = JobMap::with_capacity_and_hasher(n_timeouts, Default::default());
-    for _ in 0..n_timeouts {
-        let j = JobId(r.get_u64()?);
-        let e = EventId::from_raw(r.get_u64()?);
-        if timeout_ev.insert(j, e).is_some() {
-            return Err(r.err(format!("duplicate timeout entry for {j}")));
-        }
-    }
-    let n_plans = r.get_len()?;
-    let mut cup_plans = JobMap::with_capacity_and_hasher(n_plans, Default::default());
-    for _ in 0..n_plans {
-        let j = JobId(r.get_u64()?);
-        let n_evs = r.get_len()?;
-        let mut evs = Vec::with_capacity(n_evs);
-        for _ in 0..n_evs {
-            evs.push(EventId::from_raw(r.get_u64()?));
-        }
-        if cup_plans.insert(j, evs).is_some() {
-            return Err(r.err(format!("duplicate CUP plan for {j}")));
-        }
-    }
-
-    let pass_pending = r.get_bool()?;
-    let cap_running = r.get_u32()?;
-    let n_occ = r.get_len()?;
-    let mut shard_occ = Vec::with_capacity(n_occ);
-    for _ in 0..n_occ {
-        shard_occ.push(r.get_u128()?);
-    }
-    let n_starts = r.get_len()?;
-    let mut shard_starts = Vec::with_capacity(n_starts);
-    for _ in 0..n_starts {
-        shard_starts.push(r.get_u64()?);
-    }
+    let (now, delivered) = Snap::get(r)?;
+    let equeue = EventQueue::get(r)?;
+    let table = JobTable::get(r)?;
+    let cluster = B::restore(r, ctx)?;
+    let wait_ids: Vec<JobId> = Snap::get(r)?;
+    let wait_epoch = SimTime::get(r)?;
     let track_shards = cluster.shard_labels().is_some();
-    let want = if track_shards {
+    let want_shards = if track_shards {
         cluster.shard_count()
     } else {
         0
     };
-    if shard_occ.len() != want || shard_starts.len() != want {
-        return Err(r.err(format!(
-            "shard accumulators sized {}/{} for a backend with {want} tracked shards",
-            shard_occ.len(),
-            shard_starts.len()
-        )));
-    }
-
-    let outage = if r.get_bool()? {
-        if cfg.outages.is_none() {
-            return Err(r.err(
-                "snapshot carries outage state but the restore config has no schedule".to_string(),
-            ));
-        }
-        let applied = r.get_u32()?;
-        let downs = r.get_u64()?;
-        let drains = r.get_u64()?;
-        let rejoins = r.get_u64()?;
-        let interrupted_jobs = r.get_u64()?;
-        let shrunk_jobs = r.get_u64()?;
-        let infeasible_killed = r.get_u64()?;
-        let lost_node_seconds = r.get_u128()?;
-        let degraded_wall_seconds = r.get_u64()?;
-        let last_accrual = SimTime::from_secs(r.get_u64()?);
-        let n_evicted = r.get_len()?;
-        let mut evicted_at = std::collections::BTreeMap::new();
-        for _ in 0..n_evicted {
-            let j = JobId(r.get_u64()?);
-            let t = SimTime::from_secs(r.get_u64()?);
-            if evicted_at.insert(j, t).is_some() {
-                return Err(r.err(format!("duplicate evicted entry for {j}")));
-            }
-        }
-        Some(super::outage::OutageState {
-            applied,
-            downs,
-            drains,
-            rejoins,
-            interrupted_jobs,
-            shrunk_jobs,
-            infeasible_killed,
-            lost_node_seconds,
-            degraded_wall_seconds,
-            last_accrual,
-            evicted_at,
-            recoveries: r.get_u64()?,
-            recovery_latency_total: r.get_u64()?,
-        })
-    } else {
-        if cfg.outages.is_some() {
-            return Err(r.err(
-                "restore config carries an outage schedule but the snapshot has no outage state"
-                    .to_string(),
-            ));
-        }
-        None
-    };
-
-    let rec_pos = r.pos();
-    let rec = Recorder::decode_snap(&mut r, cfg.instant_threshold)?;
-    let n_tl = r.get_len()?;
-    let mut timeline = Timeline::new();
-    for _ in 0..n_tl {
-        let t = SimTime::from_secs(r.get_u64()?);
-        let j = JobId(r.get_u64()?);
-        let ev = decode_timeline_ev(&mut r)?;
-        timeline.record(t, j, ev);
-    }
-    r.expect_end()?;
-
     let mut core = SimCore {
         hooks: hooks_for(cfg),
         cfg: cfg.clone(),
         table,
         cluster,
         queue: super::waitq::WaitQueue::new(),
-        od_front,
-        claims,
-        leases,
-        squattable,
-        noticed,
-        timeout_ev,
-        cup_plans,
-        pass_pending,
-        cap_running,
+        od_front: SortedIds::get_sorted(r, "on-demand front")?,
+        claims: Snap::get(r)?,
+        leases: Snap::get(r)?,
+        squattable: SortedIds::get_sorted(r, "squattable")?,
+        noticed: SortedIds::get_sorted(r, "noticed")?,
+        timeout_ev: SortedIds::get_sorted(r, "reservation timeout")?,
+        cup_plans: SortedIds::get_sorted(r, "CUP plan")?,
+        pass_pending: Snap::get(r)?,
+        cap_running: Snap::get(r)?,
         scratch: Scratch::default(),
         tau_memo: std::cell::RefCell::new(Vec::new()),
-        shard_occ,
-        shard_starts,
+        shard_occ: Snap::get(r)?,
+        shard_starts: Snap::get(r)?,
         track_shards,
-        outage,
-        rec,
-        timeline,
+        outage: Snap::get(r)?,
+        rec: Snap::get(r)?,
+        timeline: Snap::get(r)?,
     };
-    core.check_records_match_jobs()
-        .map_err(|e| SnapError::new(rec_pos, e))?;
+    r.expect_end()?;
+    core.rec.set_instant_threshold(cfg.instant_threshold);
+    if core.shard_occ.len() != want_shards || core.shard_starts.len() != want_shards {
+        return Err(r.err(format!(
+            "shard accumulators sized {}/{} for a backend with {want_shards} tracked shards",
+            core.shard_occ.len(),
+            core.shard_starts.len()
+        )));
+    }
+    match (&core.outage, &cfg.outages) {
+        (Some(_), None) => {
+            return Err(
+                r.err("snapshot carries outage state but the restore config has no schedule")
+            )
+        }
+        (None, Some(_)) => {
+            return Err(r.err(
+                "restore config carries an outage schedule but the snapshot has no outage state",
+            ))
+        }
+        _ => {}
+    }
+    core.check_records_match_jobs().map_err(|e| r.err(e))?;
     // Rebuild the waiting-queue index: recompute each key from the
     // restored spec, od_front membership, and the recorded epoch. Every
     // collection the keys derive from is restored above, so the rebuilt
@@ -556,17 +243,13 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
             .get_state(j)
             .is_none_or(|st| st.status != crate::jobstate::Status::Waiting)
         {
-            return Err(SnapError::new(
-                wait_pos,
-                format!("waiting queue lists {j}, which is not a live waiting job"),
-            ));
+            return Err(r.err(format!(
+                "waiting queue lists {j}, which is not a live waiting job"
+            )));
         }
         let key = core.wait_key(j);
         if !core.queue.insert(key, j) {
-            return Err(SnapError::new(
-                wait_pos,
-                format!("waiting queue lists {j} twice"),
-            ));
+            return Err(r.err(format!("waiting queue lists {j} twice")));
         }
     }
     Ok(Engine::from_parts(core, equeue, now, delivered))

@@ -15,7 +15,6 @@
 //! All arithmetic is integer (seconds / node-seconds), so runs are exact
 //! and replay-deterministic.
 
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{SimDuration, SimTime};
 use hws_workload::{JobId, JobSpec};
 
@@ -106,120 +105,53 @@ impl JobState {
         self.epoch
     }
 
-    /// Append the dynamic state to a snapshot buffer (every field,
-    /// including the run record and drain bookkeeping).
-    pub fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id.0);
-        w.put_len(self.spec_idx);
-        w.put_u8(status_tag(self.status));
-        w.put_u64(self.remaining_work.as_secs());
-        w.put_u64(self.remaining_ns);
-        w.put_u32(self.cur_size);
-        w.put_u32(self.owed_expansion);
-        w.put_u32(self.preempt_count);
-        match &self.run {
-            Some(run) => {
-                w.put_u8(1);
-                w.put_u64(run.start.as_secs());
-                w.put_u32(run.size);
-                w.put_u64(run.setup_end.as_secs());
-                w.put_u64(run.occ_anchor.as_secs());
-                w.put_u64(run.work_anchor.as_secs());
-                w.put_opt_u64(run.tau.map(|d| d.as_secs()));
-                w.put_u64(run.delta.as_secs());
-                w.put_u64(run.work_at_start.as_secs());
-            }
-            None => w.put_u8(0),
+    /// A running or draining job has a run record; no other job has one.
+    fn check_run(&self) -> Result<(), String> {
+        let active = matches!(self.status, Status::Running | Status::Draining);
+        if active != self.run.is_some() {
+            return Err(format!(
+                "status {:?} inconsistent with run presence",
+                self.status
+            ));
         }
-        w.put_u64(self.epoch);
-        w.put_opt_u64(self.drain_until.map(|t| t.as_secs()));
-        match &self.drain_claim {
-            Some((od, n)) => {
-                w.put_u8(1);
-                w.put_u64(od.0);
-                w.put_u32(*n);
-            }
-            None => w.put_u8(0),
-        }
-    }
-
-    /// Decode a state written by [`JobState::encode_snap`].
-    ///
-    /// # Errors
-    ///
-    /// Truncated input or invalid tags — never panics.
-    pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<JobState, SnapError> {
-        let id = JobId(r.get_u64()?);
-        let spec_idx = r.get_len()?;
-        let status = status_from_tag(r.get_u8()?).map_err(|b| r.err(b))?;
-        let remaining_work = SimDuration::from_secs(r.get_u64()?);
-        let remaining_ns = r.get_u64()?;
-        let cur_size = r.get_u32()?;
-        let owed_expansion = r.get_u32()?;
-        let preempt_count = r.get_u32()?;
-        let run = match r.get_u8()? {
-            0 => None,
-            1 => Some(Run {
-                start: SimTime::from_secs(r.get_u64()?),
-                size: r.get_u32()?,
-                setup_end: SimTime::from_secs(r.get_u64()?),
-                occ_anchor: SimTime::from_secs(r.get_u64()?),
-                work_anchor: SimTime::from_secs(r.get_u64()?),
-                tau: r.get_opt_u64()?.map(SimDuration::from_secs),
-                delta: SimDuration::from_secs(r.get_u64()?),
-                work_at_start: SimDuration::from_secs(r.get_u64()?),
-            }),
-            b => return Err(r.err(format!("bad run tag {b}"))),
-        };
-        if (status == Status::Running || status == Status::Draining) != run.is_some() {
-            return Err(r.err(format!("status {status:?} inconsistent with run presence")));
-        }
-        let epoch = r.get_u64()?;
-        let drain_until = r.get_opt_u64()?.map(SimTime::from_secs);
-        let drain_claim = match r.get_u8()? {
-            0 => None,
-            1 => Some((JobId(r.get_u64()?), r.get_u32()?)),
-            b => return Err(r.err(format!("bad drain-claim tag {b}"))),
-        };
-        Ok(JobState {
-            id,
-            spec_idx,
-            status,
-            remaining_work,
-            remaining_ns,
-            cur_size,
-            owed_expansion,
-            preempt_count,
-            run,
-            epoch,
-            drain_until,
-            drain_claim,
-        })
+        Ok(())
     }
 }
 
-fn status_tag(s: Status) -> u8 {
-    match s {
-        Status::Announced => 0,
-        Status::Waiting => 1,
-        Status::Running => 2,
-        Status::Draining => 3,
-        Status::Finished => 4,
-        Status::Killed => 5,
-    }
-}
-
-fn status_from_tag(b: u8) -> Result<Status, String> {
-    Ok(match b {
-        0 => Status::Announced,
-        1 => Status::Waiting,
-        2 => Status::Running,
-        3 => Status::Draining,
-        4 => Status::Finished,
-        5 => Status::Killed,
-        b => return Err(format!("bad status tag {b}")),
-    })
-}
+// Snapshot layouts: every field, the run record and the drain bookkeeping
+// included.
+hws_sim::snap_enum!(Status {
+    0 => Announced,
+    1 => Waiting,
+    2 => Running,
+    3 => Draining,
+    4 => Finished,
+    5 => Killed,
+});
+hws_sim::snap_struct!(Run {
+    start,
+    size,
+    setup_end,
+    occ_anchor,
+    work_anchor,
+    tau,
+    delta,
+    work_at_start,
+});
+hws_sim::snap_struct!(JobState {
+    id,
+    spec_idx,
+    status,
+    remaining_work,
+    remaining_ns,
+    cur_size,
+    owed_expansion,
+    preempt_count,
+    run,
+    epoch,
+    drain_until,
+    drain_claim,
+} check JobState::check_run);
 
 // ----------------------------------------------------------------------
 // Rigid-run timeline arithmetic (pure functions).

@@ -13,7 +13,7 @@
 //! linear probe.
 
 use crate::jobstate::JobState;
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
+use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use hws_workload::{JobId, JobSpec};
 
 /// Vacant-bucket sentinel. Job ids are validated against it on admit; no
@@ -304,123 +304,125 @@ impl JobTable {
         self.specs.len()
     }
 
-    /// Append the arena to a snapshot buffer. The slot layout and the free
-    /// list's stack order are data, not incidentals: future admissions pop
-    /// slots in free-list order, so an exact restore keeps every later
-    /// `spec_idx` assignment identical to the uninterrupted run.
-    pub fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_len(self.specs.len());
-        for i in 0..self.specs.len() {
-            w.put_bool(self.occupied[i]);
-            if self.occupied[i] {
-                self.specs[i].encode_snap(w);
-                self.states[i].encode_snap(w);
-            }
-        }
-        w.put_len(self.free.len());
-        for &s in &self.free {
-            w.put_u32(s);
-        }
-        w.put_len(self.peak_live);
-        w.put_u64(self.admitted);
-    }
-
-    /// Decode an arena written by [`JobTable::encode_snap`], rebuilding the
-    /// id→slot index from the occupied slots.
-    ///
-    /// # Errors
-    ///
-    /// Truncated input, free-list entries that are out of range / occupied /
-    /// duplicated, a free list that does not cover every vacant slot,
-    /// duplicate or sentinel job ids, states whose id or slot index
-    /// disagree with their spec, or counters below the live population.
-    /// Never panics.
-    pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n_slots = r.get_len()?;
-        if n_slots > r.remaining() {
-            return Err(r.err(format!("implausible slot count {n_slots}")));
-        }
-        let mut specs = Vec::with_capacity(n_slots);
-        let mut states = Vec::with_capacity(n_slots);
-        let mut occupied = Vec::with_capacity(n_slots);
-        let mut index = JobIndex::with_log2(6);
-        let mut n_live = 0usize;
-        for slot in 0..n_slots {
-            let occ = r.get_bool()?;
-            occupied.push(occ);
-            if occ {
-                let spec = JobSpec::decode_snap(r)?;
-                let state = JobState::decode_snap(r)?;
-                if state.id != spec.id {
-                    return Err(r.err(format!(
-                        "slot {slot}: state id {} disagrees with spec id {}",
-                        state.id, spec.id
-                    )));
-                }
-                if state.spec_idx != slot {
-                    return Err(r.err(format!(
-                        "slot {slot}: state carries spec_idx {}",
-                        state.spec_idx
-                    )));
-                }
-                if spec.id.0 == EMPTY {
-                    return Err(r.err("job id collides with the vacancy sentinel"));
-                }
-                if index.get(spec.id.0).is_some() {
-                    return Err(r.err(format!("duplicate live job {}", spec.id)));
-                }
-                index.insert(spec.id.0, slot as u32);
-                n_live += 1;
-                specs.push(spec);
-                states.push(state);
-            } else {
-                // Placeholder values for a vacant slot (never read until the
-                // slot is reused, exactly like a post-retire slot).
-                let spec = placeholder_spec();
-                states.push(JobState::new(spec.id, slot, &spec));
-                specs.push(spec);
-            }
-        }
-        let n_free = r.get_len()?;
-        if n_free != n_slots - n_live {
-            return Err(r.err(format!(
-                "free list holds {n_free} slots but {} are vacant",
-                n_slots - n_live
-            )));
-        }
-        let mut free = Vec::with_capacity(n_free);
-        let mut on_free_list = vec![false; n_slots];
-        for _ in 0..n_free {
-            let s = r.get_u32()?;
-            let Some(seen) = on_free_list.get_mut(s as usize) else {
-                return Err(r.err(format!("free slot {s} out of range")));
-            };
-            if occupied[s as usize] {
-                return Err(r.err(format!("free list names occupied slot {s}")));
-            }
-            if std::mem::replace(seen, true) {
-                return Err(r.err(format!("slot {s} on the free list twice")));
-            }
-            free.push(s);
-        }
-        let peak_live = r.get_len()?;
-        if peak_live < n_live {
-            return Err(r.err(format!("peak_live {peak_live} below live count {n_live}")));
-        }
-        let admitted = r.get_u64()?;
-        if admitted < n_live as u64 {
-            return Err(r.err(format!("admitted {admitted} below live count {n_live}")));
-        }
-        Ok(JobTable {
-            specs,
-            states,
-            occupied,
-            free,
-            index,
-            n_live,
+    /// Rebuild the arena from its decoded slots, refusing states whose id
+    /// or slot index disagree with their spec, duplicate or sentinel job
+    /// ids, a free list that is not exactly the vacant slots, and counters
+    /// below the live population. The id→slot index is rebuilt from the
+    /// occupied slots.
+    fn from_slots(
+        slots: Vec<Option<(JobSpec, JobState)>>,
+        free: Vec<u32>,
+        peak_live: usize,
+        admitted: u64,
+    ) -> Result<Self, String> {
+        let n_slots = slots.len();
+        let mut t = JobTable {
+            specs: Vec::with_capacity(n_slots),
+            states: Vec::with_capacity(n_slots),
+            occupied: Vec::with_capacity(n_slots),
+            free: Vec::new(),
+            index: JobIndex::with_log2(6),
+            n_live: 0,
             peak_live,
             admitted,
-        })
+        };
+        for (slot, entry) in slots.into_iter().enumerate() {
+            t.occupied.push(entry.is_some());
+            let (spec, state) = match entry {
+                Some((spec, state)) => {
+                    if state.id != spec.id {
+                        return Err(format!(
+                            "slot {slot}: state id {} disagrees with spec id {}",
+                            state.id, spec.id
+                        ));
+                    }
+                    if state.spec_idx != slot {
+                        return Err(format!(
+                            "slot {slot}: state carries spec_idx {}",
+                            state.spec_idx
+                        ));
+                    }
+                    if spec.id.0 == EMPTY {
+                        return Err("job id collides with the vacancy sentinel".into());
+                    }
+                    if t.index.get(spec.id.0).is_some() {
+                        return Err(format!("duplicate live job {}", spec.id));
+                    }
+                    t.index.insert(spec.id.0, slot as u32);
+                    t.n_live += 1;
+                    (spec, state)
+                }
+                // Placeholder values for a vacant slot (never read until the
+                // slot is reused, exactly like a post-retire slot).
+                None => {
+                    let spec = placeholder_spec();
+                    let state = JobState::new(spec.id, slot, &spec);
+                    (spec, state)
+                }
+            };
+            t.specs.push(spec);
+            t.states.push(state);
+        }
+        if free.len() != n_slots - t.n_live {
+            return Err(format!(
+                "free list holds {} slots but {} are vacant",
+                free.len(),
+                n_slots - t.n_live
+            ));
+        }
+        let mut on_free_list = vec![false; n_slots];
+        for &s in &free {
+            let Some(seen) = on_free_list.get_mut(s as usize) else {
+                return Err(format!("free slot {s} out of range"));
+            };
+            if t.occupied[s as usize] {
+                return Err(format!("free list names occupied slot {s}"));
+            }
+            if std::mem::replace(seen, true) {
+                return Err(format!("slot {s} on the free list twice"));
+            }
+        }
+        t.free = free;
+        if peak_live < t.n_live {
+            return Err(format!(
+                "peak_live {peak_live} below live count {}",
+                t.n_live
+            ));
+        }
+        if admitted < t.n_live as u64 {
+            return Err(format!("admitted {admitted} below live count {}", t.n_live));
+        }
+        Ok(t)
+    }
+}
+
+/// The arena: every slot as an `Option<(JobSpec, JobState)>` (`None` when
+/// vacant), the free list, then `peak_live` and `admitted`. The slot
+/// layout and the free list's stack order are data, not incidentals:
+/// future admissions pop slots in free-list order, so an exact restore
+/// keeps every later `spec_idx` assignment identical to the uninterrupted
+/// run.
+impl Snap for JobTable {
+    fn put(&self, w: &mut SnapWriter) {
+        self.specs.len().put(w);
+        for (i, &occupied) in self.occupied.iter().enumerate() {
+            // The `Option` layout, written from the columns.
+            occupied.put(w);
+            if occupied {
+                self.specs[i].put(w);
+                self.states[i].put(w);
+            }
+        }
+        self.free.put(w);
+        self.peak_live.put(w);
+        self.admitted.put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let slots = Snap::get(r)?;
+        let free = Snap::get(r)?;
+        let (peak_live, admitted) = Snap::get(r)?;
+        JobTable::from_slots(slots, free, peak_live, admitted).map_err(|e| r.err(e))
     }
 }
 
@@ -543,10 +545,10 @@ mod tests {
         }
         t.state_mut(JobId(3)).epoch = 17;
         let mut w = SnapWriter::new();
-        t.encode_snap(&mut w);
+        t.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let mut back = JobTable::decode_snap(&mut r).expect("decode");
+        let mut back = JobTable::get(&mut r).expect("decode");
         r.expect_end().expect("fully consumed");
         assert_eq!(back.live(), t.live());
         assert_eq!(back.peak_live(), t.peak_live());
@@ -573,12 +575,12 @@ mod tests {
         }
         t.retire(JobId(1));
         let mut w = SnapWriter::new();
-        t.encode_snap(&mut w);
+        t.put(&mut w);
         let bytes = w.into_bytes();
         // Truncations at every prefix length must error, never panic.
         for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
-            assert!(JobTable::decode_snap(&mut r).is_err(), "cut at {cut}");
+            assert!(JobTable::get(&mut r).is_err(), "cut at {cut}");
         }
         // Zeroing the admitted counter's low byte drops it below the live
         // count (6 admitted, 5 live → 0 < 5).
@@ -586,7 +588,7 @@ mod tests {
         let tail = bad.len();
         bad[tail - 8] = 0;
         let mut r = SnapReader::new(&bad);
-        assert!(JobTable::decode_snap(&mut r).is_err());
+        assert!(JobTable::get(&mut r).is_err());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! capability-aware reporting paths (`--bin replay_matrix`, tests).
 
 use crate::record::{JobRecord, Recorder};
-use crate::summary::{add, check_sum, mean};
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
+use crate::summary::{add, check_counts, check_sum, mean};
 use hws_workload::JobClass;
 
 /// Aggregate statistics of one job class over a run.
@@ -51,20 +50,30 @@ struct ClassSums {
     wait_secs: u128,
 }
 
+hws_sim::snap_struct!(ClassSums {
+    jobs,
+    completed,
+    killed,
+    preempted_jobs,
+    preemption_events,
+    tat_secs,
+    wait_secs,
+});
+
 /// Incremental per-class fold behind [`ClassBreakdown`]; order-free like
 /// [`crate::MetricsAcc`].
 #[derive(Debug, Clone, Default)]
 pub struct ClassAcc {
+    /// Per [`JobClass`], in declaration order.
     acc: [ClassSums; 2],
 }
+
+hws_sim::snap_struct!(ClassAcc { acc });
 
 impl ClassAcc {
     /// Fold one (final) job record.
     pub fn push(&mut self, r: &JobRecord) {
-        let slot = match r.class {
-            JobClass::Capacity => &mut self.acc[0],
-            JobClass::Capability => &mut self.acc[1],
-        };
+        let slot = &mut self.acc[r.class as usize];
         slot.jobs += 1;
         if r.preemptions > 0 {
             slot.preempted_jobs += 1;
@@ -83,41 +92,26 @@ impl ClassAcc {
         }
     }
 
-    /// Write every count and sum.
-    pub(crate) fn encode_snap(&self, w: &mut SnapWriter) {
-        for s in &self.acc {
-            w.put_len(s.jobs);
-            w.put_len(s.completed);
-            w.put_len(s.killed);
-            w.put_len(s.preempted_jobs);
-            w.put_u64(s.preemption_events);
-            w.put_u128(s.tat_secs);
-            w.put_u128(s.wait_secs);
+    /// Refuse a fold no session over `span_secs` reaches (see
+    /// [`crate::MetricsAcc`]): every record folds into one class, so the
+    /// classes hold exactly the `folded` jobs of the `MetricsAcc` beside
+    /// them; each class's tallies are at most its jobs; and a completed
+    /// job's turnaround and wait are at most the span.
+    pub(crate) fn check(&self, span_secs: u64, folded: u128) -> Result<(), String> {
+        let jobs: u128 = self.acc.iter().map(|s| s.jobs as u128).sum();
+        if jobs != folded {
+            return Err(format!(
+                "class jobs {jobs} differ from the {folded} folded jobs"
+            ));
         }
-    }
-
-    pub(crate) fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut a = ClassAcc::default();
-        for slot in &mut a.acc {
-            *slot = ClassSums {
-                jobs: r.get_len()?,
-                completed: r.get_len()?,
-                killed: r.get_len()?,
-                preempted_jobs: r.get_len()?,
-                preemption_events: r.get_u64()?,
-                tat_secs: r.get_u128()?,
-                wait_secs: r.get_u128()?,
-            };
-        }
-        Ok(a)
-    }
-
-    /// Refuse sums a session within `span_secs` cannot reach (see
-    /// [`crate::MetricsAcc`]): a completed job's turnaround and wait are
-    /// at most the span.
-    pub(crate) fn check_sums(&self, span_secs: u64) -> Result<(), String> {
         let span = u128::from(span_secs);
         for s in &self.acc {
+            let n = s.jobs as u128;
+            check_counts(
+                [s.completed, s.killed, s.preempted_jobs].map(|c| c as u128),
+                n,
+            )?;
+            check_counts([s.preemption_events.into()], n * u128::from(u32::MAX))?;
             check_sum("class turnaround", s.tat_secs, s.completed, span)?;
             check_sum("class wait", s.wait_secs, s.completed, span)?;
         }
@@ -135,8 +129,8 @@ impl ClassAcc {
             preemption_events: s.preemption_events,
         };
         ClassBreakdown {
-            capacity: finish(self.acc[0]),
-            capability: finish(self.acc[1]),
+            capacity: finish(self.acc[JobClass::Capacity as usize]),
+            capability: finish(self.acc[JobClass::Capability as usize]),
         }
     }
 }

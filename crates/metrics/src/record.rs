@@ -3,7 +3,6 @@
 
 use crate::classes::ClassAcc;
 use crate::summary::MetricsAcc;
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{SimDuration, SimTime};
 use hws_workload::{JobClass, JobId, JobKind, JobMap, NoticeCategory};
 use std::collections::BTreeSet;
@@ -58,81 +57,23 @@ impl JobRecord {
     pub fn completed(&self) -> bool {
         self.finish.is_some() && !self.killed
     }
-
-    fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self.kind {
-            JobKind::Rigid => 0,
-            JobKind::OnDemand => 1,
-            JobKind::Malleable => 2,
-        });
-        w.put_u8(match self.class {
-            JobClass::Capacity => 0,
-            JobClass::Capability => 1,
-        });
-        w.put_u32(self.size);
-        w.put_u64(self.submit.0);
-        w.put_opt_u64(self.first_start.map(|t| t.0));
-        w.put_opt_u64(self.finish.map(|t| t.0));
-        w.put_u32(self.preemptions);
-        w.put_u32(self.shrinks);
-        w.put_u32(self.expands);
-        w.put_opt_u64(self.start_delay.map(|d| d.0));
-        w.put_u8(match self.category {
-            NoticeCategory::NoNotice => 0,
-            NoticeCategory::Accurate => 1,
-            NoticeCategory::Early => 2,
-            NoticeCategory::Late => 3,
-        });
-        w.put_bool(self.killed);
-        w.put_u32(self.failures);
-    }
-
-    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let kind = match r.get_u8()? {
-            0 => JobKind::Rigid,
-            1 => JobKind::OnDemand,
-            2 => JobKind::Malleable,
-            t => return Err(r.err(format!("bad job kind tag {t}"))),
-        };
-        let class = match r.get_u8()? {
-            0 => JobClass::Capacity,
-            1 => JobClass::Capability,
-            t => return Err(r.err(format!("bad job class tag {t}"))),
-        };
-        let size = r.get_u32()?;
-        let submit = SimTime(r.get_u64()?);
-        let first_start = r.get_opt_u64()?.map(SimTime);
-        let finish = r.get_opt_u64()?.map(SimTime);
-        let preemptions = r.get_u32()?;
-        let shrinks = r.get_u32()?;
-        let expands = r.get_u32()?;
-        let start_delay = r.get_opt_u64()?.map(SimDuration);
-        let category = match r.get_u8()? {
-            0 => NoticeCategory::NoNotice,
-            1 => NoticeCategory::Accurate,
-            2 => NoticeCategory::Early,
-            3 => NoticeCategory::Late,
-            t => return Err(r.err(format!("bad notice category tag {t}"))),
-        };
-        let killed = r.get_bool()?;
-        let failures = r.get_u32()?;
-        Ok(JobRecord {
-            kind,
-            class,
-            size,
-            submit,
-            first_start,
-            finish,
-            preemptions,
-            shrinks,
-            expands,
-            start_delay,
-            category,
-            killed,
-            failures,
-        })
-    }
 }
+
+hws_sim::snap_struct!(JobRecord {
+    kind,
+    class,
+    size,
+    submit,
+    first_start,
+    finish,
+    preemptions,
+    shrinks,
+    expands,
+    start_delay,
+    category,
+    killed,
+    failures,
+});
 
 /// Collects measurements during one simulation run.
 ///
@@ -334,82 +275,43 @@ impl Recorder {
         Some((self.first_submit?, self.last_finish?))
     }
 
-    /// Serialize the recorder: the folds, the live records in ascending
-    /// id order, the killed ids and the run-level totals. Identical states
-    /// encode to identical bytes whatever order their jobs retired in.
-    pub fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.system_size);
-        self.acc.encode_snap(w);
-        self.classes.encode_snap(w);
-        let mut live: Vec<_> = self.live.iter().collect();
-        live.sort_unstable_by_key(|&(id, _)| *id);
-        w.put_len(live.len());
-        for (id, r) in live {
-            w.put_u64(id.0);
-            r.encode_snap(w);
-        }
-        w.put_len(self.killed.len());
-        for id in &self.killed {
-            w.put_u64(id.0);
-        }
-        w.put_u128(self.occupied_node_seconds);
-        w.put_u128(self.wasted_node_seconds);
-        w.put_opt_u64(self.first_submit.map(|t| t.0));
-        w.put_opt_u64(self.last_finish.map(|t| t.0));
+    /// Fold under `instant_threshold` from here on: a decoded recorder
+    /// folds under the restoring session's threshold, which the image does
+    /// not carry.
+    pub fn set_instant_threshold(&mut self, instant_threshold: SimDuration) {
+        self.acc.set_instant_threshold(instant_threshold);
     }
 
-    /// Decode a recorder written by [`Recorder::encode_snap`], folding
-    /// under `instant_threshold` from here on. Malformed input errors,
-    /// never panics: live-record and killed ids that are not strictly
-    /// ascending are refused, and so are sums no session over the image's
-    /// span (first submission to last finish) reaches, so later folds
-    /// cannot overflow.
-    pub fn decode_snap(
-        r: &mut SnapReader<'_>,
-        instant_threshold: SimDuration,
-    ) -> Result<Self, SnapError> {
-        let mut rec = Recorder::new(r.get_u32()?, instant_threshold);
-        rec.acc = MetricsAcc::decode_snap(r, instant_threshold)?;
-        rec.classes = ClassAcc::decode_snap(r)?;
-        let mut prev = None;
-        for _ in 0..r.get_len()? {
-            let id = next_ascending(r, &mut prev, "live record")?;
-            rec.live.insert(id, JobRecord::decode_snap(r)?);
-        }
-        let mut prev = None;
-        for _ in 0..r.get_len()? {
-            rec.killed.insert(next_ascending(r, &mut prev, "killed")?);
-        }
-        rec.occupied_node_seconds = r.get_u128()?;
-        rec.wasted_node_seconds = r.get_u128()?;
-        rec.first_submit = r.get_opt_u64()?.map(SimTime);
-        rec.last_finish = r.get_opt_u64()?.map(SimTime);
-        let span = rec.span().map_or(0, |(a, b)| b.0.saturating_sub(a.0));
-        rec.acc
-            .check_sums(span)
-            .and_then(|()| rec.classes.check_sums(span))
-            .map_err(|e| r.err(e))?;
-        Ok(rec)
+    /// Refuse counts and sums no session over the recorder's span (first
+    /// submission to last finish) reaches, so later folds cannot overflow.
+    fn check_folds(&self) -> Result<(), String> {
+        let span = self.span().map_or(0, |(a, b)| b.0.saturating_sub(a.0));
+        let folded = self.acc.check(span)?;
+        self.classes.check(span, folded)
     }
 }
 
-/// Read the next id of a strictly ascending `list`.
-fn next_ascending(
-    r: &mut SnapReader<'_>,
-    prev: &mut Option<JobId>,
-    list: &str,
-) -> Result<JobId, SnapError> {
-    let id = JobId(r.get_u64()?);
-    if prev.replace(id).is_some_and(|p| p >= id) {
-        return Err(r.err(format!("{list} ids not strictly ascending at {id}")));
-    }
-    Ok(id)
-}
+// The folds, the live records and killed ids in ascending id order, and
+// the run-level totals: identical states encode to identical bytes
+// whatever order their jobs retired in. A decoded recorder folds under a
+// zero instant threshold until [`Recorder::set_instant_threshold`].
+hws_sim::snap_struct!(Recorder {
+    system_size,
+    acc,
+    classes,
+    live: "live record",
+    killed: "killed",
+    occupied_node_seconds,
+    wasted_node_seconds,
+    first_submit,
+    last_finish,
+} check Recorder::check_folds);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ClassBreakdown, Metrics};
+    use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -554,15 +456,16 @@ mod tests {
     }
 
     fn encode(r: &Recorder) -> Vec<u8> {
-        let mut w = hws_sim::SnapWriter::new();
-        r.encode_snap(&mut w);
+        let mut w = SnapWriter::new();
+        r.put(&mut w);
         w.into_bytes()
     }
 
     fn decode(bytes: &[u8]) -> Result<Recorder, SnapError> {
-        let mut rd = hws_sim::SnapReader::new(bytes);
-        let r = Recorder::decode_snap(&mut rd, SimDuration::from_secs(120))?;
+        let mut rd = SnapReader::new(bytes);
+        let mut r = <Recorder as Snap>::get(&mut rd)?;
         rd.expect_end()?;
+        r.set_instant_threshold(SimDuration::from_secs(120));
         Ok(r)
     }
 
@@ -613,18 +516,18 @@ mod tests {
 
     /// Offsets of the live-record ids in `r`'s image, in image order.
     fn live_id_offsets(r: &Recorder) -> Vec<usize> {
-        let mut w = hws_sim::SnapWriter::new();
-        w.put_u32(r.system_size);
-        r.acc.encode_snap(&mut w);
-        r.classes.encode_snap(&mut w);
+        let mut w = SnapWriter::new();
+        r.system_size.put(&mut w);
+        r.acc.put(&mut w);
+        r.classes.put(&mut w);
         let mut at = w.len() + 8;
         let mut ids: Vec<JobId> = r.live.keys().copied().collect();
         ids.sort_unstable();
         let mut offsets = Vec::new();
         for id in ids {
             offsets.push(at);
-            let mut w = hws_sim::SnapWriter::new();
-            r.live[&id].encode_snap(&mut w);
+            let mut w = SnapWriter::new();
+            r.live[&id].put(&mut w);
             at += 8 + w.len();
         }
         offsets
@@ -652,38 +555,144 @@ mod tests {
 
     #[test]
     fn snap_decode_refuses_sums_no_session_reaches() {
-        // The image's first field after the system size is the turnaround
-        // sum; the busy recorder's span is 50..600 s.
+        // After the system size (4 bytes) come the overall turnaround sum
+        // and completed count (16 + 8), the killed count (8) and the
+        // rigid kind's (turnaround, completed, preempted, total) (16 + 24);
+        // the on-demand kind's turnaround sum follows. The busy recorder's
+        // span is 50..600 s.
+        let (total, od) = (4..20, 76..92);
         let bytes = encode(&busy_recorder());
+        assert_eq!(bytes[od.clone()], 450u128.to_le_bytes(), "J3's turnaround");
         let mut bad = bytes.clone();
-        bad[4..20].copy_from_slice(&u128::MAX.to_le_bytes());
+        bad[od.clone()].copy_from_slice(&u128::MAX.to_le_bytes());
+        bad[total.clone()].copy_from_slice(&u128::MAX.to_le_bytes());
         let err = decode(&bad).expect_err("a turnaround sum at u128::MAX");
         assert!(err.to_string().contains("turnaround sum"), "{err}");
         // One folded completion (J3, 450 s) over a 550 s span: 551 s is
         // out of reach, 550 s is not.
         for (sum, ok) in [(550u128, true), (551, false)] {
-            bad[4..20].copy_from_slice(&sum.to_le_bytes());
+            bad[od.clone()].copy_from_slice(&sum.to_le_bytes());
+            bad[total.clone()].copy_from_slice(&sum.to_le_bytes());
             assert_eq!(decode(&bad).is_ok(), ok, "turnaround sum {sum}");
         }
+        // The written totals must be the per-kind sums they derive from.
+        for (field, value) in [(total.clone(), 451u128), (20..28, 2)] {
+            let mut bad = bytes.clone();
+            let n = field.len();
+            bad[field].copy_from_slice(&value.to_le_bytes()[..n]);
+            let err = decode(&bad).expect_err("totals that differ from the per-kind sums");
+            assert!(
+                err.to_string().contains("differ from the per-kind sums"),
+                "{err}"
+            );
+        }
         // A sum over no jobs must be 0.
-        let mut w = hws_sim::SnapWriter::new();
-        recorder(8).encode_snap(&mut w);
+        let mut w = SnapWriter::new();
+        recorder(8).put(&mut w);
         let mut bad = w.into_bytes();
         bad[4] = 1;
+        bad[36] = 1;
         let err = decode(&bad).expect_err("a sum over no jobs");
         assert!(err.to_string().contains("over 0 jobs"), "{err}");
         // Every class sum is checked too: the capability class's
         // turnaround sum sits after the capacity class and four counts.
         let r = busy_recorder();
-        let mut w = hws_sim::SnapWriter::new();
-        w.put_u32(r.system_size);
-        r.acc.encode_snap(&mut w);
+        let mut w = SnapWriter::new();
+        r.system_size.put(&mut w);
+        r.acc.put(&mut w);
         let at = w.len() + (4 * 8 + 8 + 32) + 4 * 8 + 8;
         let mut bad = bytes.clone();
         assert_eq!(bad[at..at + 16], 450u128.to_le_bytes(), "J3's turnaround");
         bad[at..at + 16].copy_from_slice(&u128::MAX.to_le_bytes());
         let err = decode(&bad).expect_err("a class sum at u128::MAX");
         assert!(err.to_string().contains("class turnaround sum"), "{err}");
+    }
+
+    #[test]
+    fn a_restored_fold_at_its_limits_keeps_folding() {
+        // Offsets in the busy recorder's image, past the system size (4)
+        // and the written totals (24): the killed count (8), then per kind
+        // (turnaround 16, completed, preempted, total) with the rigid
+        // total at 68, three on-demand counts, the wait sum at 180 and its
+        // count, the slowdown sum at 204 and its count, the notice tallies
+        // and the failure total at 292; the capacity class's job count
+        // opens the class sums at 300. The last finish ends the image.
+        let bytes = encode(&busy_recorder());
+        let (rigid_total, wait, slow, failures, capacity_jobs) = (68, 180, 204, 292, 300);
+        let last = bytes.len() - 8;
+        let at = |b: &[u8], i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
+        assert_eq!(at(&bytes, rigid_total), 1, "J5");
+        assert_eq!(at(&bytes, capacity_jobs), 1, "J5");
+        assert_eq!(at(&bytes, wait + 16), 1, "J3's wait");
+        assert_eq!(at(&bytes, slow + 16), 1, "J3's slowdown");
+        assert_eq!(at(&bytes, last), 600, "J5's kill");
+        let set = |b: &mut [u8], i: usize, v: &[u8]| b[i..i + v.len()].copy_from_slice(v);
+
+        // The largest fold an image may hold: 2³² − 1 jobs (J3 and
+        // 2³² − 2 rigid capacity jobs), a span up to the clock's end, the
+        // wait sum at `n · span` and the slowdown sum at 2¹¹⁶.
+        let max = u64::from(u32::MAX);
+        let mut edge = bytes.clone();
+        set(&mut edge, rigid_total, &(max - 1).to_le_bytes());
+        set(&mut edge, capacity_jobs, &(max - 1).to_le_bytes());
+        set(&mut edge, last, &u64::MAX.to_le_bytes());
+        set(&mut edge, wait + 16, &max.to_le_bytes());
+        let wait_max = u128::from(max) * u128::from(u64::MAX - 50);
+        set(&mut edge, wait, &wait_max.to_le_bytes());
+        set(&mut edge, slow + 16, &max.to_le_bytes());
+        set(&mut edge, slow, &(1u128 << 116).to_le_bytes());
+        set(&mut edge, failures, &(max * max).to_le_bytes());
+        let mut r = decode(&edge).expect("a fold at every limit restores");
+        // One more job with the largest turnaround, wait and slowdown the
+        // clock allows folds without overflow.
+        r.job_submitted(JobId(11), JobKind::Rigid, 1, t(0));
+        r.job_started(JobId(11), t(u64::MAX - 10));
+        r.job_failed(JobId(11));
+        r.job_finished(JobId(11), t(u64::MAX));
+        r.retire(JobId(11));
+        let m = Metrics::compute(&r);
+        assert_eq!(m.rigid.completed, 1);
+        ClassBreakdown::compute(&r);
+
+        // One past any limit is refused at restore, never at a later fold.
+        let beyond: [(usize, Vec<u8>, &str); 7] = [
+            (
+                rigid_total,
+                max.to_le_bytes().into(),
+                "count 4294967296 exceeds",
+            ),
+            (capacity_jobs, (max - 2).to_le_bytes().into(), "class jobs"),
+            (
+                wait + 16,
+                u64::MAX.to_le_bytes().into(),
+                "count 18446744073709551615",
+            ),
+            (wait, (wait_max + 1).to_le_bytes().into(), "wait sum"),
+            (
+                slow,
+                ((1u128 << 116) + 1).to_le_bytes().into(),
+                "slowdown sum",
+            ),
+            (slow, (u128::MAX - 1).to_le_bytes().into(), "slowdown sum"),
+            (
+                failures,
+                (max * max + 1).to_le_bytes().into(),
+                "count 18446744065119617026",
+            ),
+        ];
+        for (i, v, what) in beyond {
+            let mut bad = edge.clone();
+            set(&mut bad, i, &v);
+            let err = decode(&bad).expect_err(what);
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
+        // A count at u64::MAX over the largest span and a sum just under
+        // u128::MAX, on the busy recorder as written.
+        let mut bad = bytes.clone();
+        set(&mut bad, wait + 16, &u64::MAX.to_le_bytes());
+        set(&mut bad, last, &u64::MAX.to_le_bytes());
+        set(&mut bad, wait, &(u128::MAX - 1).to_le_bytes());
+        decode(&bad).expect_err("a count no fold reaches");
     }
 
     mod order_free {

@@ -2,9 +2,9 @@
 //! across seeds.
 
 use crate::record::{JobRecord, Recorder};
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
+use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use hws_sim::SimDuration;
-use hws_workload::{JobKind, NoticeCategory};
+use hws_workload::JobKind;
 
 /// Per-class statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -68,15 +68,35 @@ pub(crate) fn add(sum: &mut u128, v: u128) {
     *sum = sum.checked_add(v).expect("metric sum overflows u128");
 }
 
+/// The most jobs a decoded fold may hold: no count's `+= 1` then wraps,
+/// and a seconds sum's bound `n · span` stays below 2⁹⁶.
+const MAX_FOLDED: u128 = u32::MAX as u128;
+
+/// The largest sum a decoded fold may hold: 2⁶⁴ slowdowns in 2⁻⁵² units,
+/// far past any session. Where the bound `n · each` saturates, this leaves
+/// [`add`] room for 2¹⁵ more of the largest slowdown a `u64` clock allows.
+const MAX_SUM: u128 = 1 << 116;
+
 /// Refuse `sum` of `n` terms if it exceeds `n · each`, the largest a real
-/// session reaches; over no terms that refuses any non-zero sum.
+/// session reaches, or [`MAX_SUM`]; over no terms that refuses any
+/// non-zero sum.
 pub(crate) fn check_sum(what: &str, sum: u128, n: usize, each: u128) -> Result<(), String> {
-    if sum > (n as u128).saturating_mul(each) {
-        return Err(format!(
-            "{what} sum {sum} over {n} jobs exceeds {each} each"
-        ));
+    let bound = (n as u128).saturating_mul(each).min(MAX_SUM);
+    if sum > bound {
+        return Err(format!("{what} sum {sum} over {n} jobs exceeds {bound}"));
     }
     Ok(())
+}
+
+/// Refuse a count above `max`.
+pub(crate) fn check_counts(
+    counts: impl IntoIterator<Item = u128>,
+    max: u128,
+) -> Result<(), String> {
+    match counts.into_iter().find(|&c| c > max) {
+        Some(c) => Err(format!("count {c} exceeds {max}")),
+        None => Ok(()),
+    }
 }
 
 /// `sum / n`, or 0 over no terms: every mean and rate rounds here, once.
@@ -96,11 +116,17 @@ pub(crate) fn mean(sum: f64, n: usize) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsAcc {
     instant_threshold: SimDuration,
-    /// Turnaround seconds over completed jobs.
-    tat_secs: u128,
-    n_completed: usize,
+    sums: Sums,
+}
+
+/// The counts and exact sums of a [`MetricsAcc`]. The overall turnaround
+/// sum and completed count are not stored: they are the sums of the
+/// per-kind ones.
+#[derive(Debug, Clone, Default)]
+struct Sums {
     killed: usize,
-    /// Per kind: (turnaround seconds, completed, preempted, total).
+    /// Per kind, in [`JobKind`] declaration order: (turnaround seconds,
+    /// completed, preempted, total).
     per: [(u128, usize, usize, usize); 3],
     od_total: usize,
     od_instant: usize,
@@ -110,8 +136,55 @@ pub struct MetricsAcc {
     /// Bounded slowdowns in units of 2⁻⁵² ([`slowdown_units`]).
     slow_units: u128,
     slow_n: usize,
+    /// Per [`NoticeCategory`](hws_workload::NoticeCategory), in declaration
+    /// order: (instant, total).
     cat_inst: [(usize, usize); 4],
     total_failures: u64,
+}
+
+hws_sim::snap_struct!(Sums {
+    killed,
+    per,
+    od_total,
+    od_instant,
+    od_strict,
+    wait_secs,
+    wait_n,
+    slow_units,
+    slow_n,
+    cat_inst,
+    total_failures,
+});
+
+/// The image writes the overall turnaround sum and completed count ahead
+/// of the sums they derive from, and decoding refuses an image whose
+/// totals disagree with them. The threshold is the session's, not the
+/// image's: decoding leaves it zero for the owner to set.
+impl Snap for MetricsAcc {
+    fn put(&self, w: &mut SnapWriter) {
+        self.completed().put(w);
+        self.sums.put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let at = r.pos();
+        let totals = <(u128, usize)>::get(r)?;
+        let sums = Sums::get(r)?;
+        let acc = MetricsAcc {
+            instant_threshold: SimDuration::ZERO,
+            sums,
+        };
+        if acc.checked_completed() != Some(totals) {
+            return Err(SnapError::new(
+                at,
+                format!(
+                    "overall turnaround sum and completed count {totals:?} differ from the \
+                     per-kind sums"
+                ),
+            ));
+        }
+        Ok(acc)
+    }
 }
 
 impl MetricsAcc {
@@ -125,135 +198,117 @@ impl MetricsAcc {
         }
     }
 
+    /// Fold under `instant_threshold` from here on.
+    pub(crate) fn set_instant_threshold(&mut self, instant_threshold: SimDuration) {
+        self.instant_threshold = instant_threshold;
+    }
+
     /// Fold one (final) job record.
     pub fn push(&mut self, r: &JobRecord) {
-        let idx = match r.kind {
-            JobKind::Rigid => 0,
-            JobKind::OnDemand => 1,
-            JobKind::Malleable => 2,
-        };
-        self.per[idx].3 += 1;
+        let s = &mut self.sums;
+        let per = &mut s.per[r.kind as usize];
+        per.3 += 1;
         if r.preemptions > 0 {
-            self.per[idx].2 += 1;
+            per.2 += 1;
         }
         if r.killed {
-            self.killed += 1;
+            s.killed += 1;
             return;
         }
-        self.total_failures += u64::from(r.failures);
+        s.total_failures += u64::from(r.failures);
         if let Some(tat) = r.turnaround() {
-            add(&mut self.tat_secs, u128::from(tat.as_secs()));
-            self.n_completed += 1;
-            add(&mut self.per[idx].0, u128::from(tat.as_secs()));
-            self.per[idx].1 += 1;
+            add(&mut per.0, u128::from(tat.as_secs()));
+            per.1 += 1;
         }
         if let Some(w) = r.wait() {
-            add(&mut self.wait_secs, u128::from(w.as_secs()));
-            self.wait_n += 1;
+            add(&mut s.wait_secs, u128::from(w.as_secs()));
+            s.wait_n += 1;
         }
-        if let Some(s) = r.bounded_slowdown() {
-            add(&mut self.slow_units, slowdown_units(s));
-            self.slow_n += 1;
+        if let Some(b) = r.bounded_slowdown() {
+            add(&mut s.slow_units, slowdown_units(b));
+            s.slow_n += 1;
         }
         if r.kind == JobKind::OnDemand {
             if let Some(delay) = r.start_delay {
-                self.od_total += 1;
-                let cat = match r.category {
-                    NoticeCategory::NoNotice => 0,
-                    NoticeCategory::Accurate => 1,
-                    NoticeCategory::Early => 2,
-                    NoticeCategory::Late => 3,
-                };
-                self.cat_inst[cat].1 += 1;
+                s.od_total += 1;
+                let cat = &mut s.cat_inst[r.category as usize];
+                cat.1 += 1;
                 if delay <= self.instant_threshold {
-                    self.od_instant += 1;
-                    self.cat_inst[cat].0 += 1;
+                    s.od_instant += 1;
+                    cat.0 += 1;
                 }
                 if delay.is_zero() {
-                    self.od_strict += 1;
+                    s.od_strict += 1;
                 }
             }
         }
     }
 
-    /// Write every sum and count. The threshold is the session's, not the
-    /// image's.
-    pub(crate) fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_u128(self.tat_secs);
-        w.put_len(self.n_completed);
-        w.put_len(self.killed);
-        for &(tat, done, preempted, total) in &self.per {
-            w.put_u128(tat);
-            w.put_len(done);
-            w.put_len(preempted);
-            w.put_len(total);
-        }
-        w.put_len(self.od_total);
-        w.put_len(self.od_instant);
-        w.put_len(self.od_strict);
-        w.put_u128(self.wait_secs);
-        w.put_len(self.wait_n);
-        w.put_u128(self.slow_units);
-        w.put_len(self.slow_n);
-        for &(instant, n) in &self.cat_inst {
-            w.put_len(instant);
-            w.put_len(n);
-        }
-        w.put_u64(self.total_failures);
+    /// Turnaround seconds and count over every completed job: the sums of
+    /// the per-kind ones, or `None` if they overflow.
+    fn checked_completed(&self) -> Option<(u128, usize)> {
+        self.sums
+            .per
+            .iter()
+            .try_fold((0u128, 0usize), |(tat, n), p| {
+                Some((tat.checked_add(p.0)?, n.checked_add(p.1)?))
+            })
     }
 
-    pub(crate) fn decode_snap(
-        r: &mut SnapReader<'_>,
-        instant_threshold: SimDuration,
-    ) -> Result<Self, SnapError> {
-        let mut a = MetricsAcc::new(instant_threshold);
-        a.tat_secs = r.get_u128()?;
-        a.n_completed = r.get_len()?;
-        a.killed = r.get_len()?;
-        for slot in &mut a.per {
-            *slot = (r.get_u128()?, r.get_len()?, r.get_len()?, r.get_len()?);
-        }
-        a.od_total = r.get_len()?;
-        a.od_instant = r.get_len()?;
-        a.od_strict = r.get_len()?;
-        a.wait_secs = r.get_u128()?;
-        a.wait_n = r.get_len()?;
-        a.slow_units = r.get_u128()?;
-        a.slow_n = r.get_len()?;
-        for slot in &mut a.cat_inst {
-            *slot = (r.get_len()?, r.get_len()?);
-        }
-        a.total_failures = r.get_u64()?;
-        Ok(a)
+    /// [`MetricsAcc::checked_completed`] of a fold: it cannot overflow,
+    /// since each per-kind sum is itself below a bound no session reaches
+    /// ([`add`]) and three of them fit a `u128`.
+    fn completed(&self) -> (u128, usize) {
+        self.checked_completed()
+            .expect("per-kind turnaround sums overflow u128")
     }
 
-    /// Refuse sums a session whose submissions and finishes lie within
-    /// `span_secs` cannot reach. A folded record is final (finished or
-    /// killed), so its turnaround and wait are at most the span, and its
-    /// bounded slowdown at most `max(span / 10 s, 1)`: rounding is
-    /// monotone, so the `f64` quotient of a smaller turnaround by a runtime
-    /// of at least 10 s cannot exceed that of the span by 10 s.
-    pub(crate) fn check_sums(&self, span_secs: u64) -> Result<(), String> {
+    /// Refuse a fold no session over `span_secs` reaches, and return its
+    /// jobs. Each record adds one to its kind's total, at most one to every
+    /// other count and at most `u32::MAX` failures; at most [`MAX_FOLDED`]
+    /// are folded. A folded record is final (finished or killed), so its
+    /// turnaround and wait are at most the span, and its bounded slowdown
+    /// at most `max(span / 10 s, 1)`: rounding is monotone, so the `f64`
+    /// quotient of a smaller turnaround by a runtime of at least 10 s
+    /// cannot exceed that of the span by 10 s.
+    pub(crate) fn check(&self, span_secs: u64) -> Result<u128, String> {
+        let s = &self.sums;
+        let folded: u128 = s.per.iter().map(|p| p.3 as u128).sum();
+        let tallies = [
+            s.killed,
+            s.od_total,
+            s.od_instant,
+            s.od_strict,
+            s.wait_n,
+            s.slow_n,
+        ];
+        let tallies = s.per.iter().flat_map(|p| [p.1, p.2]).chain(tallies);
+        let tallies = tallies.chain(s.cat_inst.iter().flat_map(|c| [c.0, c.1]));
+        check_counts([folded], MAX_FOLDED)?;
+        check_counts(tallies.map(|c| c as u128), folded)?;
+        check_counts([s.total_failures.into()], folded * u128::from(u32::MAX))?;
         let span = u128::from(span_secs);
         let slow_each = slowdown_units((span_secs as f64 / 10.0).max(1.0));
-        check_sum("turnaround", self.tat_secs, self.n_completed, span)?;
-        for (k, &(tat, done, _, _)) in self.per.iter().enumerate() {
+        for (k, &(tat, done, _, _)) in s.per.iter().enumerate() {
             check_sum(&format!("kind {k} turnaround"), tat, done, span)?;
         }
-        check_sum("wait", self.wait_secs, self.wait_n, span)?;
-        check_sum("slowdown", self.slow_units, self.slow_n, slow_each)
+        check_sum("wait", s.wait_secs, s.wait_n, span)?;
+        check_sum("slowdown", s.slow_units, s.slow_n, slow_each)?;
+        Ok(folded)
     }
 
     /// Combine the folded per-job state with the recorder's run-level
     /// aggregates (span, occupancy) into the report. Each mean rounds
     /// once, from its exact sum.
     pub fn finish(&self, rec: &Recorder) -> Metrics {
+        let s = &self.sums;
         let hours = |secs: u128, n: usize| mean(secs as f64 / 3600.0, n);
-        let kind_stats = |i: usize| KindStats {
-            completed: self.per[i].1,
-            avg_turnaround_h: hours(self.per[i].0, self.per[i].1),
-            preemption_ratio: mean(self.per[i].2 as f64, self.per[i].3),
+        let kind_stats = |(tat, done, preempted, total): (u128, usize, usize, usize)| KindStats {
+            completed: done,
+            avg_turnaround_h: hours(tat, done),
+            preemption_ratio: mean(preempted as f64, total),
         };
+        let (tat_secs, n_completed) = self.completed();
 
         let (span_hours, capacity_ns) = match rec.span() {
             Some((a, b)) if b > a => {
@@ -275,21 +330,21 @@ impl MetricsAcc {
         let occupied = rec.occupied_node_seconds();
 
         Metrics {
-            avg_turnaround_h: hours(self.tat_secs, self.n_completed),
-            rigid: kind_stats(0),
-            on_demand: kind_stats(1),
-            malleable: kind_stats(2),
-            instant_start_rate: mean(self.od_instant as f64, self.od_total),
-            strict_instant_rate: mean(self.od_strict as f64, self.od_total),
+            avg_turnaround_h: hours(tat_secs, n_completed),
+            rigid: kind_stats(s.per[JobKind::Rigid as usize]),
+            on_demand: kind_stats(s.per[JobKind::OnDemand as usize]),
+            malleable: kind_stats(s.per[JobKind::Malleable as usize]),
+            instant_start_rate: mean(s.od_instant as f64, s.od_total),
+            strict_instant_rate: mean(s.od_strict as f64, s.od_total),
             utilization: share(occupied.saturating_sub(rec.wasted_node_seconds())),
             raw_occupancy: share(occupied),
-            completed_jobs: self.n_completed,
-            killed_jobs: self.killed,
+            completed_jobs: n_completed,
+            killed_jobs: s.killed,
             span_hours,
-            avg_wait_h: hours(self.wait_secs, self.wait_n),
-            avg_bounded_slowdown: mean(self.slow_units as f64 / SLOW_UNIT, self.slow_n),
-            instant_by_category: self.cat_inst.map(|(i, n)| mean(i as f64, n)),
-            total_failures: self.total_failures,
+            avg_wait_h: hours(s.wait_secs, s.wait_n),
+            avg_bounded_slowdown: mean(s.slow_units as f64 / SLOW_UNIT, s.slow_n),
+            instant_by_category: s.cat_inst.map(|(i, n)| mean(i as f64, n)),
+            total_failures: s.total_failures,
         }
     }
 }

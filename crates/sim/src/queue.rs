@@ -33,6 +33,7 @@
 //! events are never cancellable (the trace is immutable), so they carry no
 //! flag at all.
 
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -56,6 +57,18 @@ impl EventId {
     /// Rebuild a handle from its raw sequence number (snapshot restore).
     pub fn from_raw(raw: u64) -> Self {
         EventId(raw)
+    }
+}
+
+/// The raw sequence number.
+impl Snap for EventId {
+    #[inline]
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+    }
+    #[inline]
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(EventId(u64::get(r)?))
     }
 }
 
@@ -485,6 +498,28 @@ pub struct QueueSnapshot<E> {
     pub watermark: SimTime,
     /// Cancelled entries reclaimed so far.
     pub n_cancelled_popped: u64,
+}
+
+crate::snap_struct!(QueueSnapshot<E> {
+    entries,
+    flags,
+    flag_base,
+    next_seq,
+    next_arrival_seq,
+    watermark,
+    n_cancelled_popped,
+});
+
+/// A queue travels as its [`QueueSnapshot`]; decoding validates it
+/// through [`EventQueue::from_snapshot`].
+impl<E: Snap + Clone> Snap for EventQueue<E> {
+    fn put(&self, w: &mut SnapWriter) {
+        self.to_snapshot().put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let at = r.pos();
+        EventQueue::from_snapshot(QueueSnapshot::get(r)?).map_err(|e| SnapError::new(at, e))
+    }
 }
 
 #[cfg(test)]

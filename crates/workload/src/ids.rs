@@ -1,5 +1,6 @@
 //! Identifier newtypes shared across the workspace.
 
+use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -65,6 +66,28 @@ impl Hasher for JobIdHasher {
         let p = u128::from(self.0) * u128::from(Self::K);
         let h = (p as u64) ^ ((p >> 64) as u64);
         h ^ (h >> 29)
+    }
+}
+
+impl Snap for JobId {
+    #[inline]
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+    }
+    #[inline]
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(JobId(u64::get(r)?))
+    }
+}
+
+impl Snap for ProjectId {
+    #[inline]
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+    }
+    #[inline]
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(ProjectId(u32::get(r)?))
     }
 }
 

@@ -6,7 +6,6 @@
 //! (remaining work, checkpoints, current size) lives in `hws-core`.
 
 use crate::ids::{JobId, ProjectId};
-use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{SimDuration, SimTime};
 
 /// The three application classes the paper co-schedules.
@@ -280,102 +279,6 @@ impl JobSpec {
         }
         Ok(())
     }
-
-    /// Append the spec to a snapshot buffer (every field, including the
-    /// in-memory-only `site_hint`; the byte codec is lossless where the
-    /// text interchange formats are not).
-    pub fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id.0);
-        w.put_u32(self.project.0);
-        w.put_u8(match self.kind {
-            JobKind::Rigid => 0,
-            JobKind::OnDemand => 1,
-            JobKind::Malleable => 2,
-        });
-        w.put_u64(self.submit.as_secs());
-        w.put_u32(self.size);
-        w.put_u32(self.min_size);
-        w.put_u64(self.work.as_secs());
-        w.put_u64(self.estimate.as_secs());
-        w.put_u64(self.setup.as_secs());
-        match &self.notice {
-            Some(n) => {
-                w.put_u8(1);
-                w.put_u64(n.notice_time.as_secs());
-                w.put_u64(n.predicted_arrival.as_secs());
-            }
-            None => w.put_u8(0),
-        }
-        w.put_u8(match self.category {
-            NoticeCategory::NoNotice => 0,
-            NoticeCategory::Accurate => 1,
-            NoticeCategory::Early => 2,
-            NoticeCategory::Late => 3,
-        });
-        w.put_opt_u32(self.site_hint);
-        w.put_u8(match self.class {
-            JobClass::Capacity => 0,
-            JobClass::Capability => 1,
-        });
-    }
-
-    /// Decode a spec written by [`JobSpec::encode_snap`].
-    ///
-    /// # Errors
-    ///
-    /// Truncated input or invalid enum tags — never panics.
-    pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<JobSpec, SnapError> {
-        let id = JobId(r.get_u64()?);
-        let project = ProjectId(r.get_u32()?);
-        let kind = match r.get_u8()? {
-            0 => JobKind::Rigid,
-            1 => JobKind::OnDemand,
-            2 => JobKind::Malleable,
-            b => return Err(r.err(format!("bad job kind tag {b}"))),
-        };
-        let submit = SimTime::from_secs(r.get_u64()?);
-        let size = r.get_u32()?;
-        let min_size = r.get_u32()?;
-        let work = SimDuration::from_secs(r.get_u64()?);
-        let estimate = SimDuration::from_secs(r.get_u64()?);
-        let setup = SimDuration::from_secs(r.get_u64()?);
-        let notice = match r.get_u8()? {
-            0 => None,
-            1 => Some(NoticeSpec {
-                notice_time: SimTime::from_secs(r.get_u64()?),
-                predicted_arrival: SimTime::from_secs(r.get_u64()?),
-            }),
-            b => return Err(r.err(format!("bad notice tag {b}"))),
-        };
-        let category = match r.get_u8()? {
-            0 => NoticeCategory::NoNotice,
-            1 => NoticeCategory::Accurate,
-            2 => NoticeCategory::Early,
-            3 => NoticeCategory::Late,
-            b => return Err(r.err(format!("bad category tag {b}"))),
-        };
-        let site_hint = r.get_opt_u32()?;
-        let class = match r.get_u8()? {
-            0 => JobClass::Capacity,
-            1 => JobClass::Capability,
-            b => return Err(r.err(format!("bad class tag {b}"))),
-        };
-        Ok(JobSpec {
-            id,
-            project,
-            kind,
-            submit,
-            size,
-            min_size,
-            work,
-            estimate,
-            setup,
-            notice,
-            category,
-            site_hint,
-            class,
-        })
-    }
 }
 
 /// Convenience builder used heavily by tests and examples.
@@ -511,9 +414,47 @@ impl JobSpecBuilder {
     }
 }
 
+// Snapshot layouts. The spec codec is lossless, `site_hint` included,
+// where the text interchange formats are not.
+hws_sim::snap_enum!(JobKind {
+    0 => Rigid,
+    1 => OnDemand,
+    2 => Malleable,
+});
+hws_sim::snap_enum!(JobClass {
+    0 => Capacity,
+    1 => Capability,
+});
+hws_sim::snap_enum!(NoticeCategory {
+    0 => NoNotice,
+    1 => Accurate,
+    2 => Early,
+    3 => Late,
+});
+hws_sim::snap_struct!(NoticeSpec {
+    notice_time,
+    predicted_arrival,
+});
+hws_sim::snap_struct!(JobSpec {
+    id,
+    project,
+    kind,
+    submit,
+    size,
+    min_size,
+    work,
+    estimate,
+    setup,
+    notice,
+    category,
+    site_hint,
+    class,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hws_sim::snap::{Snap, SnapReader, SnapWriter};
 
     fn secs(s: u64) -> SimDuration {
         SimDuration::from_secs(s)
@@ -666,10 +607,10 @@ mod tests {
         let plain = JobSpecBuilder::rigid(9).size(1).build();
         for spec in [with_hint, noticed, plain] {
             let mut w = SnapWriter::new();
-            spec.encode_snap(&mut w);
+            spec.put(&mut w);
             let bytes = w.into_bytes();
             let mut r = SnapReader::new(&bytes);
-            let back = JobSpec::decode_snap(&mut r).expect("decode");
+            let back = JobSpec::get(&mut r).expect("decode");
             assert!(r.expect_end().is_ok());
             assert_eq!(back, spec);
         }
@@ -679,14 +620,14 @@ mod tests {
     fn snap_codec_rejects_truncation_and_bad_tags() {
         let spec = JobSpecBuilder::rigid(1).size(4).build();
         let mut w = SnapWriter::new();
-        spec.encode_snap(&mut w);
+        spec.put(&mut w);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
-            assert!(JobSpec::decode_snap(&mut r).is_err(), "cut at {cut}");
+            assert!(JobSpec::get(&mut r).is_err(), "cut at {cut}");
         }
         let mut bad = bytes.clone();
         bad[12] = 9; // kind tag offset: id (8) + project (4)
-        assert!(JobSpec::decode_snap(&mut SnapReader::new(&bad)).is_err());
+        assert!(JobSpec::get(&mut SnapReader::new(&bad)).is_err());
     }
 }
