@@ -12,7 +12,7 @@
 use super::core::SimCore;
 use super::events::Ev;
 use super::hooks::{ArrivalView, NoticeView, PredictionView};
-use crate::jobstate::{next_checkpoint_completion, Status};
+use crate::jobstate::{next_checkpoint_completion, NoticePhase, Status};
 use crate::mechanism::{CupCandidate, ShrinkInfo, VictimInfo};
 use hws_cluster::ClusterBackend;
 use hws_sim::{EventQueue, SimTime};
@@ -43,10 +43,18 @@ impl<B: ClusterBackend> SimCore<B> {
     // Node routing
     // ------------------------------------------------------------------
 
-    /// Register a collector, keeping `claims` sorted by `(phase, since,
-    /// od)` so [`SimCore::offer_free_nodes`] never re-sorts. Claims are
-    /// immutable after insertion, so the order is maintained for free.
-    pub(super) fn insert_claim(&mut self, c: Claim) {
+    /// Register `od` as a collector of its whole size, keeping `claims`
+    /// sorted by `(phase, since, od)` so [`SimCore::offer_free_nodes`]
+    /// never re-sorts. Claims are immutable after insertion, so the order
+    /// is maintained for free.
+    pub(super) fn insert_claim(&mut self, od: JobId, phase: u8, since: SimTime) {
+        let target = self.spec(od).size;
+        let c = Claim {
+            od,
+            target,
+            phase,
+            since,
+        };
         let at = self.claims.partition_point(|x| x.key() < c.key());
         self.claims.insert(at, c);
     }
@@ -131,18 +139,10 @@ impl<B: ClusterBackend> SimCore<B> {
             return;
         }
         self.cluster.reserve(j, need.min(self.cluster.free_count()));
-        self.noticed.insert(j);
-        if self.cfg.backfill_on_reserved {
-            self.squattable.insert(j);
-        }
+        let mut plans = Vec::new();
         let shortfall = need.saturating_sub(self.cluster.reserved_idle_count(j));
         if shortfall > 0 {
-            self.insert_claim(Claim {
-                od: j,
-                target: need,
-                phase: 1,
-                since: notice.notice_time,
-            });
+            self.insert_claim(j, 1, notice.notice_time);
             // The candidate snapshot costs O(running jobs); skip it for
             // hooks that never plan, so CUA decision latency stays free of
             // CUP-only estimation work. Snapshots build in the recycled
@@ -170,10 +170,9 @@ impl<B: ClusterBackend> SimCore<B> {
                 self.scratch.victim_ids = ids;
                 candidates.clear();
                 self.scratch.candidates = candidates;
-                let mut evs = Vec::new();
                 for (victim, at) in plan.planned_preemptions {
                     let epoch = self.st(victim).epoch;
-                    evs.push(q.schedule(
+                    plans.push(q.schedule(
                         at.max(now),
                         Ev::PlannedPreempt {
                             victim,
@@ -182,16 +181,18 @@ impl<B: ClusterBackend> SimCore<B> {
                         },
                     ));
                 }
-                if !evs.is_empty() {
-                    self.cup_plans.insert(j, evs);
-                }
             }
         }
-        let ev = q.schedule(
+        let timeout = q.schedule(
             notice.predicted_arrival + self.cfg.reservation_timeout,
             Ev::ReservationTimeout(j),
         );
-        self.timeout_ev.insert(j, ev);
+        self.raid_order.insert((notice.notice_time, j));
+        self.st_mut(j).notice = Some(NoticePhase {
+            timeout,
+            plans,
+            squattable: self.cfg.backfill_on_reserved,
+        });
     }
 
     /// Running jobs eligible as preemption victims (never on-demand jobs,
@@ -284,7 +285,9 @@ impl<B: ClusterBackend> SimCore<B> {
             .collect()
     }
 
-    /// Actual arrival of an on-demand job (§III-B2).
+    /// Actual arrival of an on-demand job (§III-B2). Its notice phase,
+    /// if any, closed at submit: collection, planning and squatting on
+    /// its reservation have stopped.
     pub(super) fn on_od_arrival(&mut self, j: JobId, now: SimTime, q: &mut EventQueue<Ev>) {
         let spec = self.spec(j).clone();
         let need = spec.size;
@@ -293,9 +296,6 @@ impl<B: ClusterBackend> SimCore<B> {
         // all target one shard (a single cluster reports no shard and
         // nothing below filters).
         let shard = self.cluster.prepare_arrival(j);
-
-        // Close the notice phase: stop collection/planning, stop squatting.
-        self.close_notice(j, q);
 
         // Evict squatters from this job's reserved nodes ("once the
         // on-demand job arrives, all these backfilled jobs have to be
@@ -327,19 +327,11 @@ impl<B: ClusterBackend> SimCore<B> {
         // predicted ones: raid notice-phase reservations, robbing the most
         // recent notice first so the earliest notice keeps its collection
         // priority (§III-B1).
-        if have < need && !self.noticed.is_empty() {
-            let mut holders: Vec<JobId> = self.noticed.iter().copied().collect();
-            holders.sort_by_key(|&h| {
-                let n = self.spec(h).notice.expect("noticed job has a notice");
-                std::cmp::Reverse((n.notice_time, h))
-            });
-            for h in holders {
-                if have >= need {
-                    break;
-                }
-                let moved = self.cluster.transfer_reserved(h, j, need - have);
-                have += moved;
+        for &(_, h) in self.raid_order.iter().rev() {
+            if have >= need {
+                break;
             }
+            have += self.cluster.transfer_reserved(h, j, need - have);
         }
 
         // Still short: ask the mechanism hooks how to source the rest.
@@ -367,16 +359,12 @@ impl<B: ClusterBackend> SimCore<B> {
         }
 
         // Register as an arrived collector and try to launch.
-        self.insert_claim(Claim {
-            od: j,
-            target: need,
-            phase: 0,
-            since: now,
-        });
-        self.st_mut(j).status = Status::Waiting;
-        // Front-of-queue class: `od_front` membership must be final
-        // before the enqueue so the index files the job under class 0.
-        self.od_front.insert(j);
+        self.insert_claim(j, 0, now);
+        let st = self.st_mut(j);
+        st.status = Status::Waiting;
+        // Front-of-queue class: the flag must be final before the enqueue
+        // so the index files the job under class 0.
+        st.at_front = true;
         self.enqueue_waiting(j);
         self.offer_free_nodes(now);
         self.request_pass(now, q);
@@ -472,12 +460,8 @@ mod tests {
             assert!(core.cluster.allocate(JobId(filler_id), busy).is_some());
         }
         for &(id, target, phase, since) in claims {
-            core.insert_claim(Claim {
-                od: JobId(id),
-                target,
-                phase,
-                since: SimTime::from_secs(since),
-            });
+            assert_eq!(core.spec(JobId(id)).size, target);
+            core.insert_claim(JobId(id), phase, SimTime::from_secs(since));
         }
         core
     }

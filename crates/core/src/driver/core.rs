@@ -21,8 +21,8 @@ use crate::policy::QueueKey;
 use crate::timeline::{Timeline, TimelineEvent};
 use hws_cluster::{Cluster, ClusterBackend, LeaseLedger};
 use hws_metrics::{Recorder, ShardStat};
-use hws_sim::{EventId, EventQueue, SimDuration, SimTime};
-use hws_workload::{JobClass, JobId, JobKind, JobMap, JobSpec};
+use hws_sim::{EventQueue, SimDuration, SimTime};
+use hws_workload::{JobClass, JobId, JobKind, JobSpec};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -55,28 +55,22 @@ pub struct SimCore<B: ClusterBackend = Cluster> {
     /// transitions, so a scheduling pass reads the order instead of
     /// re-sorting O(Q log Q) per pass (see [`super::waitq`]).
     pub(super) queue: WaitQueue,
-    /// Arrived on-demand jobs that could not start instantly ("front of
-    /// the queue", §III-B2). Index set: O(log n) membership tests from the
-    /// queue-key computation, no linear `contains`/`retain` per event.
-    pub(super) od_front: BTreeSet<JobId>,
     /// Node collectors, kept sorted by `(phase, since, od)` on insert so
     /// [`SimCore::offer_free_nodes`] never re-sorts (see
     /// [`SimCore::insert_claim`]).
     pub(super) claims: Vec<Claim>,
     pub(super) leases: LeaseLedger,
-    /// On-demand holders whose reservations may host backfill squatters
-    /// (notice-phase reservations only). Index set: membership is probed
-    /// once per reservation holder inside `squattable_idle` filters.
-    pub(super) squattable: BTreeSet<JobId>,
-    /// On-demand jobs in the notice phase (announced, not yet arrived).
-    pub(super) noticed: BTreeSet<JobId>,
-    pub(super) timeout_ev: JobMap<EventId>,
-    pub(super) cup_plans: JobMap<Vec<EventId>>,
+    /// The jobs in their notice phase, by `(notice_time, id)`: an arrival
+    /// raids their reservations latest notice first. An index over the
+    /// slots' [`JobState::notice`], derived on restore and never written
+    /// to the image.
+    pub(super) raid_order: BTreeSet<(SimTime, JobId)>,
     pub(super) pass_pending: bool,
     /// Capability-class jobs currently running, maintained incrementally
     /// at the four run-state transitions (start, finish, fail, preempt)
     /// so [`super::hooks::MechanismHooks::admit`] sees an O(1) snapshot.
-    /// Stays 0 — and costs nothing — on two-class traces.
+    /// Stays 0 — and costs nothing — on two-class traces. Derived from
+    /// the slots on restore.
     pub(super) cap_running: u32,
     /// Reusable hot-path buffers (see [`super::pass`]).
     pub(super) scratch: Scratch,
@@ -155,13 +149,9 @@ impl<B: ClusterBackend> SimCore<B> {
             cfg,
             table: JobTable::new(),
             queue,
-            od_front: BTreeSet::new(),
             claims: Vec::new(),
             leases: LeaseLedger::new(),
-            squattable: BTreeSet::new(),
-            noticed: BTreeSet::new(),
-            timeout_ev: JobMap::default(),
-            cup_plans: JobMap::default(),
+            raid_order: BTreeSet::new(),
             pass_pending: false,
             cap_running: 0,
             scratch: Scratch::default(),
@@ -207,20 +197,43 @@ impl<B: ClusterBackend> SimCore<B> {
         self.cap_running
     }
 
-    /// Paranoid cross-check: the incremental [`Self::cap_running`] counter
-    /// must equal a full scan over the live jobs (retired jobs are never
-    /// running, so the live set is the complete population).
-    pub(super) fn check_cap_running_invariant(&self) {
-        let mut scan = 0u32;
+    /// One scan of the live slots: the raid order of the notice-phase
+    /// jobs and the count of running capability jobs (retired jobs never
+    /// run, so the live set is the whole population). Restore builds
+    /// [`Self::raid_order`] and [`Self::cap_running`] from it, and
+    /// `check_paranoid` compares them with it after every event. Refuses
+    /// slots the engine never builds, and claims or idle reserved nodes
+    /// held for a job that is not live: a retired id's claim would keep
+    /// taking freed nodes, and its reservation would never return.
+    pub(super) fn derive_from_slots(&self) -> Result<(BTreeSet<(SimTime, JobId)>, u32), String> {
+        let (mut raid, mut cap, mut held, mut bad) = (BTreeSet::new(), 0, 0u64, Ok(()));
         self.table.for_each_live(|spec, st| {
-            if spec.class == JobClass::Capability && st.status == Status::Running {
-                scan += 1;
+            cap += u32::from(spec.class == JobClass::Capability && st.status == Status::Running);
+            held += u64::from(self.cluster.reserved_idle_count(spec.id));
+            let fits_spec = (st.notice.is_none() || spec.notice.is_some())
+                && (!st.at_front || spec.kind == JobKind::OnDemand);
+            if !fits_spec {
+                bad = Err(format!(
+                    "{}: notice phase or front class its spec rules out",
+                    spec.id
+                ));
+            } else if let Err(e) = st.check() {
+                bad = Err(e);
+            } else if let (Some(_), Some(n)) = (&st.notice, spec.notice) {
+                raid.insert((n.notice_time, spec.id));
             }
         });
-        assert_eq!(
-            scan, self.cap_running,
-            "incremental cap_running counter drifted from the scan oracle"
-        );
+        bad?;
+        if let Some(c) = self.claims.iter().find(|c| !self.live(c.od)) {
+            return Err(format!("a claim names {}, which is not live", c.od));
+        }
+        let total = self.cluster.total_reserved_idle();
+        if held != u64::from(total) {
+            return Err(format!(
+                "live jobs hold {held} of {total} idle reserved nodes"
+            ));
+        }
+        Ok((raid, cap))
     }
 
     /// A capability job left the running state; called at every such
@@ -299,52 +312,49 @@ impl<B: ClusterBackend> SimCore<B> {
     /// stale failure draws, CUP preemption plans — are dropped by the
     /// liveness guards in [`super::events`].
     pub(super) fn retire(&mut self, j: JobId) {
-        if let Some(o) = self.outage.as_mut() {
-            // A job retired mid-recovery (cancelled, or swept as
-            // infeasible) closes its latency window without a recovery.
-            o.evicted_at.remove(&j);
-        }
         self.rec.retire(j);
         self.cluster.forget_job(j);
         self.table.retire(j);
     }
 
-    /// Retire a job that never started (or lost its run) as killed.
-    pub(super) fn kill_unstarted(&mut self, j: JobId, now: SimTime) {
+    /// Retire a job that is not running as killed, unwinding everything
+    /// it holds first; returns what [`Self::withdraw`] freed.
+    pub(super) fn kill_unstarted(&mut self, j: JobId, now: SimTime, q: &mut EventQueue<Ev>) -> u32 {
+        let freed = self.withdraw(j, q);
         self.rec.job_killed(j, now);
         self.log(now, j, TimelineEvent::Killed);
         self.retire(j);
+        freed
     }
 
-    /// End `j`'s notice phase: cancel its reservation timeout and CUP
-    /// plans, drop its collector, and stop squatting on its reservation.
-    /// The reservation itself stays (an arriving job launches on it).
+    /// End `j`'s notice phase, if open: cancel its reservation timeout and
+    /// CUP plans and stop squatting on its reservation; then drop its
+    /// collector. The reservation itself stays (an arriving job launches
+    /// on it).
     pub(super) fn close_notice(&mut self, j: JobId, q: &mut EventQueue<Ev>) {
-        if let Some(ev) = self.timeout_ev.remove(&j) {
-            q.cancel(ev);
-        }
-        if let Some(evs) = self.cup_plans.remove(&j) {
-            for ev in evs {
+        if let Some(phase) = self.st_mut(j).notice.take() {
+            q.cancel(phase.timeout);
+            for ev in phase.plans {
                 q.cancel(ev);
             }
+            let notice = self.spec(j).notice.expect("noticed job has a notice");
+            self.raid_order.remove(&(notice.notice_time, j));
         }
         self.remove_claim(j);
-        self.squattable.remove(&j);
-        self.noticed.remove(&j);
     }
 
     /// Unwind everything a job that is not running holds: its wait-queue
     /// entry, its notice phase, its reservation, and any lease naming it
     /// as a lender (so a later settle never looks it up once retired).
-    pub(super) fn withdraw(&mut self, j: JobId, q: &mut EventQueue<Ev>) {
+    /// Returns the idle reserved nodes handed back to the free pool.
+    pub(super) fn withdraw(&mut self, j: JobId, q: &mut EventQueue<Ev>) -> u32 {
         if self.st(j).status == Status::Waiting {
-            // Unindex before the od_front flip changes the key class.
             self.dequeue_waiting(j);
-            self.od_front.remove(&j);
         }
         self.close_notice(j, q);
-        self.cluster.release_reservation(j);
+        let freed = self.cluster.release_reservation(j);
         self.leases.forget_lender(j);
+        freed
     }
 
     /// Whether `j` is still resident (admitted and not yet retired).
@@ -500,9 +510,9 @@ impl<B: ClusterBackend> SimCore<B> {
         let ok = if !backfill || own_reserved > 0 || !self.cfg.backfill_on_reserved {
             self.cluster.try_allocate_with_reserved(j, size)
         } else {
-            let squattable = &self.squattable;
+            let table = &self.table;
             self.cluster
-                .try_allocate_backfill(j, size, &mut |h| squattable.contains(&h))
+                .try_allocate_backfill(j, size, &mut |h| table.squattable(h))
                 .is_some()
         };
         if !ok {
@@ -525,9 +535,14 @@ impl<B: ClusterBackend> SimCore<B> {
         if spec.class == JobClass::Capability {
             self.cap_running += 1;
         }
+        if spec.kind == JobKind::OnDemand {
+            self.remove_claim(j);
+        }
         let st = self.st_mut(j);
         st.status = Status::Running;
+        st.at_front = false;
         st.cur_size = size;
+        let evicted = st.evicted_at.take();
         let epoch = st.bump_epoch();
         let remaining_work = st.remaining_work;
         let remaining_ns = st.remaining_ns;
@@ -542,7 +557,7 @@ impl<B: ClusterBackend> SimCore<B> {
             work_at_start: remaining_work,
         });
         self.rec.job_started(j, now);
-        self.note_outage_recovery(j, now);
+        self.note_outage_recovery(evicted, now);
         self.log(now, j, TimelineEvent::Started { size });
 
         // Schedule completion (or a kill when the estimate is exceeded —
@@ -656,23 +671,18 @@ impl<B: ClusterBackend> SimCore<B> {
                 );
                 st.remaining_work = run.work_at_start - p.checkpointed;
                 st.status = Status::Waiting;
+                // A failed on-demand job re-enters at the queue front; the
+                // flag must be final before the enqueue so the index files
+                // the job under the front class.
+                st.at_front = spec.kind == JobKind::OnDemand;
                 st.bump_epoch();
                 let waste = now.since(run.start) - p.anchor_elapsed;
                 if !waste.is_zero() {
                     self.rec.add_waste(size, waste);
                 }
                 self.cluster.release(j);
-                // A failed on-demand job re-enters at the queue front —
-                // `od_front` membership must be final before the enqueue
-                // so the job is indexed under the front class.
                 if spec.kind == JobKind::OnDemand {
-                    self.od_front.insert(j);
-                    self.insert_claim(Claim {
-                        od: j,
-                        target: spec.size,
-                        phase: 0,
-                        since: now,
-                    });
+                    self.insert_claim(j, 0, now);
                 }
                 self.enqueue_waiting(j);
             }
@@ -712,8 +722,6 @@ impl<B: ClusterBackend> SimCore<B> {
         self.cluster.release(j);
         self.leases.forget_lender(j);
         if spec_kind == JobKind::OnDemand {
-            self.remove_claim(j);
-            self.od_front.remove(&j);
             self.settle_leases(j, now, q);
             self.cluster.release_reservation(j);
         }

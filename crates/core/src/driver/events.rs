@@ -85,6 +85,11 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
                     spec.category,
                 );
                 self.log(now, j, TimelineEvent::Submitted);
+                // The job has arrived: its notice phase, if open, ends here
+                // whichever way it is handled below.
+                if spec.notice.is_some() {
+                    self.close_notice(j, q);
+                }
                 // While outage events are still pending, oversized jobs
                 // block (a rejoin may restore the capacity); once the
                 // schedule's horizon has passed, lost capacity is lost for
@@ -101,8 +106,12 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
                     // forever. Impossible on a single cluster (the trace
                     // validates size ≤ system size), real on federations
                     // whose largest shard is smaller than the machine.
-                    // Terminal on arrival, so retire the slot right away.
-                    self.kill_unstarted(j, now);
+                    // Terminal on arrival, so retire the slot right away;
+                    // nodes its notice reserved go on to the queue.
+                    if self.kill_unstarted(j, now, q) > 0 {
+                        self.offer_free_nodes(now);
+                        self.request_pass(now, q);
+                    }
                 } else if spec.kind == JobKind::OnDemand && self.hybrid() {
                     self.on_od_arrival(j, now, q);
                 } else {
@@ -217,7 +226,9 @@ impl<B: ClusterBackend> SimCore<B> {
         self.cluster.check_invariants().expect("cluster invariants");
         self.check_records_match_jobs()
             .expect("live records match the submitted jobs");
-        self.check_cap_running_invariant();
+        let (raid, cap) = self.derive_from_slots().expect("job slots are consistent");
+        assert_eq!(raid, self.raid_order, "raid order drifted from the slots");
+        assert_eq!(cap, self.cap_running, "cap_running drifted from the scan");
         self.check_waitq_invariant();
         // Down capacity must never be visible to scheduling queries.
         let live = self.cluster.live_nodes();

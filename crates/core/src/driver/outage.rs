@@ -29,7 +29,6 @@
 //! [`OutageSchedule`]: hws_workload::OutageSchedule
 //! [`SimConfig::outages`]: crate::config::SimConfig::outages
 
-use super::alloc::Claim;
 use super::core::SimCore;
 use super::events::Ev;
 use crate::jobstate::Status;
@@ -38,14 +37,13 @@ use hws_cluster::{ClusterBackend, NodeId, NodeState};
 use hws_metrics::OutageReport;
 use hws_sim::{Engine, EventQueue, SimTime};
 use hws_workload::{JobId, JobKind, OutageKind};
-use std::collections::BTreeMap;
 
 /// Mutable outage bookkeeping, present exactly when the run carries a
 /// schedule. Lost capacity is accounted as an exact integral: the down
 /// count only changes inside event dispatch, so accruing
 /// `down × Δt` at every event entry ([`SimCore::accrue_outage`]) sums the
 /// true step function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(super) struct OutageState {
     /// Schedule events applied so far (the injection chain's cursor is
     /// carried by the queued [`Ev::Outage`] itself; this drives the
@@ -60,32 +58,13 @@ pub(super) struct OutageState {
     pub(super) lost_node_seconds: u128,
     pub(super) degraded_wall_seconds: u64,
     pub(super) last_accrual: SimTime,
-    /// Jobs evicted by a hard down and not yet restarted; drives the
-    /// recovery-latency metric. Entries clear on restart
-    /// ([`SimCore::note_outage_recovery`]) or retirement (cancel, sweep).
-    pub(super) evicted_at: BTreeMap<JobId, SimTime>,
+    /// Restarts of jobs a hard down evicted, and their summed latency.
+    /// The eviction instant itself lives in the job's slot
+    /// ([`JobState::evicted_at`](crate::jobstate::JobState::evicted_at)),
+    /// so a job retired mid-recovery (cancelled, swept as infeasible)
+    /// takes its open window with it.
     pub(super) recoveries: u64,
     pub(super) recovery_latency_total: u64,
-}
-
-impl Default for OutageState {
-    fn default() -> Self {
-        OutageState {
-            applied: 0,
-            downs: 0,
-            drains: 0,
-            rejoins: 0,
-            interrupted_jobs: 0,
-            shrunk_jobs: 0,
-            infeasible_killed: 0,
-            lost_node_seconds: 0,
-            degraded_wall_seconds: 0,
-            last_accrual: SimTime::ZERO,
-            evicted_at: BTreeMap::new(),
-            recoveries: 0,
-            recovery_latency_total: 0,
-        }
-    }
 }
 
 /// Validate the configured schedule against the backend's shape and queue
@@ -153,13 +132,12 @@ impl<B: ClusterBackend> SimCore<B> {
         }
     }
 
-    /// An evicted job restarted: close its recovery-latency window.
-    pub(super) fn note_outage_recovery(&mut self, j: JobId, now: SimTime) {
-        if let Some(o) = self.outage.as_mut() {
-            if let Some(t) = o.evicted_at.remove(&j) {
-                o.recovery_latency_total += now.since(t).as_secs();
-                o.recoveries += 1;
-            }
+    /// A job evicted at `evicted` (if at all) restarted: close its
+    /// recovery-latency window.
+    pub(super) fn note_outage_recovery(&mut self, evicted: Option<SimTime>, now: SimTime) {
+        if let (Some(t), Some(o)) = (evicted, self.outage.as_mut()) {
+            o.recovery_latency_total += now.since(t).as_secs();
+            o.recoveries += 1;
         }
     }
 
@@ -291,20 +269,11 @@ impl<B: ClusterBackend> SimCore<B> {
     /// it so the holder collects a replacement. Arrived holders keep
     /// phase-0 claims until launch, so they never need this.
     fn reclaim_after_reservation_loss(&mut self, holder: JobId) {
-        if self.noticed.contains(&holder) && !self.claims.iter().any(|c| c.od == holder) {
-            let spec = self.spec(holder);
-            let since = spec
-                .notice
-                .as_ref()
-                .expect("noticed job has a notice")
-                .notice_time;
-            let target = spec.size;
-            self.insert_claim(Claim {
-                od: holder,
-                target,
-                phase: 1,
-                since,
-            });
+        let (st, spec) = self.table.state_spec(holder);
+        if let (Some(_), Some(n)) = (&st.notice, spec.notice) {
+            if !self.claims.iter().any(|c| c.od == holder) {
+                self.insert_claim(holder, 1, n.notice_time);
+            }
         }
     }
 
@@ -331,9 +300,8 @@ impl<B: ClusterBackend> SimCore<B> {
     }
 
     fn note_eviction(&mut self, job: JobId, now: SimTime) {
-        let o = self.outage.as_mut().expect("outage run");
-        o.interrupted_jobs += 1;
-        o.evicted_at.insert(job, now);
+        self.outage.as_mut().expect("outage run").interrupted_jobs += 1;
+        self.st_mut(job).evicted_at = Some(now);
     }
 
     /// Targeted malleable shrink: drop exactly the failing node and keep
@@ -397,9 +365,8 @@ impl<B: ClusterBackend> SimCore<B> {
             return;
         }
         for j in doomed {
-            self.withdraw(j, q);
             self.outage.as_mut().expect("outage run").infeasible_killed += 1;
-            self.kill_unstarted(j, now);
+            self.kill_unstarted(j, now, q);
         }
         self.offer_free_nodes(now);
     }

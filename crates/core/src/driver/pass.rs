@@ -22,8 +22,8 @@ impl<B: ClusterBackend> SimCore<B> {
         // as the historical per-pass re-sort; static policies skip it).
         // The copy into recycled scratch keeps the exact stored keys, so a
         // started job's entry is removed under precisely the key it was
-        // inserted with even though `start_job` flips its `od_front`
-        // membership afterwards.
+        // inserted with even though `start_job` clears its front-class
+        // flag first.
         self.refresh_queue_epoch(now);
         let mut keys = std::mem::take(&mut self.scratch.keys);
         keys.extend(self.queue.iter());
@@ -54,10 +54,10 @@ impl<B: ClusterBackend> SimCore<B> {
             let (fits, backfill, usable) = if avail >= need {
                 (true, false, avail)
             } else if own == 0 && self.hybrid() && self.cfg.backfill_on_reserved {
-                let squattable = &self.squattable;
+                let table = &self.table;
                 let usable = self
                     .cluster
-                    .backfill_avail_for(j, &mut |h| squattable.contains(&h));
+                    .backfill_avail_for(j, &mut |h| table.squattable(h));
                 (usable >= need, true, usable)
             } else {
                 (false, false, avail)
@@ -66,10 +66,6 @@ impl<B: ClusterBackend> SimCore<B> {
                 let size = self.choose_start_size(j, usable);
                 if self.start_job(j, size, backfill, now, q) {
                     self.queue.remove(keys[pos].0, j);
-                    if self.spec(j).kind == JobKind::OnDemand {
-                        self.od_front.remove(&j);
-                        self.remove_claim(j);
-                    }
                     pos += 1;
                     continue;
                 }
@@ -110,10 +106,6 @@ impl<B: ClusterBackend> SimCore<B> {
                     let size = self.choose_start_size(j, usable);
                     if self.start_job(j, size, false, now, q) {
                         self.queue.remove(keys[pos].0, j);
-                        if self.spec(j).kind == JobKind::OnDemand {
-                            self.od_front.remove(&j);
-                            self.remove_claim(j);
-                        }
                         pos += 1;
                         continue;
                     }
@@ -156,10 +148,6 @@ impl<B: ClusterBackend> SimCore<B> {
                     if let Some(size) = self.backfill_size(j, shadow, now) {
                         if self.start_job(j, size, true, now, q) {
                             self.queue.remove(e.0, j);
-                            if self.spec(j).kind == JobKind::OnDemand {
-                                self.od_front.remove(&j);
-                                self.remove_claim(j);
-                            }
                         }
                     }
                 }
@@ -254,9 +242,9 @@ impl<B: ClusterBackend> SimCore<B> {
         let avail = if own > 0 || !self.cfg.backfill_on_reserved {
             self.cluster.avail_for(j)
         } else {
-            let squattable = &self.squattable;
+            let table = &self.table;
             self.cluster
-                .backfill_avail_for(j, &mut |h| squattable.contains(&h))
+                .backfill_avail_for(j, &mut |h| table.squattable(h))
         };
         if spec.kind == JobKind::Malleable && self.hybrid() {
             if avail < spec.min_size {

@@ -335,13 +335,13 @@ impl<B: SnapshotBackend> SchedulerService<B> {
         let Engine { queue, sim, .. } = &mut self.engine;
         match sim.jobs().get_state(id).map(|st| st.status) {
             Some(status @ (Status::Announced | Status::Waiting)) => {
-                sim.withdraw(id, queue);
                 if status == Status::Waiting {
-                    sim.kill_unstarted(id, now);
+                    sim.kill_unstarted(id, now, queue);
                 } else {
                     // Never submitted, so no record: the still-pending
                     // arrival-lane Submit (and Notice) die against the
                     // dispatch liveness guard.
+                    sim.withdraw(id, queue);
                     sim.retire(id);
                 }
                 sim.offer_free_nodes(now);

@@ -8,18 +8,22 @@
 //! flag ring), and the full [`SimCore`]: job arena, backend (via
 //! [`SnapshotBackend`]), scheduler collections, the recorder's fold, and
 //! the timeline.
-//! Every section goes through its type's one [`Snap`] layout; id-keyed
-//! collections go through the sorted-id-map codec ([`SortedIds`]), so
+//! Every section goes through its type's one [`Snap`] layout, so
 //! identical states produce identical bytes regardless of hash-map
-//! history.
+//! history. A job's own bookkeeping — its front-class flag, its notice
+//! phase (reservation timeout, CUP plans, squattability) and its
+//! outage-eviction time — rides in its slot of the job arena.
 //!
-//! Two things are deliberately **not** in the stream:
+//! Three things are deliberately **not** in the stream:
 //!
 //! * the mechanism/config — restore takes a [`SimConfig`] as context, so
 //!   an image resumes under another mechanism exactly as an in-memory
 //!   fork (`SchedulerService::fork`) does;
 //! * the hooks object — code, not data; rebuilt by
-//!   [`hooks_for`](super::hooks::hooks_for) from the restore config.
+//!   [`hooks_for`](super::hooks::hooks_for) from the restore config;
+//! * state derivable from the slots — the raid order of the notice-phase
+//!   jobs and the running-capability count, rebuilt by
+//!   [`SimCore::derive_from_slots`], and the waiting-queue keys.
 //!
 //! The contract tested here and in the service layer: restore followed by
 //! draining the simulation is bitwise-identical (metrics fingerprint) to
@@ -34,7 +38,7 @@ use crate::config::SimConfig;
 use crate::jobtable::JobTable;
 use crate::timeline::{Timeline, TimelineEvent};
 use hws_cluster::SnapshotBackend;
-use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter, SortedIds};
+use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use hws_sim::{Engine, EventQueue, SimTime};
 use hws_workload::JobId;
 
@@ -52,8 +56,13 @@ use hws_workload::JobId;
 /// submission order, killed ids) instead of every job's record. Version 6
 /// makes the fold order-free: the accumulators hold exact `u128` sums, and
 /// the recorder writes only live records, in ascending id order, with no
-/// retired flag.
-const SNAP_VERSION: u8 = 6;
+/// retired flag. Version 7 moves each job's side tables into its slot:
+/// the front-class flag, the notice phase and the eviction time are
+/// `JobState` fields, and the five id-keyed engine sections
+/// (`od_front`, squattable, noticed, timeouts, CUP plans), the outage
+/// section's `evicted_at` map and the `cap_running` counter leave the
+/// image.
+const SNAP_VERSION: u8 = 7;
 
 // Layouts of the engine's value types.
 hws_sim::snap_enum!(Ev {
@@ -98,7 +107,6 @@ hws_sim::snap_struct!(OutageState {
     lost_node_seconds,
     degraded_wall_seconds,
     last_accrual,
-    evicted_at: "evicted job",
     recoveries,
     recovery_latency_total,
 });
@@ -132,14 +140,9 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
     core.queue.len().put(w);
     core.queue.iter().for_each(|(_, j)| j.put(w));
     core.queue.epoch().put(w);
-    core.od_front.put_sorted(w);
     core.claims.put(w);
     core.leases.put(w);
-    core.squattable.put_sorted(w);
-    core.noticed.put_sorted(w);
-    core.timeout_ev.put_sorted(w);
-    core.cup_plans.put_sorted(w);
-    (core.pass_pending, core.cap_running).put(w);
+    core.pass_pending.put(w);
     core.shard_occ.put(w);
     core.shard_starts.put(w);
     core.outage.put(w);
@@ -156,9 +159,10 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
 /// ([`SnapshotBackend::Ctx`]). Every section is read through its codec;
 /// then the whole state is checked: shard accumulators against the
 /// backend, outage state against the config, live records against the
-/// job table, and the waiting queue against the job statuses. Malformed
-/// or truncated bytes error cleanly; this function never panics on bad
-/// input.
+/// job table, claims and reservations against the live jobs, the slots'
+/// notice phases against their specs, and the waiting queue against the
+/// job statuses. Malformed or truncated bytes error cleanly; this
+/// function never panics on bad input.
 pub(super) fn restore_engine<B: SnapshotBackend>(
     bytes: &[u8],
     cfg: &SimConfig,
@@ -189,15 +193,11 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         table,
         cluster,
         queue: super::waitq::WaitQueue::new(),
-        od_front: SortedIds::get_sorted(r, "on-demand front")?,
         claims: Snap::get(r)?,
         leases: Snap::get(r)?,
-        squattable: SortedIds::get_sorted(r, "squattable")?,
-        noticed: SortedIds::get_sorted(r, "noticed")?,
-        timeout_ev: SortedIds::get_sorted(r, "reservation timeout")?,
-        cup_plans: SortedIds::get_sorted(r, "CUP plan")?,
+        raid_order: Default::default(),
         pass_pending: Snap::get(r)?,
-        cap_running: Snap::get(r)?,
+        cap_running: 0,
         scratch: Scratch::default(),
         tau_memo: std::cell::RefCell::new(Vec::new()),
         shard_occ: Snap::get(r)?,
@@ -230,8 +230,9 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         _ => {}
     }
     core.check_records_match_jobs().map_err(|e| r.err(e))?;
+    (core.raid_order, core.cap_running) = core.derive_from_slots().map_err(|e| r.err(e))?;
     // Rebuild the waiting-queue index: recompute each key from the
-    // restored spec, od_front membership, and the recorded epoch. Every
+    // restored spec, front-class flag, and the recorded epoch. Every
     // collection the keys derive from is restored above, so the rebuilt
     // order reproduces the recorded one — re-snapshotting is a byte fixed
     // point. Validation (not trusting the stream): every id must name a

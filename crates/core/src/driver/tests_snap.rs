@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::config::{Mechanism, NoticeStrategy, SimConfig};
+use crate::jobstate::JobState;
 use hws_cluster::{Cluster, ClusterBackend, Federation, FederationConfig, SnapshotBackend};
 use hws_sim::snap::{SnapError, SnapWriter};
 use hws_sim::{SimDuration, SimTime};
@@ -116,10 +117,7 @@ fn mid_session<B: SnapshotBackend>(svc: &mut SchedulerService<B>, log: &Submissi
             && withdrawn > 0
             && !core.queue.is_empty()
             && !core.timeline.entries.is_empty()
-            && core
-                .outage
-                .as_ref()
-                .is_some_and(|o| !o.evicted_at.is_empty())
+            && any_live(core, |st| st.evicted_at.is_some())
     };
     let mut clock = SimTime::ZERO;
     'log: for e in log.entries() {
@@ -163,7 +161,8 @@ fn mid_session<B: SnapshotBackend>(svc: &mut SchedulerService<B>, log: &Submissi
         .expect("on-demand job submits");
     svc.step_until(arrival);
     if svc.config().mechanism.notice() == Some(NoticeStrategy::Cup) {
-        assert!(!svc.core_mut().cup_plans.is_empty(), "no CUP plan pending");
+        let planned = |st: &JobState| st.notice.as_ref().is_some_and(|n| !n.plans.is_empty());
+        assert!(any_live(svc.core_mut(), planned), "no CUP plan pending");
     }
     for (k, hours) in [(2, 30), (3, 40)] {
         let at = arrival + SimDuration::from_hours(hours);
@@ -177,6 +176,13 @@ fn mid_session<B: SnapshotBackend>(svc: &mut SchedulerService<B>, log: &Submissi
     core.table
         .for_each_live(|spec, _| capability |= spec.is_capability());
     assert!(capability, "no live capability job");
+}
+
+/// Whether some live job's state satisfies `f`.
+fn any_live<B: ClusterBackend>(core: &SimCore<B>, f: impl Fn(&JobState) -> bool) -> bool {
+    let mut hit = false;
+    core.table.for_each_live(|_, st| hit |= f(st));
+    hit
 }
 
 fn image(m: Mechanism, shards: usize) -> Vec<u8> {
@@ -206,18 +212,18 @@ fn image(m: Mechanism, shards: usize) -> Vec<u8> {
 /// `(len, FNV-1a)` of each mid-session image, per mechanism, on one
 /// cluster and on a 2-shard federation.
 const GOLDEN: [(usize, usize, u64); 12] = [
-    (1, 5589, 9432211716858693100),
-    (1, 5508, 17872619383020224756),
-    (1, 5686, 15659023163961972339),
-    (1, 5605, 879248959501517748),
-    (1, 5752, 891620437577111530),
-    (1, 5671, 11969715756546913034),
-    (2, 4720, 13412564878141054125),
-    (2, 4662, 15314785004050850316),
-    (2, 4829, 18430661789956846148),
-    (2, 4771, 10762378656742739059),
-    (2, 4895, 1482346802652768330),
-    (2, 4837, 15455784906957813207),
+    (1, 5547, 1545423026321603727),
+    (1, 5466, 17575868240945104725),
+    (1, 5629, 14722511237288128435),
+    (1, 5548, 13310751387091126893),
+    (1, 5679, 2937993380943331074),
+    (1, 5598, 15558335408949062973),
+    (2, 4668, 15529643200280971822),
+    (2, 4610, 3810530640361490714),
+    (2, 4762, 3303958398562823869),
+    (2, 4704, 4260226245424050246),
+    (2, 4812, 15381373631262216578),
+    (2, 4754, 8742755462585168329),
 ];
 
 /// The byte layout is the spec: a codec change that moves one byte of
@@ -348,4 +354,28 @@ fn mutated_images_fail_closed() {
         accepted > 0 && refused > 0,
         "{accepted} restored, {refused} refused"
     );
+}
+
+/// The running-capability counter is derived on restore from the job
+/// table, never read from the image: an image taken while the counter
+/// disagrees with the running jobs restores to the scan, and the
+/// restored session drains under paranoid checks.
+#[test]
+fn restore_derives_the_running_capability_count() {
+    let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
+    let mut svc = SchedulerService::new(cfg.clone(), SYSTEM);
+    for (k, size) in [(0, 16), (1, 8)] {
+        let job = own_job(JobKind::Rigid, k, SimTime::from_secs(10), size);
+        svc.submit(job.capability().build()).expect("job submits");
+    }
+    svc.step_until(SimTime::from_secs(100));
+    let scan = svc.core_mut().running_capability();
+    assert_eq!(scan, 2, "both capability jobs run");
+    svc.core_mut().cap_running = 0;
+    let bytes = svc.snapshot();
+    cfg.paranoid_checks = true;
+    let mut back = SchedulerService::<Cluster>::restore(&bytes, &cfg, ()).expect("restores");
+    assert_eq!(back.core_mut().running_capability(), scan);
+    let out = back.into_outcome();
+    assert_eq!(out.metrics.completed_jobs, 2);
 }

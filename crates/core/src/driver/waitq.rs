@@ -9,10 +9,11 @@
 //! * **submit / resubmit** (failure, preemption, drain expiry, outage
 //!   interrupt) — insert;
 //! * **start / cancel / infeasibility sweep** — remove;
-//! * **`od_front` membership flips** — an arrived on-demand job changes
-//!   key *class*, so membership must be final before the insert and the
-//!   entry must be removed before the flip (both orderings are enforced at
-//!   the call sites; the paranoid oracle below catches violations).
+//! * **front-class flips** ([`JobState::at_front`]) — an arrived
+//!   on-demand job changes key *class*, so the flag must be final before
+//!   the insert, and a job is unindexed under its stored key before it is
+//!   cleared (both orderings are enforced at the call sites; the paranoid
+//!   oracle below catches violations).
 //!
 //! ## Key epochs (time-varying policies)
 //!
@@ -28,9 +29,11 @@
 //! ## Invariant
 //!
 //! The index holds exactly the live jobs with [`Status::Waiting`], each
-//! under `queue_key(policy, spec, od_front ∋ j, epoch)`. Under
+//! under `queue_key(policy, spec, at_front, epoch)`. Under
 //! `paranoid_checks` this is cross-validated after every event against a
 //! from-scratch re-sort oracle ([`SimCore::check_waitq_invariant`]).
+//!
+//! [`JobState::at_front`]: crate::jobstate::JobState::at_front
 
 use super::core::{Scratch, SimCore};
 use crate::jobstate::Status;
@@ -121,20 +124,16 @@ impl WaitQueue {
 
 impl<B: ClusterBackend> SimCore<B> {
     /// The key waiting job `j` is (or would be) indexed under *right now*:
-    /// current `od_front` membership, current epoch. Every insert and
-    /// remove goes through this, so entries are always found.
+    /// current front-class flag, current epoch. Every insert and remove
+    /// goes through this, so entries are always found.
     #[inline]
     pub(super) fn wait_key(&self, j: JobId) -> QueueKey {
-        queue_key(
-            self.cfg.policy,
-            self.spec(j),
-            self.od_front.contains(&j),
-            self.queue.epoch(),
-        )
+        let (st, spec) = self.table.state_spec(j);
+        queue_key(self.cfg.policy, spec, st.at_front, self.queue.epoch())
     }
 
-    /// Index a job that just became [`Status::Waiting`]. `od_front`
-    /// membership must already be final for this job.
+    /// Index a job that just became [`Status::Waiting`]. Its front-class
+    /// flag must already be final.
     pub(super) fn enqueue_waiting(&mut self, j: JobId) {
         debug_assert_eq!(self.st(j).status, Status::Waiting);
         let key = self.wait_key(j);
@@ -143,7 +142,7 @@ impl<B: ClusterBackend> SimCore<B> {
     }
 
     /// Unindex a waiting job (cancel, infeasibility sweep). Must run
-    /// *before* its `od_front` membership or status changes.
+    /// *before* its front-class flag or status changes.
     pub(super) fn dequeue_waiting(&mut self, j: JobId) {
         let key = self.wait_key(j);
         self.queue.remove(key, j);
@@ -183,12 +182,7 @@ impl<B: ClusterBackend> SimCore<B> {
         let mut oracle: Vec<(QueueKey, JobId)> = Vec::new();
         self.table.for_each_live(|spec, st| {
             if st.status == Status::Waiting {
-                let key = queue_key(
-                    self.cfg.policy,
-                    spec,
-                    self.od_front.contains(&spec.id),
-                    self.queue.epoch(),
-                );
+                let key = queue_key(self.cfg.policy, spec, st.at_front, self.queue.epoch());
                 oracle.push((key, spec.id));
             }
         });

@@ -15,7 +15,7 @@
 //! All arithmetic is integer (seconds / node-seconds), so runs are exact
 //! and replay-deterministic.
 
-use hws_sim::{SimDuration, SimTime};
+use hws_sim::{EventId, SimDuration, SimTime};
 use hws_workload::{JobId, JobSpec};
 
 /// Lifecycle of a job inside the simulator.
@@ -52,6 +52,19 @@ pub struct Run {
     pub work_at_start: SimDuration,
 }
 
+/// An on-demand job's notice phase (§III-B1–B4), from its notice to its
+/// arrival, reservation timeout, cancel or kill.
+#[derive(Debug, Clone)]
+pub struct NoticePhase {
+    /// The pending `ReservationTimeout` event.
+    pub timeout: EventId,
+    /// Pending CUP-planned preemptions on this job's behalf.
+    pub plans: Vec<EventId>,
+    /// Whether backfill may squat on the reservation (fixed at notice
+    /// time; an action may flip `backfill_on_reserved` later).
+    pub squattable: bool,
+}
+
 /// Dynamic state of one job.
 #[derive(Debug, Clone)]
 pub struct JobState {
@@ -74,8 +87,11 @@ pub struct JobState {
     pub epoch: u64,
     /// Draining (two-minute warning): nodes release at this instant.
     pub drain_until: Option<SimTime>,
-    /// On-demand job this drain's nodes are promised to.
-    pub drain_claim: Option<(JobId, u32)>,
+    /// Arrived on-demand job waiting in the queue's front class (§III-B2).
+    pub at_front: bool,
+    pub notice: Option<NoticePhase>,
+    /// Evicted by a hard outage down at this instant, not yet restarted.
+    pub evicted_at: Option<SimTime>,
 }
 
 impl JobState {
@@ -92,7 +108,9 @@ impl JobState {
             run: None,
             epoch: 0,
             drain_until: None,
-            drain_claim: None,
+            at_front: false,
+            notice: None,
+            evicted_at: None,
         }
     }
 
@@ -105,13 +123,21 @@ impl JobState {
         self.epoch
     }
 
-    /// A running or draining job has a run record; no other job has one.
-    fn check_run(&self) -> Result<(), String> {
-        let active = matches!(self.status, Status::Running | Status::Draining);
+    /// A running or draining job has a run record and no other job has
+    /// one; only a waiting job sits in the front class or carries an
+    /// eviction time, and only an announced one is in its notice phase.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let s = self.status;
+        let active = matches!(s, Status::Running | Status::Draining);
         if active != self.run.is_some() {
+            return Err(format!("status {s:?} inconsistent with run presence"));
+        }
+        if (self.at_front || self.evicted_at.is_some()) && s != Status::Waiting
+            || self.notice.is_some() && s != Status::Announced
+        {
             return Err(format!(
-                "status {:?} inconsistent with run presence",
-                self.status
+                "{} is {s:?} but holds another phase's state",
+                self.id
             ));
         }
         Ok(())
@@ -150,8 +176,15 @@ hws_sim::snap_struct!(JobState {
     run,
     epoch,
     drain_until,
-    drain_claim,
-} check JobState::check_run);
+    at_front,
+    notice,
+    evicted_at,
+} check JobState::check);
+hws_sim::snap_struct!(NoticePhase {
+    timeout,
+    plans,
+    squattable,
+});
 
 // ----------------------------------------------------------------------
 // Rigid-run timeline arithmetic (pure functions).

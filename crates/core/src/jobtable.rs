@@ -235,6 +235,15 @@ impl JobTable {
         self.index.get(id.0).map(|s| &self.states[s as usize])
     }
 
+    /// Whether backfill may squat on `id`'s reservation: a live job whose
+    /// notice phase allows it.
+    #[inline]
+    pub fn squattable(&self, id: JobId) -> bool {
+        self.get_state(id)
+            .and_then(|st| st.notice.as_ref())
+            .is_some_and(|n| n.squattable)
+    }
+
     #[inline]
     pub fn spec(&self, id: JobId) -> &JobSpec {
         let slot = self

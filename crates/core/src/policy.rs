@@ -116,17 +116,17 @@ pub fn aging_score(policy: PolicyKind, spec: &JobSpec, now: SimTime) -> f64 {
     }
 }
 
-/// Compute a job's queue key under `policy`. `od_front` marks arrived
+/// Compute a job's queue key under `policy`. `at_front` marks arrived
 /// on-demand jobs awaiting resources. For static policies `now` is
 /// ignored; for aging policies it is the key's epoch.
-pub fn queue_key(policy: PolicyKind, spec: &JobSpec, od_front: bool, now: SimTime) -> QueueKey {
+pub fn queue_key(policy: PolicyKind, spec: &JobSpec, at_front: bool, now: SimTime) -> QueueKey {
     let score = if policy.is_time_varying() {
         aging_score(policy, spec, now)
     } else {
         static_score(policy, spec)
     };
     QueueKey {
-        class: if od_front { 0 } else { 1 },
+        class: if at_front { 0 } else { 1 },
         score,
         tie: spec.id.0,
     }

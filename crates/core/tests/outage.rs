@@ -461,3 +461,94 @@ fn admin_drain_and_rejoin_a_whole_shard() {
     assert_eq!(out.metrics.killed_jobs, 1);
     assert!(out.outages.is_none());
 }
+
+/// An on-demand job whose notice reserved nodes, and which the horizon
+/// then proves infeasible at its submit, unwinds its notice phase as it
+/// is killed. Node 0 goes down for good at t=100, so two whole-machine
+/// on-demand jobs noticed at t=1,000 and t=1,050 die at their submits;
+/// before the unwind, the first one's 63 reserved nodes stayed held for
+/// a retired id, and the later 8-node arrival's raid of notice-phase
+/// reservations panicked on it. Both 8-node jobs must complete.
+#[test]
+fn an_infeasible_noticed_arrival_unwinds_its_notice_phase() {
+    let schedule = OutageSchedule::new(vec![OutageEvent {
+        at: SimTime::from_secs(100),
+        kind: OutageKind::Down,
+        shard: 0,
+        node: Some(0),
+    }])
+    .expect("single event");
+    let secs = SimTime::from_secs;
+    let whole_machine = |id: u64, notice: u64, submit: u64| {
+        JobSpecBuilder::on_demand(id)
+            .submit_at(secs(submit))
+            .notice(secs(notice), secs(submit))
+            .size(64)
+            .work(SimDuration::from_secs(600))
+            .estimate(SimDuration::from_secs(900))
+            .build()
+    };
+    let jobs = vec![
+        whole_machine(1, 1_000, 2_000),
+        whole_machine(2, 1_050, 2_050),
+        JobSpecBuilder::rigid(3)
+            .submit_at(secs(2_500))
+            .size(8)
+            .work(SimDuration::from_secs(600))
+            .estimate(SimDuration::from_secs(900))
+            .build(),
+        JobSpecBuilder::on_demand(4)
+            .submit_at(secs(3_000))
+            .size(8)
+            .work(SimDuration::from_secs(600))
+            .estimate(SimDuration::from_secs(900))
+            .build(),
+    ];
+    let trace = Trace::new(64, SimDuration::from_days(1), jobs);
+    for m in [Mechanism::CUA_PAA, Mechanism::CUP_SPAA] {
+        let cfg = cfg_for(m).with_outages(schedule.clone());
+        let out = Simulator::run_trace(&cfg, &trace);
+        assert_eq!(out.metrics.killed_jobs, 2, "{}", m.name());
+        assert_eq!(out.metrics.completed_jobs, 2, "{}", m.name());
+        assert_eq!(out.outages.expect("the down applied").nodes_down, 1);
+    }
+}
+
+/// The nodes an infeasible noticed arrival reserved reach the queue at
+/// its kill: a rigid job that waited behind the reservation (backfill
+/// may not squat on it) starts then. Before, no pass followed the kill
+/// and no later event came, so the waiting job never started.
+#[test]
+fn an_infeasible_kill_hands_its_reservation_to_the_queue() {
+    let schedule = OutageSchedule::new(vec![OutageEvent {
+        at: SimTime::from_secs(100),
+        kind: OutageKind::Down,
+        shard: 0,
+        node: Some(0),
+    }])
+    .expect("single event");
+    let secs = SimTime::from_secs;
+    let jobs = vec![
+        JobSpecBuilder::on_demand(1)
+            .submit_at(secs(2_000))
+            .notice(secs(1_000), secs(2_000))
+            .size(64)
+            .work(SimDuration::from_secs(600))
+            .estimate(SimDuration::from_secs(900))
+            .build(),
+        JobSpecBuilder::rigid(2)
+            .submit_at(secs(1_500))
+            .size(8)
+            .work(SimDuration::from_secs(600))
+            .estimate(SimDuration::from_secs(900))
+            .build(),
+    ];
+    let trace = Trace::new(64, SimDuration::from_days(1), jobs);
+    for m in [Mechanism::CUA_PAA, Mechanism::CUP_SPAA] {
+        let mut cfg = cfg_for(m).with_outages(schedule.clone());
+        cfg.backfill_on_reserved = false;
+        let out = Simulator::run_trace(&cfg, &trace);
+        assert_eq!(out.metrics.killed_jobs, 1, "{}", m.name());
+        assert_eq!(out.metrics.completed_jobs, 1, "{}", m.name());
+    }
+}

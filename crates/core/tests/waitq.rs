@@ -52,7 +52,7 @@ proptest! {
     /// oracle rather than a sampled end-state check — `paranoid_checks`
     /// re-keys every waiting job from scratch after each event and
     /// asserts the maintained index matches, so any missed or stale
-    /// transition (a flip of `od_front`, an aging epoch not refreshed, a
+    /// transition (a front-class flip, an aging epoch not refreshed, a
     /// start that left its entry behind) aborts the run at the exact
     /// event that corrupted the order.
     #[test]
