@@ -22,8 +22,6 @@ use hws_workload::{JobId, JobKind};
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Claim {
     pub(super) od: JobId,
-    /// Total nodes wanted in the job's reservation.
-    pub(super) target: u32,
     /// Collection priority: arrived jobs (phase 0) before notice-phase
     /// collectors (phase 1); then earliest notice/arrival first.
     pub(super) phase: u8,
@@ -48,13 +46,7 @@ impl<B: ClusterBackend> SimCore<B> {
     /// never re-sorts. Claims are immutable after insertion, so the order
     /// is maintained for free.
     pub(super) fn insert_claim(&mut self, od: JobId, phase: u8, since: SimTime) {
-        let target = self.spec(od).size;
-        let c = Claim {
-            od,
-            target,
-            phase,
-            since,
-        };
+        let c = Claim { od, phase, since };
         let at = self.claims.partition_point(|x| x.key() < c.key());
         self.claims.insert(at, c);
     }
@@ -74,7 +66,7 @@ impl<B: ClusterBackend> SimCore<B> {
             }
             let c = self.claims[i];
             let have = self.cluster.reserved_idle_count(c.od);
-            let want = c.target.saturating_sub(have);
+            let want = self.spec(c.od).size.saturating_sub(have);
             if want > 0 {
                 self.cluster
                     .reserve(c.od, want.min(self.cluster.free_count()));
@@ -83,9 +75,9 @@ impl<B: ClusterBackend> SimCore<B> {
         }
         // Drop satisfied notice-phase collectors; arrived collectors are
         // removed at launch.
-        let cluster = &self.cluster;
+        let (cluster, table) = (&self.cluster, &self.table);
         self.claims
-            .retain(|c| cluster.reserved_idle_count(c.od) < c.target || c.phase == 0);
+            .retain(|c| cluster.reserved_idle_count(c.od) < table.spec(c.od).size || c.phase == 0);
     }
 
     pub(super) fn remove_claim(&mut self, od: JobId) {
@@ -187,7 +179,6 @@ impl<B: ClusterBackend> SimCore<B> {
             notice.predicted_arrival + self.cfg.reservation_timeout,
             Ev::ReservationTimeout(j),
         );
-        self.raid_order.insert((notice.notice_time, j));
         self.st_mut(j).notice = Some(NoticePhase {
             timeout,
             plans,
@@ -327,11 +318,20 @@ impl<B: ClusterBackend> SimCore<B> {
         // predicted ones: raid notice-phase reservations, robbing the most
         // recent notice first so the earliest notice keeps its collection
         // priority (§III-B1).
-        for &(_, h) in self.raid_order.iter().rev() {
-            if have >= need {
-                break;
+        if have < need {
+            let mut holders = Vec::new();
+            self.table.for_each_live(|spec, st| {
+                if let (Some(_), Some(n)) = (&st.notice, spec.notice) {
+                    holders.push((n.notice_time, spec.id));
+                }
+            });
+            holders.sort_unstable();
+            for &(_, h) in holders.iter().rev() {
+                if have >= need {
+                    break;
+                }
+                have += self.cluster.transfer_reserved(h, j, need - have);
             }
-            have += self.cluster.transfer_reserved(h, j, need - have);
         }
 
         // Still short: ask the mechanism hooks how to source the rest.
@@ -438,10 +438,10 @@ mod tests {
     /// `system`-node machine, with `busy` nodes occupied by a running job.
     fn core_with_claims(system: u32, busy: u32, claims: &[(u64, u32, u8, u64)]) -> SimCore {
         let mut core = SimCore::new(SimConfig::with_mechanism(Mechanism::CUA_PAA), system);
-        for &(id, target, _, _) in claims {
+        for &(id, size, _, _) in claims {
             core.table.admit(
                 JobSpecBuilder::on_demand(id)
-                    .size(target.min(system))
+                    .size(size)
                     .work(SimDuration::from_secs(600))
                     .estimate(SimDuration::from_secs(1_200))
                     .build(),
@@ -459,8 +459,7 @@ mod tests {
         if busy > 0 {
             assert!(core.cluster.allocate(JobId(filler_id), busy).is_some());
         }
-        for &(id, target, phase, since) in claims {
-            assert_eq!(core.spec(JobId(id)).size, target);
+        for &(id, _, phase, since) in claims {
             core.insert_claim(JobId(id), phase, SimTime::from_secs(since));
         }
         core
@@ -473,8 +472,8 @@ mod tests {
         order.sort_by_key(|&(id, _, phase, since)| (phase, since, id));
         let mut left = free;
         let mut grants = Vec::new();
-        for (id, target, _, _) in order {
-            let got = target.min(left);
+        for (id, size, _, _) in order {
+            let got = size.min(left);
             left -= got;
             grants.push((id, got));
         }
@@ -501,8 +500,8 @@ mod tests {
             let claims: Vec<(u64, u32, u8, u64)> = raw_claims
                 .iter()
                 .enumerate()
-                .map(|(i, &(target, phase, since))| {
-                    (i as u64, target.min(system), phase as u8, since)
+                .map(|(i, &(size, phase, since))| {
+                    (i as u64, size.min(system), phase as u8, since)
                 })
                 .collect();
             let mut core = core_with_claims(system, busy, &claims);
@@ -523,7 +522,8 @@ mod tests {
             // Satisfied notice-phase collectors are dropped; arrived
             // collectors persist until launch.
             for c in &core.claims {
-                let keep = core.cluster.reserved_idle_count(c.od) < c.target || c.phase == 0;
+                let keep =
+                    core.cluster.reserved_idle_count(c.od) < core.spec(c.od).size || c.phase == 0;
                 prop_assert!(keep, "stale satisfied claim {:?}", c);
             }
             prop_assert_eq!(core.cluster.check_invariants(), Ok(()));

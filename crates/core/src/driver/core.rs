@@ -24,7 +24,6 @@ use hws_metrics::{Recorder, ShardStat};
 use hws_sim::{EventQueue, SimDuration, SimTime};
 use hws_workload::{JobClass, JobId, JobKind, JobSpec};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The simulation model (per-run state), generic over the resource
@@ -60,11 +59,6 @@ pub struct SimCore<B: ClusterBackend = Cluster> {
     /// [`SimCore::insert_claim`]).
     pub(super) claims: Vec<Claim>,
     pub(super) leases: LeaseLedger,
-    /// The jobs in their notice phase, by `(notice_time, id)`: an arrival
-    /// raids their reservations latest notice first. An index over the
-    /// slots' [`JobState::notice`], derived on restore and never written
-    /// to the image.
-    pub(super) raid_order: BTreeSet<(SimTime, JobId)>,
     pub(super) pass_pending: bool,
     /// Capability-class jobs currently running, maintained incrementally
     /// at the four run-state transitions (start, finish, fail, preempt)
@@ -151,7 +145,6 @@ impl<B: ClusterBackend> SimCore<B> {
             queue,
             claims: Vec::new(),
             leases: LeaseLedger::new(),
-            raid_order: BTreeSet::new(),
             pass_pending: false,
             cap_running: 0,
             scratch: Scratch::default(),
@@ -197,16 +190,15 @@ impl<B: ClusterBackend> SimCore<B> {
         self.cap_running
     }
 
-    /// One scan of the live slots: the raid order of the notice-phase
-    /// jobs and the count of running capability jobs (retired jobs never
-    /// run, so the live set is the whole population). Restore builds
-    /// [`Self::raid_order`] and [`Self::cap_running`] from it, and
-    /// `check_paranoid` compares them with it after every event. Refuses
+    /// One scan of the live slots: the count of running capability jobs
+    /// (retired jobs never run, so the live set is the whole population).
+    /// Restore sets [`Self::cap_running`] from it, and `check_paranoid`
+    /// compares the counter with it after every event. Refuses
     /// slots the engine never builds, and claims or idle reserved nodes
     /// held for a job that is not live: a retired id's claim would keep
     /// taking freed nodes, and its reservation would never return.
-    pub(super) fn derive_from_slots(&self) -> Result<(BTreeSet<(SimTime, JobId)>, u32), String> {
-        let (mut raid, mut cap, mut held, mut bad) = (BTreeSet::new(), 0, 0u64, Ok(()));
+    pub(super) fn derive_from_slots(&self) -> Result<u32, String> {
+        let (mut cap, mut held, mut bad) = (0, 0u64, Ok(()));
         self.table.for_each_live(|spec, st| {
             cap += u32::from(spec.class == JobClass::Capability && st.status == Status::Running);
             held += u64::from(self.cluster.reserved_idle_count(spec.id));
@@ -219,8 +211,6 @@ impl<B: ClusterBackend> SimCore<B> {
                 ));
             } else if let Err(e) = st.check() {
                 bad = Err(e);
-            } else if let (Some(_), Some(n)) = (&st.notice, spec.notice) {
-                raid.insert((n.notice_time, spec.id));
             }
         });
         bad?;
@@ -233,7 +223,7 @@ impl<B: ClusterBackend> SimCore<B> {
                 "live jobs hold {held} of {total} idle reserved nodes"
             ));
         }
-        Ok((raid, cap))
+        Ok(cap)
     }
 
     /// A capability job left the running state; called at every such
@@ -337,8 +327,6 @@ impl<B: ClusterBackend> SimCore<B> {
             for ev in phase.plans {
                 q.cancel(ev);
             }
-            let notice = self.spec(j).notice.expect("noticed job has a notice");
-            self.raid_order.remove(&(notice.notice_time, j));
         }
         self.remove_claim(j);
     }

@@ -226,8 +226,7 @@ impl<B: ClusterBackend> SimCore<B> {
         self.cluster.check_invariants().expect("cluster invariants");
         self.check_records_match_jobs()
             .expect("live records match the submitted jobs");
-        let (raid, cap) = self.derive_from_slots().expect("job slots are consistent");
-        assert_eq!(raid, self.raid_order, "raid order drifted from the slots");
+        let cap = self.derive_from_slots().expect("job slots are consistent");
         assert_eq!(cap, self.cap_running, "cap_running drifted from the scan");
         self.check_waitq_invariant();
         // Down capacity must never be visible to scheduling queries.

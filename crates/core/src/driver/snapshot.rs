@@ -21,9 +21,8 @@
 //!   fork (`SchedulerService::fork`) does;
 //! * the hooks object — code, not data; rebuilt by
 //!   [`hooks_for`](super::hooks::hooks_for) from the restore config;
-//! * state derivable from the slots — the raid order of the notice-phase
-//!   jobs and the running-capability count, rebuilt by
-//!   [`SimCore::derive_from_slots`], and the waiting-queue keys.
+//! * state derivable from the slots — the running-capability count,
+//!   rebuilt by [`SimCore::derive_from_slots`], and the waiting-queue keys.
 //!
 //! The contract tested here and in the service layer: restore followed by
 //! draining the simulation is bitwise-identical (metrics fingerprint) to
@@ -90,12 +89,7 @@ hws_sim::snap_enum!(TimelineEvent {
     9 => Killed,
 });
 hws_sim::snap_struct!(Timeline { entries });
-hws_sim::snap_struct!(Claim {
-    od,
-    target,
-    phase,
-    since,
-});
+hws_sim::snap_struct!(Claim { od, phase, since });
 hws_sim::snap_struct!(OutageState {
     applied,
     downs,
@@ -195,7 +189,6 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         queue: super::waitq::WaitQueue::new(),
         claims: Snap::get(r)?,
         leases: Snap::get(r)?,
-        raid_order: Default::default(),
         pass_pending: Snap::get(r)?,
         cap_running: 0,
         scratch: Scratch::default(),
@@ -230,7 +223,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         _ => {}
     }
     core.check_records_match_jobs().map_err(|e| r.err(e))?;
-    (core.raid_order, core.cap_running) = core.derive_from_slots().map_err(|e| r.err(e))?;
+    core.cap_running = core.derive_from_slots().map_err(|e| r.err(e))?;
     // Rebuild the waiting-queue index: recompute each key from the
     // restored spec, front-class flag, and the recorded epoch. Every
     // collection the keys derive from is restored above, so the rebuilt
