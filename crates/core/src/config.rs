@@ -188,9 +188,6 @@ pub struct SimConfig {
     pub measure_decisions: bool,
     /// Verify cluster invariants after every event (slow; tests only).
     pub paranoid_checks: bool,
-    /// Record a schedule timeline (Gantt-renderable; small scenarios only —
-    /// the log grows with every scheduling event).
-    pub record_timeline: bool,
     /// Explicit mechanism hooks. `None` derives the standard composition
     /// from [`SimConfig::mechanism`]; `Some` overrides it entirely (set via
     /// [`SimConfig::with_hooks`]).
@@ -232,7 +229,6 @@ impl Default for SimConfig {
             shrink_strategy: ShrinkStrategy::EvenWaterFill,
             measure_decisions: false,
             paranoid_checks: false,
-            record_timeline: false,
             hooks: None,
             federation: None,
             outages: None,
@@ -298,12 +294,6 @@ impl SimConfig {
     /// Enable node-failure injection with the given per-node MTBF.
     pub fn with_failures(mut self, node_mtbf_hours: f64) -> Self {
         self.failures = FailureConfig::with_mtbf_hours(node_mtbf_hours);
-        self
-    }
-
-    /// Record a renderable schedule timeline.
-    pub fn with_timeline(mut self) -> Self {
-        self.record_timeline = true;
         self
     }
 

@@ -14,6 +14,7 @@ use super::events::Ev;
 use super::hooks::{ArrivalView, NoticeView, PredictionView};
 use crate::jobstate::{next_checkpoint_completion, NoticePhase, Status};
 use crate::mechanism::{CupCandidate, ShrinkInfo, VictimInfo};
+use crate::timeline::Observer;
 use hws_cluster::ClusterBackend;
 use hws_sim::{EventQueue, SimTime};
 use hws_workload::{JobId, JobKind};
@@ -36,7 +37,7 @@ impl Claim {
     }
 }
 
-impl<B: ClusterBackend> SimCore<B> {
+impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     // ------------------------------------------------------------------
     // Node routing
     // ------------------------------------------------------------------

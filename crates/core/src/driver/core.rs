@@ -18,7 +18,7 @@ use crate::jobstate::{
 };
 use crate::jobtable::JobTable;
 use crate::policy::QueueKey;
-use crate::timeline::{Timeline, TimelineEvent};
+use crate::timeline::{NoObserver, Observer, TimelineEvent};
 use hws_cluster::{Cluster, ClusterBackend, LeaseLedger};
 use hws_metrics::{Recorder, ShardStat};
 use hws_sim::{EventQueue, SimDuration, SimTime};
@@ -33,6 +33,12 @@ use std::sync::Arc;
 /// backend-generic by construction — they plan over snapshot views and
 /// never touch the backend directly.
 ///
+/// Every job transition goes through one call, `SimCore::note`: the
+/// [`Recorder`] folds it, then the [`Observer`] `O` sees it. The default
+/// [`NoObserver`] is zero-sized, so an unobserved run pays for the
+/// recorder alone; a [`Timeline`](crate::Timeline) observer logs the run
+/// (see [`super::Simulator::run_observed`]).
+///
 /// The core holds **no reference to a trace**: jobs are admitted into the
 /// arena-backed [`JobTable`] as the driver's streaming pump injects their
 /// arrival events, and retired the moment they reach a terminal status, so
@@ -44,7 +50,7 @@ use std::sync::Arc;
 /// shared until the fork swaps in its own (see
 /// [`SchedulerService::fork`](super::SchedulerService::fork)).
 #[derive(Clone)]
-pub struct SimCore<B: ClusterBackend = Cluster> {
+pub struct SimCore<B: ClusterBackend = Cluster, O: Observer = NoObserver> {
     pub cfg: SimConfig,
     pub(super) hooks: Arc<dyn MechanismHooks>,
     pub(super) table: JobTable,
@@ -85,7 +91,7 @@ pub struct SimCore<B: ClusterBackend = Cluster> {
     /// carries an [`hws_workload::OutageSchedule`] (see [`super::outage`]).
     pub(super) outage: Option<OutageState>,
     pub rec: Recorder,
-    pub timeline: Timeline,
+    pub(super) obs: O,
 }
 
 /// Scratch buffers recycled across scheduling passes so the hot path does
@@ -124,14 +130,15 @@ impl Scratch {
 impl SimCore {
     /// Single-cluster construction (the paper's model).
     pub fn new(cfg: SimConfig, system_size: u32) -> Self {
-        SimCore::with_backend(cfg, Cluster::new(system_size))
+        SimCore::with_backend(cfg, Cluster::new(system_size), NoObserver)
     }
 }
 
-impl<B: ClusterBackend> SimCore<B> {
-    /// Run the same driver against any resource-manager backend; the
-    /// backend's total capacity is the system size.
-    pub fn with_backend(cfg: SimConfig, backend: B) -> Self {
+impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
+    /// Run the same driver against any resource-manager backend, reporting
+    /// every job transition to `obs`; the backend's total capacity is the
+    /// system size.
+    pub fn with_backend(cfg: SimConfig, backend: B, obs: O) -> Self {
         let track_shards = backend.shard_labels().is_some();
         let n_shards = backend.shard_count();
         let outage = cfg.outages.as_ref().map(|_| OutageState::default());
@@ -153,7 +160,7 @@ impl<B: ClusterBackend> SimCore<B> {
             shard_starts: vec![0; if track_shards { n_shards } else { 0 }],
             track_shards,
             outage,
-            timeline: Timeline::new(),
+            obs,
         }
     }
 
@@ -268,11 +275,12 @@ impl<B: ClusterBackend> SimCore<B> {
         }
     }
 
+    /// Report `j`'s transition `ev` at `t`: the recorder folds it, then
+    /// the observer sees it.
     #[inline]
-    pub(super) fn log(&mut self, t: SimTime, j: JobId, ev: TimelineEvent) {
-        if self.cfg.record_timeline {
-            self.timeline.record(t, j, ev);
-        }
+    pub(super) fn note(&mut self, t: SimTime, j: JobId, ev: TimelineEvent) {
+        self.rec.record(t, j, &ev);
+        self.obs.note(t, j, ev);
     }
 
     /// Whether arrival injection schedules advance-notice events: only
@@ -311,8 +319,7 @@ impl<B: ClusterBackend> SimCore<B> {
     /// it holds first; returns what [`Self::withdraw`] freed.
     pub(super) fn kill_unstarted(&mut self, j: JobId, now: SimTime, q: &mut EventQueue<Ev>) -> u32 {
         let freed = self.withdraw(j, q);
-        self.rec.job_killed(j, now);
-        self.log(now, j, TimelineEvent::Killed);
+        self.note(now, j, TimelineEvent::Killed);
         self.retire(j);
         freed
     }
@@ -544,9 +551,8 @@ impl<B: ClusterBackend> SimCore<B> {
             delta,
             work_at_start: remaining_work,
         });
-        self.rec.job_started(j, now);
+        self.note(now, j, TimelineEvent::Started { size });
         self.note_outage_recovery(evicted, now);
-        self.log(now, j, TimelineEvent::Started { size });
 
         // Schedule completion (or a kill when the estimate is exceeded —
         // impossible for generated traces, possible for hand-built ones).
@@ -629,9 +635,8 @@ impl<B: ClusterBackend> SimCore<B> {
         let spec = self.spec(j).clone();
         let size = self.st(j).run.as_ref().expect("running").size;
         self.accrue_occupancy(j, now);
-        self.rec.job_failed(j);
+        self.note(now, j, TimelineEvent::Failed);
         self.note_run_stopped(j);
-        self.log(now, j, TimelineEvent::Failed);
         match spec.kind {
             JobKind::Malleable => {
                 self.accrue_malleable(j, now);
@@ -701,11 +706,9 @@ impl<B: ClusterBackend> SimCore<B> {
         if killed {
             // A killed run contributed nothing that survives.
             self.rec.add_waste(run.size, now.since(run.start));
-            self.rec.job_killed(j, now);
-            self.log(now, j, TimelineEvent::Killed);
+            self.note(now, j, TimelineEvent::Killed);
         } else {
-            self.rec.job_finished(j, now);
-            self.log(now, j, TimelineEvent::Finished);
+            self.note(now, j, TimelineEvent::Finished);
         }
         self.cluster.release(j);
         self.leases.forget_lender(j);

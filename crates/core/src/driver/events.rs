@@ -17,7 +17,7 @@
 
 use super::core::SimCore;
 use crate::jobstate::Status;
-use crate::timeline::TimelineEvent;
+use crate::timeline::{Observer, TimelineEvent};
 use hws_cluster::ClusterBackend;
 use hws_sim::{EventQueue, SimTime, Simulation};
 use hws_workload::{JobId, JobKind};
@@ -58,7 +58,7 @@ pub enum Ev {
     Pass,
 }
 
-impl<B: ClusterBackend> Simulation for SimCore<B> {
+impl<B: ClusterBackend, O: Observer> Simulation for SimCore<B, O> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
@@ -84,7 +84,7 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
                     now,
                     spec.category,
                 );
-                self.log(now, j, TimelineEvent::Submitted);
+                self.note(now, j, TimelineEvent::Submitted);
                 // The job has arrived: its notice phase, if open, ends here
                 // whichever way it is handled below.
                 if spec.notice.is_some() {
@@ -127,7 +127,7 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
                         .is_some_and(|st| st.status == Status::Announced)
                     && self.spec(j).size <= self.cluster.max_job_size()
                 {
-                    self.log(now, j, TimelineEvent::NoticeReceived);
+                    self.note(now, j, TimelineEvent::NoticeReceived);
                     self.on_notice(j, now, q);
                     self.request_pass(now, q);
                 }
@@ -219,7 +219,7 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
     }
 }
 
-impl<B: ClusterBackend> SimCore<B> {
+impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// The `paranoid_checks` oracles, run after every event and on every
     /// what-if fork. Panics on the first violated invariant.
     pub(super) fn check_paranoid(&self) {

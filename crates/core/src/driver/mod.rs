@@ -55,8 +55,8 @@ pub use hooks::{
 pub use service::{replay_submission_log, CancelOutcome, JobStatus, SchedulerService, SubmitError};
 
 use crate::config::{Mechanism, SimConfig};
-use crate::timeline::Timeline;
-use hws_cluster::{ClusterBackend, Federation};
+use crate::timeline::{NoObserver, Observer};
+use hws_cluster::{Cluster, ClusterBackend, Federation};
 use hws_metrics::{ClassBreakdown, Metrics, OutageReport, ShardStat};
 use hws_sim::{Engine, EngineStats, SimTime};
 use hws_workload::{JobSource, MaterializedSource, Trace};
@@ -67,8 +67,6 @@ pub struct SimOutcome {
     pub metrics: Metrics,
     pub engine: EngineStats,
     pub mechanism: Mechanism,
-    /// Present when `SimConfig::record_timeline` was set.
-    pub timeline: Option<Timeline>,
     /// Per-shard breakdown, present for federated runs only. Deliberately
     /// *outside* [`Metrics`] so the 1-shard-federation-vs-single-cluster
     /// metric comparison stays bitwise meaningful.
@@ -92,12 +90,13 @@ pub struct SimOutcome {
     pub admitted_jobs: u64,
 }
 
-/// Fold a drained engine into the run's [`SimOutcome`]: the one place
-/// batch replay and [`SchedulerService::into_outcome`] report through.
-fn finish<B: ClusterBackend>(engine: Engine<SimCore<B>>) -> SimOutcome {
+/// Fold a drained engine into the run's [`SimOutcome`], returned beside
+/// its observer: the one place batch replay and
+/// [`SchedulerService::into_outcome`] report through.
+fn finish<B: ClusterBackend, O: Observer>(engine: Engine<SimCore<B, O>>) -> (SimOutcome, O) {
     let stats = engine.stats();
     let core = engine.into_sim();
-    SimOutcome {
+    let outcome = SimOutcome {
         metrics: Metrics::compute(&core.rec),
         engine: stats,
         mechanism: core.cfg.mechanism,
@@ -106,8 +105,8 @@ fn finish<B: ClusterBackend>(engine: Engine<SimCore<B>>) -> SimOutcome {
         outages: core.outage_report(),
         peak_resident_jobs: core.jobs().peak_live(),
         admitted_jobs: core.jobs().admitted(),
-        timeline: core.cfg.record_timeline.then_some(core.timeline),
-    }
+    };
+    (outcome, core.obs)
 }
 
 /// Public façade: configure once, replay traces.
@@ -132,11 +131,25 @@ impl Simulator {
     /// Produces **bitwise-identical** results to [`Simulator::run_trace`]
     /// over the materialized equivalent of the same source.
     pub fn run_source<S: JobSource>(cfg: &SimConfig, source: S) -> SimOutcome {
+        Self::run_observed(cfg, source, NoObserver).0
+    }
+
+    /// [`Simulator::run_source`] with every job transition also reported
+    /// to `obs` (a [`Timeline`](crate::Timeline), say), which comes back
+    /// beside the outcome. The outcome is bitwise the unobserved run's.
+    pub fn run_observed<S: JobSource, O: Observer>(
+        cfg: &SimConfig,
+        source: S,
+        obs: O,
+    ) -> (SimOutcome, O) {
         let system_size = source.system_size();
         match &cfg.federation {
-            None => Self::run_core(SimCore::new(cfg.clone(), system_size), source),
+            None => Self::run_core(
+                SimCore::with_backend(cfg.clone(), Cluster::new(system_size), obs),
+                source,
+            ),
             Some(fed) => Self::run_core(
-                SimCore::with_backend(cfg.clone(), Federation::new(fed, system_size)),
+                SimCore::with_backend(cfg.clone(), Federation::new(fed, system_size), obs),
                 source,
             ),
         }
@@ -144,7 +157,10 @@ impl Simulator {
 
     /// Drive the source through the arrival pump ([`pump`]) until the
     /// last event.
-    fn run_core<B: ClusterBackend, S: JobSource>(core: SimCore<B>, source: S) -> SimOutcome {
+    fn run_core<B: ClusterBackend, S: JobSource, O: Observer>(
+        core: SimCore<B, O>,
+        source: S,
+    ) -> (SimOutcome, O) {
         let mut engine = Engine::new(core);
         outage::seed_outages(&mut engine);
         pump::pump(

@@ -32,7 +32,7 @@
 use super::core::SimCore;
 use super::events::Ev;
 use crate::jobstate::Status;
-use crate::timeline::TimelineEvent;
+use crate::timeline::{Observer, TimelineEvent};
 use hws_cluster::{ClusterBackend, NodeId, NodeState};
 use hws_metrics::OutageReport;
 use hws_sim::{Engine, EventQueue, SimTime};
@@ -75,7 +75,7 @@ pub(super) struct OutageState {
 /// # Panics
 ///
 /// A schedule event addressing a shard or node the backend does not have.
-pub(super) fn seed_outages<B: ClusterBackend>(engine: &mut Engine<SimCore<B>>) {
+pub(super) fn seed_outages<B: ClusterBackend, O: Observer>(engine: &mut Engine<SimCore<B, O>>) {
     let Some(schedule) = engine.sim.cfg.outages.as_ref() else {
         return;
     };
@@ -101,7 +101,7 @@ pub(super) fn seed_outages<B: ClusterBackend>(engine: &mut Engine<SimCore<B>>) {
     }
 }
 
-impl<B: ClusterBackend> SimCore<B> {
+impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// Accrue lost capacity up to `now`. Called at the entry of every
     /// event dispatch (and before service admin capacity changes), which
     /// makes the integral exact — the down count is constant between
@@ -319,9 +319,8 @@ impl<B: ClusterBackend> SimCore<B> {
         run.size -= 1;
         let at = crate::jobstate::malleable_finish(run, remaining_ns);
         let (from, to) = (run.size + 1, run.size);
-        self.rec.job_shrunk(j);
         q.schedule(at.max(now), Ev::Finish { job: j, epoch });
-        self.log(now, j, TimelineEvent::Shrunk { from, to });
+        self.note(now, j, TimelineEvent::Shrunk { from, to });
         self.schedule_failure(j, now, q);
         self.outage.as_mut().expect("outage run").shrunk_jobs += 1;
     }
@@ -333,8 +332,7 @@ impl<B: ClusterBackend> SimCore<B> {
     fn interrupt_drain(&mut self, j: JobId, now: SimTime) {
         let full_size = self.spec(j).size;
         self.accrue_occupancy(j, now);
-        self.rec.job_failed(j);
-        self.log(now, j, TimelineEvent::Failed);
+        self.note(now, j, TimelineEvent::Failed);
         let warning = self.cfg.malleable_warning;
         let st = self.st_mut(j);
         let until = st.drain_until.take().expect("draining job has a deadline");

@@ -6,11 +6,12 @@ use super::core::{Scratch, SimCore};
 use super::events::Ev;
 use crate::backfill::{compute_shadow, may_backfill, Shadow};
 use crate::jobstate::Status;
+use crate::timeline::Observer;
 use hws_cluster::ClusterBackend;
 use hws_sim::{EventQueue, SimTime};
 use hws_workload::{JobId, JobKind};
 
-impl<B: ClusterBackend> SimCore<B> {
+impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     pub(super) fn schedule_pass(&mut self, now: SimTime, q: &mut EventQueue<Ev>) {
         if self.queue.is_empty() {
             return;
@@ -217,7 +218,7 @@ impl<B: ClusterBackend> SimCore<B> {
                 if st.status != Status::Running && st.status != Status::Draining {
                     return;
                 }
-                releases.push((SimCore::<B>::expected_end_of(spec, st, now), plain));
+                releases.push((Self::expected_end_of(spec, st, now), plain));
             });
         let avail = self.cluster.avail_for(head);
         let shadow = compute_shadow(&mut releases, avail, self.start_need(head));

@@ -4,12 +4,12 @@
 use super::core::SimCore;
 use super::events::Ev;
 use crate::jobstate::{rigid_progress, Status};
-use crate::timeline::TimelineEvent;
+use crate::timeline::{Observer, TimelineEvent};
 use hws_cluster::ClusterBackend;
 use hws_sim::{EventQueue, SimTime};
 use hws_workload::{JobId, JobKind};
 
-impl<B: ClusterBackend> SimCore<B> {
+impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// Preemption overhead (wasted node-seconds) of preempting `j` now:
     /// work past the last checkpoint for rigid jobs; spent setup plus the
     /// warning window for malleable jobs.
@@ -46,8 +46,7 @@ impl<B: ClusterBackend> SimCore<B> {
         let size = self.st(j).run.as_ref().expect("running").size;
         self.accrue_occupancy(j, now);
         self.note_run_stopped(j);
-        self.rec.job_preempted(j);
-        self.log(now, j, TimelineEvent::Preempted);
+        self.note(now, j, TimelineEvent::Preempted);
 
         match spec.kind {
             JobKind::Malleable => {
@@ -61,7 +60,7 @@ impl<B: ClusterBackend> SimCore<B> {
                 let epoch = st.bump_epoch();
                 st.drain_until = Some(now + warning);
                 q.schedule(now + warning, Ev::DrainEnd { job: j, epoch });
-                self.log(now, j, TimelineEvent::DrainStarted);
+                self.note(now, j, TimelineEvent::DrainStarted);
                 // The spent setup is wasted (it will be repeated).
                 if !setup_spent.is_zero() {
                     self.rec.add_waste(size, setup_spent);
@@ -132,9 +131,8 @@ impl<B: ClusterBackend> SimCore<B> {
         run.size += granted;
         let at = crate::jobstate::malleable_finish(run, remaining_ns);
         let (from, to) = (run.size - granted, run.size);
-        self.rec.job_expanded(j);
         q.schedule(at.max(now), Ev::Finish { job: j, epoch });
-        self.log(now, j, TimelineEvent::Expanded { from, to });
+        self.note(now, j, TimelineEvent::Expanded { from, to });
         self.schedule_failure(j, now, q);
     }
 
@@ -153,9 +151,8 @@ impl<B: ClusterBackend> SimCore<B> {
         run.size -= k;
         let at = crate::jobstate::malleable_finish(run, remaining_ns);
         let (from, to) = (run.size + k, run.size);
-        self.rec.job_shrunk(j);
         q.schedule(at.max(now), Ev::Finish { job: j, epoch });
-        self.log(now, j, TimelineEvent::Shrunk { from, to });
+        self.note(now, j, TimelineEvent::Shrunk { from, to });
         self.schedule_failure(j, now, q);
     }
 }

@@ -17,6 +17,7 @@
 //! from a [`JobSource`] ([`source_feed`]).
 
 use super::core::SimCore;
+use crate::timeline::Observer;
 use hws_cluster::ClusterBackend;
 use hws_sim::{Engine, SimTime};
 use hws_workload::{earliest_event, JobId, JobSource, JobSpec};
@@ -82,11 +83,11 @@ impl Arrivals {
     /// Inject the prefix up to the last job whose earliest event is
     /// before `t` (or at `t`, when `inclusive`). Returns whether any job
     /// was due.
-    fn inject_due<B: ClusterBackend>(
+    fn inject_due<B: ClusterBackend, O: Observer>(
         &mut self,
         t: SimTime,
         inclusive: bool,
-        engine: &mut Engine<SimCore<B>>,
+        engine: &mut Engine<SimCore<B, O>>,
     ) -> bool {
         let mut last = None;
         while let Some(&Reverse((earliest, submit, id))) = self.due.peek() {
@@ -119,13 +120,13 @@ impl Arrivals {
 /// the buffer. `stop` runs after each delivered event; the pump returns
 /// early once it answers `true` (what-if forks stop when their probe's
 /// answer is fixed; every other caller passes `|_| false`).
-pub(super) fn pump<B: ClusterBackend>(
-    engine: &mut Engine<SimCore<B>>,
+pub(super) fn pump<B: ClusterBackend, O: Observer>(
+    engine: &mut Engine<SimCore<B, O>>,
     arrivals: &mut Arrivals,
     horizon: SimTime,
     inclusive: bool,
     mut refill: impl FnMut(&mut Arrivals, Option<SimTime>),
-    mut stop: impl FnMut(&SimCore<B>) -> bool,
+    mut stop: impl FnMut(&SimCore<B, O>) -> bool,
 ) {
     let within = |t: SimTime| t < horizon || (inclusive && t == horizon);
     loop {

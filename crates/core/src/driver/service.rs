@@ -44,6 +44,7 @@ use super::snapshot::{restore_engine, snapshot_engine};
 use super::{finish, SimOutcome};
 use crate::config::{Mechanism, SimConfig};
 use crate::jobstate::Status;
+use crate::timeline::NoObserver;
 use hws_cluster::{Cluster, Federation, NodeId, SnapshotBackend};
 use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter, SortedIds};
 use hws_sim::{Engine, SimTime};
@@ -199,7 +200,7 @@ impl SchedulerService<Federation> {
             .clone()
             .expect("SchedulerService::federated needs cfg.federation");
         let backend = Federation::new(&fed, system_size);
-        let core = SimCore::with_backend(cfg, backend);
+        let core = SimCore::with_backend(cfg, backend, NoObserver);
         Self::from_core(core)
     }
 }
@@ -378,7 +379,7 @@ impl<B: SnapshotBackend> SchedulerService<B> {
     /// the run into the same [`SimOutcome`] the batch driver reports.
     pub fn into_outcome(mut self) -> SimOutcome {
         self.advance(SimTime::MAX, true, |_| false);
-        finish(self.engine)
+        finish(self.engine).0
     }
 
     /// Run the shared arrival pump up to the horizon, or until `stop`

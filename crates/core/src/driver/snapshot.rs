@@ -6,21 +6,22 @@
 //! One version byte, then the engine scalars (`now`, `delivered`), the
 //! event queue (entries sorted by `(time, seq)` plus the dynamic-lane
 //! flag ring), and the full [`SimCore`]: job arena, backend (via
-//! [`SnapshotBackend`]), scheduler collections, the recorder's fold, and
-//! the timeline.
+//! [`SnapshotBackend`]), scheduler collections and the recorder's fold.
 //! Every section goes through its type's one [`Snap`] layout, so
 //! identical states produce identical bytes regardless of hash-map
 //! history. A job's own bookkeeping — its front-class flag, its notice
 //! phase (reservation timeout, CUP plans, squattability) and its
 //! outage-eviction time — rides in its slot of the job arena.
 //!
-//! Three things are deliberately **not** in the stream:
+//! Four things are deliberately **not** in the stream:
 //!
 //! * the mechanism/config — restore takes a [`SimConfig`] as context, so
 //!   an image resumes under another mechanism exactly as an in-memory
 //!   fork (`SchedulerService::fork`) does;
 //! * the hooks object — code, not data; rebuilt by
 //!   [`hooks_for`](super::hooks::hooks_for) from the restore config;
+//! * the observer — code, not data; a restored engine runs with
+//!   [`NoObserver`];
 //! * state derivable from the slots — the running-capability count,
 //!   rebuilt by [`SimCore::derive_from_slots`], and the waiting-queue keys.
 //!
@@ -35,7 +36,7 @@ use super::hooks::hooks_for;
 use super::outage::OutageState;
 use crate::config::SimConfig;
 use crate::jobtable::JobTable;
-use crate::timeline::{Timeline, TimelineEvent};
+use crate::timeline::NoObserver;
 use hws_cluster::SnapshotBackend;
 use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use hws_sim::{Engine, EventQueue, SimTime};
@@ -60,8 +61,9 @@ use hws_workload::JobId;
 /// `JobState` fields, and the five id-keyed engine sections
 /// (`od_front`, squattable, noticed, timeouts, CUP plans), the outage
 /// section's `evicted_at` map and the `cap_running` counter leave the
-/// image.
-const SNAP_VERSION: u8 = 7;
+/// image. Version 8 drops the timeline section: a run's transitions go
+/// to its observer, which the image does not carry.
+const SNAP_VERSION: u8 = 8;
 
 // Layouts of the engine's value types.
 hws_sim::snap_enum!(Ev {
@@ -76,19 +78,6 @@ hws_sim::snap_enum!(Ev {
     8 => Pass,
     9 => Outage { idx },
 });
-hws_sim::snap_enum!(TimelineEvent {
-    0 => Submitted,
-    1 => NoticeReceived,
-    2 => Started { size },
-    3 => Preempted,
-    4 => DrainStarted,
-    5 => Shrunk { from, to },
-    6 => Expanded { from, to },
-    7 => Finished,
-    8 => Failed,
-    9 => Killed,
-});
-hws_sim::snap_struct!(Timeline { entries });
 hws_sim::snap_struct!(Claim { od, phase, since });
 hws_sim::snap_struct!(OutageState {
     applied,
@@ -141,7 +130,6 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
     core.shard_starts.put(w);
     core.outage.put(w);
     core.rec.put(w);
-    core.timeline.put(w);
     std::mem::take(w).into_bytes()
 }
 
@@ -198,7 +186,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         track_shards,
         outage: Snap::get(r)?,
         rec: Snap::get(r)?,
-        timeline: Snap::get(r)?,
+        obs: NoObserver,
     };
     r.expect_end()?;
     core.rec.set_instant_threshold(cfg.instant_threshold);

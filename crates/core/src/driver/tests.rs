@@ -574,7 +574,7 @@ fn federated_pump_run_forgets_retired_jobs() {
     let fed = hws_cluster::FederationConfig::even_split(2, tr.system_size);
     let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA).federated(fed.clone());
     cfg.paranoid_checks = true;
-    let core = SimCore::with_backend(cfg, Federation::new(&fed, tr.system_size));
+    let core = SimCore::with_backend(cfg, Federation::new(&fed, tr.system_size), NoObserver);
     let mut engine = Engine::new(core);
     pump::pump(
         &mut engine,

@@ -38,9 +38,7 @@ fn session_cfg(m: Mechanism, shards: usize) -> SimConfig {
         })
         .collect();
     let outages = OutageSchedule::maintenance_windows(&windows).expect("valid windows");
-    let cfg = SimConfig::with_mechanism(m)
-        .with_timeline()
-        .with_outages(outages);
+    let cfg = SimConfig::with_mechanism(m).with_outages(outages);
     if shards > 1 {
         cfg.federated(FederationConfig::even_split(shards, SYSTEM))
     } else {
@@ -103,10 +101,10 @@ fn own_job(kind: JobKind, k: u64, at: SimTime, size: u32) -> JobSpecBuilder {
         .estimate(SimDuration::from_secs(3_600))
 }
 
-/// Drive `log` into the outage window until the queue, the timeline, the
-/// evicted-job table and the in-flight cancels are all non-empty. Then a
-/// large on-demand job is announced (a CUP plan), a small one arrives (a
-/// PAA or SPAA decision), and two future jobs are submitted, one of them
+/// Drive `log` into the outage window until the queue, the evicted-job
+/// table and the in-flight cancels are all non-empty. Then a large
+/// on-demand job is announced (a CUP plan), a small one arrives (a PAA or
+/// SPAA decision), and two future jobs are submitted, one of them
 /// cancelled while buffered.
 fn mid_session<B: SnapshotBackend>(svc: &mut SchedulerService<B>, log: &SubmissionLog) {
     let mut withdrawn = 0;
@@ -116,7 +114,6 @@ fn mid_session<B: SnapshotBackend>(svc: &mut SchedulerService<B>, log: &Submissi
         now > OUTAGE.0
             && withdrawn > 0
             && !core.queue.is_empty()
-            && !core.timeline.entries.is_empty()
             && any_live(core, |st| st.evicted_at.is_some())
     };
     let mut clock = SimTime::ZERO;
@@ -212,18 +209,18 @@ fn image(m: Mechanism, shards: usize) -> Vec<u8> {
 /// `(len, FNV-1a)` of each mid-session image, per mechanism, on one
 /// cluster and on a 2-shard federation.
 const GOLDEN: [(usize, usize, u64); 12] = [
-    (1, 5543, 9436843897226803683),
-    (1, 5462, 3341694995867099529),
-    (1, 5621, 5456596302414804739),
-    (1, 5540, 8675026788647485309),
-    (1, 5671, 14064483317710531410),
-    (1, 5590, 11031264957814423149),
-    (2, 4664, 17849766990670651949),
-    (2, 4606, 4186187710391480027),
-    (2, 4754, 17299892608821847908),
-    (2, 4696, 10714732269031207945),
-    (2, 4804, 10736902277113923411),
-    (2, 4746, 5977893173389594154),
+    (1, 4793, 11462310391602741338),
+    (1, 4721, 2119738120133050914),
+    (1, 4854, 9892217083601628763),
+    (1, 4782, 17332512555184061915),
+    (1, 4904, 12886120827385586610),
+    (1, 4832, 5734756638497927283),
+    (2, 3925, 7396649399507538184),
+    (2, 3893, 4705551915287198537),
+    (2, 3998, 18350109404500493580),
+    (2, 3966, 6181022600236499089),
+    (2, 4048, 1648908614735372315),
+    (2, 4016, 10537470036614712426),
 ];
 
 /// The byte layout is the spec: a codec change that moves one byte of

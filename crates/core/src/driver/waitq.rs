@@ -38,6 +38,7 @@
 use super::core::{Scratch, SimCore};
 use crate::jobstate::Status;
 use crate::policy::{queue_key, QueueKey};
+use crate::timeline::Observer;
 use hws_cluster::ClusterBackend;
 use hws_sim::SimTime;
 use hws_workload::JobId;
@@ -122,7 +123,7 @@ impl WaitQueue {
     }
 }
 
-impl<B: ClusterBackend> SimCore<B> {
+impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// The key waiting job `j` is (or would be) indexed under *right now*:
     /// current front-class flag, current epoch. Every insert and remove
     /// goes through this, so entries are always found.

@@ -56,4 +56,4 @@ pub use driver::{
 pub use failure::FailureConfig;
 pub use jobtable::JobTable;
 pub use policy::PolicyKind;
-pub use timeline::{Timeline, TimelineEvent};
+pub use timeline::{NoObserver, Observer, Timeline, TimelineEvent};

@@ -1,50 +1,41 @@
-//! Schedule timelines: an optional per-run event log plus an ASCII Gantt
-//! renderer, for small scenarios where *seeing* the schedule matters
-//! (e.g. the Fig. 2 CUA-vs-CUP comparison in `examples/cua_vs_cup.rs`).
+//! Observers of a run's job transitions, and the one shipped sink: a
+//! [`Timeline`] log plus an ASCII Gantt renderer, for small scenarios where
+//! *seeing* the schedule matters (e.g. the Fig. 2 CUA-vs-CUP comparison in
+//! `examples/cua_vs_cup.rs`).
 
 use hws_sim::SimTime;
 use hws_workload::JobId;
+use std::fmt::Debug;
 
-/// One scheduling event of interest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimelineEvent {
-    Submitted,
-    NoticeReceived,
-    /// Run started on `size` nodes.
-    Started {
-        size: u32,
-    },
-    Preempted,
-    /// Two-minute warning began.
-    DrainStarted,
-    Shrunk {
-        from: u32,
-        to: u32,
-    },
-    Expanded {
-        from: u32,
-        to: u32,
-    },
-    Finished,
-    Failed,
-    Killed,
+pub use hws_metrics::TimelineEvent;
+
+/// Receives every job transition of a run, right after the recorder folds
+/// it. An observer is code, not data: snapshots never carry it, and a
+/// what-if fork clones it with the rest of the engine.
+pub trait Observer: Clone + Debug + Send {
+    fn note(&mut self, _t: SimTime, _job: JobId, _ev: TimelineEvent) {}
 }
 
-impl TimelineEvent {
-    /// One-character glyph for the Gantt lane.
-    fn glyph(self) -> char {
-        match self {
-            TimelineEvent::Submitted => '.',
-            TimelineEvent::NoticeReceived => 'n',
-            TimelineEvent::Started { .. } => '[',
-            TimelineEvent::Preempted => 'x',
-            TimelineEvent::DrainStarted => 'd',
-            TimelineEvent::Shrunk { .. } => 'v',
-            TimelineEvent::Expanded { .. } => '^',
-            TimelineEvent::Finished => ']',
-            TimelineEvent::Failed => '!',
-            TimelineEvent::Killed => 'K',
-        }
+/// The default observer: zero-sized, so a run without one compiles to
+/// the recorder update alone.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoObserver;
+
+impl Observer for NoObserver {}
+
+/// One-character glyph for the Gantt lane.
+fn glyph(ev: TimelineEvent) -> char {
+    match ev {
+        TimelineEvent::Submitted => '.',
+        TimelineEvent::NoticeReceived => 'n',
+        TimelineEvent::Started { .. } => '[',
+        TimelineEvent::Preempted => 'x',
+        TimelineEvent::DrainStarted => 'd',
+        TimelineEvent::Shrunk { .. } => 'v',
+        TimelineEvent::Expanded { .. } => '^',
+        TimelineEvent::Finished => ']',
+        TimelineEvent::Failed => '!',
+        TimelineEvent::Killed => 'K',
     }
 }
 
@@ -57,10 +48,6 @@ pub struct Timeline {
 impl Timeline {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn record(&mut self, t: SimTime, job: JobId, ev: TimelineEvent) {
-        self.entries.push((t, job, ev));
     }
 
     pub fn is_empty(&self) -> bool {
@@ -139,13 +126,19 @@ impl Timeline {
                 }
             }
             for (t, _, ev) in self.for_job(job) {
-                lane[col(*t)] = ev.glyph();
+                lane[col(*t)] = glyph(*ev);
             }
             out.push_str(&format!("{job:>6} |{}|\n", lane.iter().collect::<String>()));
         }
         out.push_str("legend: . submit  n notice  [ start  = running  v shrink  ^ expand\n");
         out.push_str("        x preempt  d/~ drain  ! failure  ] finish  K killed\n");
         out
+    }
+}
+
+impl Observer for Timeline {
+    fn note(&mut self, t: SimTime, job: JobId, ev: TimelineEvent) {
+        self.entries.push((t, job, ev));
     }
 }
 
@@ -159,14 +152,14 @@ mod tests {
 
     fn sample() -> Timeline {
         let mut tl = Timeline::new();
-        tl.record(t(0), JobId(1), TimelineEvent::Submitted);
-        tl.record(t(10), JobId(1), TimelineEvent::Started { size: 8 });
-        tl.record(t(50), JobId(1), TimelineEvent::Preempted);
-        tl.record(t(80), JobId(1), TimelineEvent::Started { size: 8 });
-        tl.record(t(100), JobId(1), TimelineEvent::Finished);
-        tl.record(t(20), JobId(2), TimelineEvent::Submitted);
-        tl.record(t(20), JobId(2), TimelineEvent::Started { size: 4 });
-        tl.record(t(60), JobId(2), TimelineEvent::Finished);
+        tl.note(t(0), JobId(1), TimelineEvent::Submitted);
+        tl.note(t(10), JobId(1), TimelineEvent::Started { size: 8 });
+        tl.note(t(50), JobId(1), TimelineEvent::Preempted);
+        tl.note(t(80), JobId(1), TimelineEvent::Started { size: 8 });
+        tl.note(t(100), JobId(1), TimelineEvent::Finished);
+        tl.note(t(20), JobId(2), TimelineEvent::Submitted);
+        tl.note(t(20), JobId(2), TimelineEvent::Started { size: 4 });
+        tl.note(t(60), JobId(2), TimelineEvent::Finished);
         tl
     }
 
@@ -219,7 +212,7 @@ mod tests {
             Failed,
             Killed,
         ];
-        let mut glyphs: Vec<char> = evs.iter().map(|e| e.glyph()).collect();
+        let mut glyphs: Vec<char> = evs.into_iter().map(glyph).collect();
         glyphs.sort_unstable();
         glyphs.dedup();
         assert_eq!(glyphs.len(), evs.len());
@@ -228,7 +221,7 @@ mod tests {
     #[test]
     fn single_instant_span_renders() {
         let mut tl = Timeline::new();
-        tl.record(t(5), JobId(0), TimelineEvent::Submitted);
+        tl.note(t(5), JobId(0), TimelineEvent::Submitted);
         let g = tl.render_gantt(40);
         assert!(g.contains("J0"));
     }

@@ -411,16 +411,16 @@ fn default_config_sessions_snapshot_identically() {
 /// Images in earlier engine formats (version 3: wall-clock decision
 /// samples; version 4: one record per job ever submitted; version 5:
 /// float sums folded in submission order; version 6: per-job side tables
-/// beside the job arena) are refused with an error naming both versions
-/// — never a panic.
+/// beside the job arena; version 7: a timeline section) are refused with
+/// an error naming both versions — never a panic.
 #[test]
 fn older_engine_image_versions_are_rejected() {
     let cfg = SimConfig::default();
     let image = SchedulerService::new(cfg.clone(), 64).snapshot();
     // The service version byte, the engine image's u64 length prefix,
     // then the engine version byte.
-    assert_eq!(image[9], 7, "engine image version");
-    for old in [3u8, 4, 5, 6] {
+    assert_eq!(image[9], 8, "engine image version");
+    for old in [3u8, 4, 5, 6, 7] {
         let mut bytes = image.clone();
         bytes[9] = old;
         let Err(err) = SchedulerService::<Cluster>::restore(&bytes, &cfg, ()) else {
@@ -428,7 +428,7 @@ fn older_engine_image_versions_are_rejected() {
         };
         let msg = err.to_string();
         assert!(
-            msg.contains(&format!("version {old}")) && msg.contains("reads 7"),
+            msg.contains(&format!("version {old}")) && msg.contains("reads 8"),
             "{msg}"
         );
     }

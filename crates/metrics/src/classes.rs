@@ -153,6 +153,7 @@ impl ClassBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TimelineEvent as E;
     use hws_sim::{SimDuration, SimTime};
     use hws_workload::{JobId, JobKind, NoticeCategory};
 
@@ -171,13 +172,13 @@ mod tests {
             t(0),
             NoticeCategory::NoNotice,
         );
-        rec.job_started(JobId(1), t(3_600));
-        rec.job_finished(JobId(1), t(7_200));
+        rec.record(t(3_600), JobId(1), &E::Started { size: 1 });
+        rec.record(t(7_200), JobId(1), &E::Finished);
         rec.job_submitted(JobId(2), JobKind::Rigid, 10, t(0));
-        rec.job_started(JobId(2), t(0));
-        rec.job_preempted(JobId(2));
-        rec.job_preempted(JobId(2));
-        rec.job_finished(JobId(2), t(3_600));
+        rec.record(t(0), JobId(2), &E::Started { size: 1 });
+        rec.record(t(0), JobId(2), &E::Preempted);
+        rec.record(t(0), JobId(2), &E::Preempted);
+        rec.record(t(3_600), JobId(2), &E::Finished);
 
         let b = ClassBreakdown::compute(&rec);
         assert!(b.has_capability());
@@ -195,8 +196,8 @@ mod tests {
     fn pure_capacity_run_has_no_capability_side() {
         let mut rec = Recorder::new(10, SimDuration::from_secs(120));
         rec.job_submitted(JobId(1), JobKind::Malleable, 4, t(0));
-        rec.job_started(JobId(1), t(0));
-        rec.job_killed(JobId(1), t(50));
+        rec.record(t(0), JobId(1), &E::Started { size: 1 });
+        rec.record(t(50), JobId(1), &E::Killed);
         let b = ClassBreakdown::compute(&rec);
         assert!(!b.has_capability());
         assert_eq!(b.capability, ClassStats::default());

@@ -31,7 +31,7 @@ pub mod table;
 
 pub use classes::{ClassAcc, ClassBreakdown, ClassStats};
 pub use outage::OutageReport;
-pub use record::{JobRecord, Recorder};
+pub use record::{JobRecord, Recorder, TimelineEvent};
 pub use reward::{RewardKind, RewardSpec};
 pub use shard::{ShardStat, ShardTotals};
 pub use summary::{KindStats, Metrics, MetricsAcc, MetricsAvg};

@@ -75,6 +75,32 @@ hws_sim::snap_struct!(JobRecord {
     failures,
 });
 
+/// One transition in a job's life. The driver reports each transition
+/// once, to the [`Recorder`] and then to the run's observer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimelineEvent {
+    Submitted,
+    NoticeReceived,
+    /// Run started on `size` nodes.
+    Started {
+        size: u32,
+    },
+    Preempted,
+    /// Two-minute warning began.
+    DrainStarted,
+    Shrunk {
+        from: u32,
+        to: u32,
+    },
+    Expanded {
+        from: u32,
+        to: u32,
+    },
+    Finished,
+    Failed,
+    Killed,
+}
+
 /// Collects measurements during one simulation run.
 ///
 /// A job's record lives from its submission until its job
@@ -142,24 +168,14 @@ impl Recorder {
         self.live.values()
     }
 
+    /// A capacity-class submission with no notice.
     pub fn job_submitted(&mut self, id: JobId, kind: JobKind, size: u32, t: SimTime) {
-        self.job_submitted_with_category(id, kind, size, t, NoticeCategory::NoNotice);
-    }
-
-    pub fn job_submitted_with_category(
-        &mut self,
-        id: JobId,
-        kind: JobKind,
-        size: u32,
-        t: SimTime,
-        category: NoticeCategory,
-    ) {
+        let category = NoticeCategory::NoNotice;
         self.job_submitted_full(id, kind, JobClass::Capacity, size, t, category);
     }
 
-    /// Full submission record, including the capability/capacity class.
-    /// The narrower `job_submitted*` entry points default to
-    /// [`JobClass::Capacity`]. A repeated id keeps its first record.
+    /// Full submission record, including the capability/capacity class
+    /// and the notice category. A repeated id keeps its first record.
     pub fn job_submitted_full(
         &mut self,
         id: JobId,
@@ -187,44 +203,36 @@ impl Recorder {
         });
     }
 
-    pub fn job_failed(&mut self, id: JobId) {
-        self.rec(id).failures += 1;
-    }
-
-    pub fn job_started(&mut self, id: JobId, t: SimTime) {
-        let r = self.rec(id);
-        if r.first_start.is_none() {
-            r.first_start = Some(t);
-            let delay = t.since(r.submit);
-            if r.kind == JobKind::OnDemand {
-                r.start_delay = Some(delay);
+    /// Fold `id`'s transition `ev` at `t` into its record. Submission
+    /// goes through [`Self::job_submitted_full`], which needs the spec;
+    /// `Submitted`, `NoticeReceived` and `DrainStarted` change no record.
+    pub fn record(&mut self, t: SimTime, id: JobId, ev: &TimelineEvent) {
+        use TimelineEvent::*;
+        match *ev {
+            Started { .. } => {
+                let r = self.rec(id);
+                if r.first_start.is_none() {
+                    r.first_start = Some(t);
+                    if r.kind == JobKind::OnDemand {
+                        r.start_delay = Some(t.since(r.submit));
+                    }
+                }
             }
+            Preempted => self.rec(id).preemptions += 1,
+            Shrunk { .. } => self.rec(id).shrinks += 1,
+            Expanded { .. } => self.rec(id).expands += 1,
+            Failed => self.rec(id).failures += 1,
+            Finished | Killed => {
+                let r = self.rec(id);
+                r.finish = Some(t);
+                if *ev == Killed {
+                    r.killed = true;
+                    self.killed.insert(id);
+                }
+                self.last_finish = Some(self.last_finish.map_or(t, |f| f.max(t)));
+            }
+            Submitted | NoticeReceived | DrainStarted => {}
         }
-    }
-
-    pub fn job_preempted(&mut self, id: JobId) {
-        self.rec(id).preemptions += 1;
-    }
-
-    pub fn job_shrunk(&mut self, id: JobId) {
-        self.rec(id).shrinks += 1;
-    }
-
-    pub fn job_expanded(&mut self, id: JobId) {
-        self.rec(id).expands += 1;
-    }
-
-    pub fn job_finished(&mut self, id: JobId, t: SimTime) {
-        self.rec(id).finish = Some(t);
-        self.last_finish = Some(self.last_finish.map_or(t, |f| f.max(t)));
-    }
-
-    pub fn job_killed(&mut self, id: JobId, t: SimTime) {
-        let r = self.rec(id);
-        r.finish = Some(t);
-        r.killed = true;
-        self.killed.insert(id);
-        self.last_finish = Some(self.last_finish.map_or(t, |f| f.max(t)));
     }
 
     /// Account `nodes × dur` of node occupancy.
@@ -284,7 +292,17 @@ impl Recorder {
 
     /// Refuse counts and sums no session over the recorder's span (first
     /// submission to last finish) reaches, so later folds cannot overflow.
+    /// Node-second totals are bounded by the system size times the whole
+    /// clock, not by the span: a drain warning accrues occupancy ahead of
+    /// the clock.
     fn check_folds(&self) -> Result<(), String> {
+        let most = u128::from(self.system_size) * u128::from(u64::MAX);
+        if self.occupied_node_seconds.max(self.wasted_node_seconds) > most {
+            let n = self.system_size;
+            return Err(format!(
+                "node-seconds beyond {n} nodes over the whole clock"
+            ));
+        }
         let span = self.span().map_or(0, |(a, b)| b.0.saturating_sub(a.0));
         let folded = self.acc.check(span)?;
         self.classes.check(span, folded)
@@ -312,6 +330,7 @@ mod tests {
     use super::*;
     use crate::{ClassBreakdown, Metrics};
     use hws_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+    use TimelineEvent as E;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -325,10 +344,10 @@ mod tests {
     fn lifecycle_is_tracked() {
         let mut r = recorder(100);
         r.job_submitted(JobId(1), JobKind::Rigid, 10, t(100));
-        r.job_started(JobId(1), t(200));
-        r.job_preempted(JobId(1));
-        r.job_started(JobId(1), t(400)); // restart does not move first_start
-        r.job_finished(JobId(1), t(900));
+        r.record(t(200), JobId(1), &E::Started { size: 1 });
+        r.record(t(300), JobId(1), &E::Preempted);
+        r.record(t(400), JobId(1), &E::Started { size: 1 }); // restart does not move first_start
+        r.record(t(900), JobId(1), &E::Finished);
         let rec = r.get(JobId(1)).unwrap();
         assert_eq!(rec.first_start, Some(t(200)));
         assert_eq!(rec.preemptions, 1);
@@ -341,7 +360,7 @@ mod tests {
     fn on_demand_start_delay() {
         let mut r = recorder(100);
         r.job_submitted(JobId(2), JobKind::OnDemand, 10, t(1_000));
-        r.job_started(JobId(2), t(1_090));
+        r.record(t(1_090), JobId(2), &E::Started { size: 1 });
         assert_eq!(
             r.get(JobId(2)).unwrap().start_delay,
             Some(SimDuration::from_secs(90))
@@ -352,7 +371,7 @@ mod tests {
     fn rigid_jobs_have_no_start_delay_metric() {
         let mut r = recorder(100);
         r.job_submitted(JobId(3), JobKind::Rigid, 10, t(0));
-        r.job_started(JobId(3), t(50));
+        r.record(t(50), JobId(3), &E::Started { size: 1 });
         assert_eq!(r.get(JobId(3)).unwrap().start_delay, None);
     }
 
@@ -370,8 +389,8 @@ mod tests {
     fn killed_jobs_are_not_completed() {
         let mut r = recorder(100);
         r.job_submitted(JobId(4), JobKind::Rigid, 10, t(0));
-        r.job_started(JobId(4), t(1));
-        r.job_killed(JobId(4), t(100));
+        r.record(t(1), JobId(4), &E::Started { size: 1 });
+        r.record(t(100), JobId(4), &E::Killed);
         let rec = r.get(JobId(4)).unwrap();
         assert!(rec.killed);
         assert!(!rec.completed());
@@ -384,7 +403,7 @@ mod tests {
     #[should_panic(expected = "never submitted")]
     fn starting_unknown_job_panics() {
         let mut r = recorder(1);
-        r.job_started(JobId(9), t(0));
+        r.record(t(0), JobId(9), &E::Started { size: 1 });
     }
 
     /// Two jobs submitted out of id order (J2 before J1), each run to
@@ -393,10 +412,10 @@ mod tests {
         let mut r = recorder(10);
         r.job_submitted(JobId(2), JobKind::Rigid, 4, t(50));
         r.job_submitted(JobId(1), JobKind::OnDemand, 2, t(100));
-        r.job_started(JobId(2), t(60));
-        r.job_started(JobId(1), t(100));
-        r.job_finished(JobId(1), t(400));
-        r.job_finished(JobId(2), t(700));
+        r.record(t(60), JobId(2), &E::Started { size: 1 });
+        r.record(t(100), JobId(1), &E::Started { size: 1 });
+        r.record(t(400), JobId(1), &E::Finished);
+        r.record(t(700), JobId(2), &E::Finished);
         if retire {
             // J1 retires first, before J2 (submitted earlier), and leaves
             // at once.
@@ -438,15 +457,15 @@ mod tests {
         r.job_submitted(JobId(7), JobKind::Malleable, 32, t(60));
         r.job_submitted(JobId(5), JobKind::Rigid, 8, t(65));
         r.job_submitted(JobId(9), JobKind::Rigid, 4, t(90));
-        r.job_started(JobId(3), t(55));
-        r.job_started(JobId(7), t(80));
-        r.job_started(JobId(5), t(85));
-        r.job_shrunk(JobId(7));
-        r.job_expanded(JobId(7));
-        r.job_preempted(JobId(7));
-        r.job_failed(JobId(7));
-        r.job_finished(JobId(3), t(500));
-        r.job_killed(JobId(5), t(600));
+        r.record(t(55), JobId(3), &E::Started { size: 1 });
+        r.record(t(80), JobId(7), &E::Started { size: 1 });
+        r.record(t(85), JobId(5), &E::Started { size: 1 });
+        r.record(t(90), JobId(7), &E::Shrunk { from: 32, to: 16 });
+        r.record(t(95), JobId(7), &E::Expanded { from: 16, to: 32 });
+        r.record(t(100), JobId(7), &E::Preempted);
+        r.record(t(110), JobId(7), &E::Failed);
+        r.record(t(500), JobId(3), &E::Finished);
+        r.record(t(600), JobId(5), &E::Killed);
         r.retire(JobId(5));
         r.retire(JobId(3));
         r.add_occupancy(16, SimDuration::from_secs(445));
@@ -471,9 +490,9 @@ mod tests {
 
     /// Finish the busy recorder's live jobs and retire everything.
     fn drain(r: &mut Recorder) {
-        r.job_finished(JobId(7), t(900));
-        r.job_started(JobId(9), t(900));
-        r.job_finished(JobId(9), t(950));
+        r.record(t(900), JobId(7), &E::Finished);
+        r.record(t(900), JobId(9), &E::Started { size: 1 });
+        r.record(t(950), JobId(9), &E::Finished);
         r.retire(JobId(9));
         r.retire(JobId(7));
     }
@@ -646,9 +665,9 @@ mod tests {
         // One more job with the largest turnaround, wait and slowdown the
         // clock allows folds without overflow.
         r.job_submitted(JobId(11), JobKind::Rigid, 1, t(0));
-        r.job_started(JobId(11), t(u64::MAX - 10));
-        r.job_failed(JobId(11));
-        r.job_finished(JobId(11), t(u64::MAX));
+        r.record(t(u64::MAX - 10), JobId(11), &E::Started { size: 1 });
+        r.record(t(u64::MAX - 5), JobId(11), &E::Failed);
+        r.record(t(u64::MAX), JobId(11), &E::Finished);
         r.retire(JobId(11));
         let m = Metrics::compute(&r);
         assert_eq!(m.rigid.completed, 1);
@@ -695,6 +714,29 @@ mod tests {
         decode(&bad).expect_err("a count no fold reaches");
     }
 
+    #[test]
+    fn snap_decode_refuses_node_seconds_no_machine_accrues() {
+        let mut r = recorder(8);
+        r.occupied_node_seconds = u128::MAX;
+        let err = decode(&encode(&r)).expect_err("occupied node-seconds at u128::MAX");
+        assert!(
+            err.to_string().contains("node-seconds beyond 8 nodes"),
+            "{err}"
+        );
+        // 8 nodes over the whole clock is the most either total may hold.
+        let most = 8 * u128::from(u64::MAX);
+        r.occupied_node_seconds = most;
+        r.wasted_node_seconds = most + 1;
+        decode(&encode(&r)).expect_err("wasted node-seconds past the bound");
+        // At the bound the totals restore and keep accruing.
+        r.wasted_node_seconds = most;
+        let mut back = decode(&encode(&r)).expect("totals at the bound restore");
+        back.add_occupancy(8, SimDuration::from_secs(u64::MAX));
+        back.add_waste(8, SimDuration::from_secs(u64::MAX));
+        assert_eq!(back.occupied_node_seconds(), 2 * most);
+        assert_eq!(back.wasted_node_seconds(), 2 * most);
+    }
+
     mod order_free {
         use super::*;
         use proptest::prelude::*;
@@ -726,12 +768,12 @@ mod tests {
                 let kind = [JobKind::Rigid, JobKind::OnDemand, JobKind::Malleable][kind as usize];
                 let class = [JobClass::Capacity, JobClass::Capability][class as usize];
                 r.job_submitted_full(id, kind, class, 4, t(submit), NoticeCategory::Late);
-                r.job_started(id, t(submit + wait));
-                (0..preemptions).for_each(|_| r.job_preempted(id));
+                r.record(t(submit + wait), id, &E::Started { size: 1 });
+                (0..preemptions).for_each(|_| r.record(t(submit + wait), id, &E::Preempted));
                 if killed {
-                    r.job_killed(id, t(submit + wait + run));
+                    r.record(t(submit + wait + run), id, &E::Killed);
                 } else {
-                    r.job_finished(id, t(submit + wait + run));
+                    r.record(t(submit + wait + run), id, &E::Finished);
                 }
             }
             for &i in &order[..retired] {

@@ -471,6 +471,7 @@ impl MetricsAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TimelineEvent as E;
     use hws_sim::SimTime;
     use hws_workload::JobId;
 
@@ -487,16 +488,16 @@ mod tests {
         let mut rec = recorder(100);
         // Rigid job: 2 h turnaround.
         rec.job_submitted(JobId(1), JobKind::Rigid, 10, t(0));
-        rec.job_started(JobId(1), t(600));
-        rec.job_finished(JobId(1), t(7_200));
+        rec.record(t(600), JobId(1), &E::Started { size: 1 });
+        rec.record(t(7_200), JobId(1), &E::Finished);
         // OD job: starts instantly.
         rec.job_submitted(JobId(2), JobKind::OnDemand, 10, t(100));
-        rec.job_started(JobId(2), t(100));
-        rec.job_finished(JobId(2), t(3_700));
+        rec.record(t(100), JobId(2), &E::Started { size: 1 });
+        rec.record(t(3_700), JobId(2), &E::Finished);
         // OD job: starts after 10 minutes (not instant).
         rec.job_submitted(JobId(3), JobKind::OnDemand, 10, t(200));
-        rec.job_started(JobId(3), t(800));
-        rec.job_finished(JobId(3), t(4_400));
+        rec.record(t(800), JobId(3), &E::Started { size: 1 });
+        rec.record(t(4_400), JobId(3), &E::Finished);
         rec.add_occupancy(100, SimDuration::from_secs(7_200));
 
         let m = Metrics::compute(&rec);
@@ -528,8 +529,8 @@ mod tests {
     fn utilization_excludes_waste() {
         let mut rec = recorder(10);
         rec.job_submitted(JobId(1), JobKind::Rigid, 10, t(0));
-        rec.job_started(JobId(1), t(0));
-        rec.job_finished(JobId(1), t(1_000));
+        rec.record(t(0), JobId(1), &E::Started { size: 1 });
+        rec.record(t(1_000), JobId(1), &E::Finished);
         // Fully occupied for the whole 1000 s span, 2000 node-s wasted.
         rec.add_occupancy(10, SimDuration::from_secs(1_000));
         rec.add_waste(2, SimDuration::from_secs(1_000));
@@ -543,11 +544,11 @@ mod tests {
         let mut rec = recorder(10);
         for id in 0..4u64 {
             rec.job_submitted(JobId(id), JobKind::Rigid, 1, t(0));
-            rec.job_started(JobId(id), t(0));
-            rec.job_finished(JobId(id), t(100));
+            rec.record(t(0), JobId(id), &E::Started { size: 1 });
+            rec.record(t(100), JobId(id), &E::Finished);
         }
-        rec.job_preempted(JobId(0));
-        rec.job_preempted(JobId(0)); // double preemption still one job
+        rec.record(t(0), JobId(0), &E::Preempted);
+        rec.record(t(0), JobId(0), &E::Preempted); // double preemption still one job
         let m = Metrics::compute(&rec);
         assert!((m.rigid.preemption_ratio - 0.25).abs() < 1e-9);
     }
@@ -556,11 +557,11 @@ mod tests {
     fn killed_jobs_excluded_from_turnaround() {
         let mut rec = recorder(10);
         rec.job_submitted(JobId(1), JobKind::Rigid, 1, t(0));
-        rec.job_started(JobId(1), t(0));
-        rec.job_killed(JobId(1), t(100));
+        rec.record(t(0), JobId(1), &E::Started { size: 1 });
+        rec.record(t(100), JobId(1), &E::Killed);
         rec.job_submitted(JobId(2), JobKind::Rigid, 1, t(0));
-        rec.job_started(JobId(2), t(0));
-        rec.job_finished(JobId(2), t(3_600));
+        rec.record(t(0), JobId(2), &E::Started { size: 1 });
+        rec.record(t(3_600), JobId(2), &E::Finished);
         let m = Metrics::compute(&rec);
         assert_eq!(m.killed_jobs, 1);
         assert_eq!(m.completed_jobs, 1);
@@ -611,15 +612,15 @@ mod tests {
     fn averaging_across_runs() {
         let mut rec1 = recorder(10);
         rec1.job_submitted(JobId(1), JobKind::Rigid, 1, t(0));
-        rec1.job_started(JobId(1), t(0));
-        rec1.job_finished(JobId(1), t(3_600));
+        rec1.record(t(0), JobId(1), &E::Started { size: 1 });
+        rec1.record(t(3_600), JobId(1), &E::Finished);
         rec1.add_occupancy(10, SimDuration::from_secs(3_600));
         let m1 = Metrics::compute(&rec1);
 
         let mut rec2 = recorder(10);
         rec2.job_submitted(JobId(1), JobKind::Rigid, 1, t(0));
-        rec2.job_started(JobId(1), t(0));
-        rec2.job_finished(JobId(1), t(10_800));
+        rec2.record(t(0), JobId(1), &E::Started { size: 1 });
+        rec2.record(t(10_800), JobId(1), &E::Finished);
         rec2.add_occupancy(5, SimDuration::from_secs(10_800));
         let m2 = Metrics::compute(&rec2);
 

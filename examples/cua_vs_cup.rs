@@ -14,6 +14,8 @@
 //! cargo run --release --example cua_vs_cup
 //! ```
 
+use hybrid_workload_sched::hws_core::Timeline;
+use hybrid_workload_sched::hws_workload::MaterializedSource;
 use hybrid_workload_sched::prelude::*;
 
 fn build() -> Trace {
@@ -75,12 +77,10 @@ fn main() {
     for m in [Mechanism::CUA_PAA, Mechanism::CUP_PAA] {
         let mut cfg = base.clone();
         cfg.mechanism = m;
-        cfg.record_timeline = true;
-        let out = Simulator::run_trace(&cfg, &trace);
+        let (out, tl) =
+            Simulator::run_observed(&cfg, MaterializedSource::new(&trace), Timeline::new());
         println!("--- {} schedule ---", m.name());
-        if let Some(tl) = &out.timeline {
-            println!("{}", tl.render_gantt(100));
-        }
+        println!("{}", tl.render_gantt(100));
         let met = &out.metrics;
         let wasted = (met.raw_occupancy - met.utilization) * met.span_hours * 3_600.0 * 100.0;
         table.row(vec![

@@ -19,7 +19,9 @@
 //! vector) each return an error and leave the episode untouched.
 
 use hws_cluster::SnapshotBackend;
+use hws_core::Timeline;
 use hws_sim::{SimDuration as D, SimTime as T};
+use hws_workload::MaterializedSource;
 use hybrid_workload_sched::hws_cluster;
 use hybrid_workload_sched::prelude::*;
 use proptest::prelude::*;
@@ -131,7 +133,7 @@ proptest! {
 
     // Identity parity must be independent of the decision cadence: the
     // observation/step loop only chooses *when* to look, never what
-    // happens.
+    // happens. A batch run with a timeline observer is one more input.
     #[test]
     fn identity_parity_is_cadence_independent(
         seed in 0..48u64,
@@ -146,6 +148,14 @@ proptest! {
         prop_assert_eq!(&report.outcome.metrics, &batch.metrics);
         prop_assert_eq!(&report.outcome.engine, &batch.engine);
         prop_assert_eq!(report.outcome.admitted_jobs, batch.admitted_jobs);
+        // Observing a run reports its transitions and changes nothing.
+        let (observed, tl) =
+            Simulator::run_observed(&cfg, MaterializedSource::new(&trace), Timeline::new());
+        prop_assert_eq!(&observed.metrics, &batch.metrics);
+        prop_assert_eq!(&observed.engine, &batch.engine);
+        prop_assert_eq!(observed.admitted_jobs, batch.admitted_jobs);
+        prop_assert_eq!(observed.peak_resident_jobs, batch.peak_resident_jobs);
+        prop_assert!(!tl.is_empty());
     }
 }
 
