@@ -12,7 +12,8 @@
 //! One row per line, one flat object per row:
 //!
 //! * deterministic `f64` renders round-trip (`{:?}`), wall-clock `f64` at
-//!   4 fixed decimals, and any non-finite value as `null`;
+//!   4 fixed decimals, and any non-finite value, like an absent one, as
+//!   `null`;
 //! * fingerprints render as 16-hex-digit strings, other strings
 //!   JSON-escaped, arrays as `[a, b]`.
 //!
@@ -168,9 +169,25 @@ pub const POLICY_SEARCH: Baseline = Baseline {
     partial: None,
 };
 
+/// `BENCH_paper.json`: every averaged cell of Table II, Fig. 6, Fig. 7
+/// and the ablations, and the verdict of every deterministic observation
+/// check (`section` = `obs`). A column a row does not carry is `null`.
+pub const PAPER: Baseline = Baseline {
+    file: "BENCH_paper.json",
+    bin: "paper",
+    scale: Scale::Quick,
+    seeds: 10,
+    key: "section cell",
+    columns: "section cell seeds metrics_fingerprint avg_turnaround_h rigid_turnaround_h \
+             malleable_turnaround_h on_demand_turnaround_h utilization instant_start_rate \
+             rigid_preemption_ratio malleable_preemption_ratio verdict",
+    wall_clock: "",
+    partial: None,
+};
+
 /// Every gated baseline. `BENCH_decision_latency.json` is criterion
 /// output (pure wall-clock, written by `HWS_BENCH_JSON`) and is not one.
-pub const BASELINES: [Baseline; 8] = [
+pub const BASELINES: [Baseline; 9] = [
     SWF_REPLAY,
     THROUGHPUT,
     FEDERATED,
@@ -179,6 +196,7 @@ pub const BASELINES: [Baseline; 8] = [
     SERVICE,
     OUTAGES,
     POLICY_SEARCH,
+    PAPER,
 ];
 
 /// One value of a baseline row.
@@ -190,6 +208,7 @@ pub enum Cell {
     Fingerprint(u64),
     Str(String),
     Array(Vec<Cell>),
+    Null,
 }
 
 impl From<u64> for Cell {
@@ -219,6 +238,12 @@ impl From<&str> for Cell {
 impl From<String> for Cell {
     fn from(v: String) -> Cell {
         Cell::Str(v)
+    }
+}
+
+impl<T: Into<Cell>> From<Option<T>> for Cell {
+    fn from(v: Option<T>) -> Cell {
+        v.map_or(Cell::Null, Into::into)
     }
 }
 
@@ -422,6 +447,7 @@ impl Baseline {
 fn render_cell(out: &mut String, cell: &Cell, wall_clock: bool) {
     let _ = match cell {
         Cell::Int(v) => write!(out, "{v}"),
+        Cell::Null => write!(out, "null"),
         Cell::F64(x) if !x.is_finite() => write!(out, "null"),
         Cell::F64(x) if wall_clock => write!(out, "{x:.WALL_DECIMALS$}"),
         Cell::F64(x) => write!(out, "{x:?}"),
@@ -742,13 +768,47 @@ mod tests {
         assert!(v.failures[0].contains("events_per_sec regressed"));
     }
 
+    /// A registry entry whose binary is missing, or is not regenerated by
+    /// CI's `baseline-parity` job, would never be gated.
     #[test]
     fn every_registry_bin_is_a_bench_binary() {
         let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let ci = std::fs::read_to_string(workspace_root().join(".github/workflows/ci.yml"))
+            .expect("CI workflow");
+        let job: Vec<&str> = ci
+            .lines()
+            .skip_while(|l| *l != "  baseline-parity:")
+            .skip(1)
+            .take_while(|l| l.is_empty() || l.starts_with("   "))
+            .filter(|l| !l.trim_start().starts_with('#'))
+            .collect();
+        assert!(!job.is_empty(), "ci.yml has no baseline-parity job");
+        let words: Vec<&str> = job
+            .iter()
+            .flat_map(|l| l.split(|c: char| !(c.is_alphanumeric() || c == '_')))
+            .collect();
         for b in &BASELINES {
             let source = bins.join(format!("{}.rs", b.bin));
             assert!(source.is_file(), "{}: no {}", b.file, source.display());
+            assert!(
+                words.contains(&b.bin),
+                "{}: ci.yml's baseline-parity job never runs {}",
+                b.file,
+                b.bin
+            );
         }
+    }
+
+    #[test]
+    fn absent_values_render_as_null() {
+        let row = Row::new()
+            .col("name", "a")
+            .col("det", None::<f64>)
+            .col("wall", Some(1.0));
+        assert_eq!(
+            TOY.render(&[row]),
+            "[\n  {\"name\": \"a\", \"det\": null, \"wall\": 1.0000}\n]\n"
+        );
     }
 
     #[test]

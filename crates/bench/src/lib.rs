@@ -1,9 +1,11 @@
 //! # hws-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus shared
-//! plumbing: the [`TraceSource`] abstraction (synthetic generator or SWF
-//! replay), multi-seed parallel execution, result aggregation, and the
-//! [`DecisionTimer`] behind `fig6`'s Observation 10 (decision latency)
+//! The `paper` binary reproduces every table and figure of the paper and
+//! checks its observations; the other binaries under `src/bin/` replay
+//! the extensions. Shared plumbing: the [`TraceSource`] abstraction
+//! (synthetic generator or SWF replay), multi-seed parallel execution,
+//! result aggregation, the one [`baseline`] row format, and the
+//! [`DecisionTimer`] behind `paper`'s Observation 10 (decision latency)
 //! line. The Criterion benches under `benches/` cover per-decision kernels
 //! and simulator/backfill throughput.
 //!
@@ -14,7 +16,7 @@
 //!   that preserves system size, load, and burstiness.
 //! * `HWS_SEEDS=n` — number of random traces per cell (paper: 10).
 //! * `HWS_SWF=path` — replay a real SWF log instead of generating
-//!   synthetic traces: every figure binary then imports the log once per
+//!   synthetic traces: `paper` then imports the log once per
 //!   seed (the seed drives the §IV-A class/notice assignment, mirroring
 //!   the paper's "ten randomly generated traces" protocol). `HWS_SWF_PPN`
 //!   sets processors per node for logs that count processors.
@@ -23,8 +25,8 @@
 //! * `HWS_PARANOID=1` — `service_replay` and `outage_replay` run with the
 //!   O(n)-scan cross-validating cluster accounting.
 //!
-//! A malformed `HWS_SCALE` or `HWS_SEEDS` exits with a message naming the
-//! variable and its accepted values.
+//! A malformed `HWS_SCALE`, `HWS_SEEDS` or `HWS_SWF_PPN` exits with a
+//! message naming the variable and its accepted values.
 
 pub mod archive;
 pub mod baseline;
@@ -35,7 +37,7 @@ pub use archive::{
 };
 pub use decision_timer::{DecisionLatency, DecisionTimer};
 
-use hws_core::{Mechanism, SimConfig, SimOutcome, Simulator};
+use hws_core::{SimConfig, SimOutcome, Simulator};
 use hws_metrics::{Metrics, MetricsAvg};
 use hws_search::fnv1a;
 use hws_sim::SimDuration;
@@ -109,12 +111,12 @@ pub fn seeds_from_env() -> u64 {
 /// seed count differs from the paper's 10 (the million-job archive replay
 /// records 2). Exits unless the value is a positive integer.
 pub fn seeds_from_env_or(default: u64) -> u64 {
-    env_knob("HWS_SEEDS", parse_seeds, "a positive integer").unwrap_or(default)
+    env_knob("HWS_SEEDS", parse_positive::<u64>, "a positive integer").unwrap_or(default)
 }
 
-/// Parse an `HWS_SEEDS` value: a positive integer.
-fn parse_seeds(s: &str) -> Option<u64> {
-    s.parse().ok().filter(|&n| n > 0)
+/// Parse a positive integer knob (`HWS_SEEDS`, `HWS_SWF_PPN`).
+fn parse_positive<T: std::str::FromStr + PartialOrd + From<u8>>(s: &str) -> Option<T> {
+    s.parse().ok().filter(|n| *n > T::from(0))
 }
 
 /// `HWS_PARANOID=1`: run with the O(n)-scan cross-validating cluster
@@ -162,10 +164,7 @@ impl TraceSource {
     /// goes through here so they can never drift apart.
     pub fn swf_from_env() -> Option<TraceSource> {
         let path = std::env::var("HWS_SWF").ok().filter(|p| !p.is_empty())?;
-        let ppn = std::env::var("HWS_SWF_PPN")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
+        let ppn = env_knob("HWS_SWF_PPN", parse_positive::<u32>, "a positive integer").unwrap_or(1);
         Some(TraceSource::swf(
             path,
             SwfImportConfig {
@@ -326,12 +325,22 @@ pub fn assert_same_run(got: &SimOutcome, want: &SimOutcome, what: &str) {
     assert_eq!(got.engine, want.engine, "{what}: engine stats diverged");
 }
 
+/// One averaged experiment cell: a configuration over the paper's
+/// "ten randomly generated traces".
+#[derive(Debug, Clone)]
+pub struct Averaged {
+    /// The per-seed metrics, averaged.
+    pub metrics: Metrics,
+    /// [`metrics_fingerprint`] of the per-seed outcomes.
+    pub fingerprint: u64,
+}
+
 /// Run `cfg` over `seeds` traces drawn from `source` in parallel and
 /// average the metrics (the paper's averaging protocol). Routed through
 /// [`Simulator::run_sweep_with`], which fans the seeds across CPU cores
 /// while keeping every per-seed result bitwise identical to a sequential
 /// run.
-pub fn run_averaged_source(sim_cfg: &SimConfig, source: &TraceSource, seeds: u64) -> Metrics {
+pub fn run_averaged_source(sim_cfg: &SimConfig, source: &TraceSource, seeds: u64) -> Averaged {
     assert!(seeds > 0);
     let seed_list: Vec<u64> = (0..seeds).collect();
     let outcomes = Simulator::run_sweep_with(sim_cfg, &seed_list, |s| source.make_trace(s));
@@ -339,34 +348,10 @@ pub fn run_averaged_source(sim_cfg: &SimConfig, source: &TraceSource, seeds: u64
     for outcome in &outcomes {
         avg.push(&outcome.metrics);
     }
-    avg.mean()
-}
-
-/// Synthetic-only convenience wrapper kept for callers that hold a
-/// [`TraceConfig`] (examples, tests).
-pub fn run_averaged(sim_cfg: &SimConfig, trace_cfg: &TraceConfig, seeds: u64) -> Metrics {
-    run_averaged_source(sim_cfg, &TraceSource::Synthetic(trace_cfg.clone()), seeds)
-}
-
-/// Run every (mechanism × workload) cell of Fig. 6 and return
-/// `(workload name, mechanism, averaged metrics)` rows. Every decision of
-/// every run is timed into `timer` (Observation 10).
-pub fn run_fig6_grid(
-    source: &TraceSource,
-    seeds: u64,
-    mechanisms: &[Mechanism],
-    timer: &DecisionTimer,
-) -> Vec<(&'static str, Mechanism, Metrics)> {
-    let mut rows = Vec::new();
-    for (wname, mix) in NoticeMix::TABLE3 {
-        let wsource = source.clone().with_notice_mix(mix);
-        for &m in mechanisms {
-            let mut scfg = SimConfig::with_mechanism(m);
-            timer.install(&mut scfg);
-            rows.push((wname, m, run_averaged_source(&scfg, &wsource, seeds)));
-        }
+    Averaged {
+        metrics: avg.mean(),
+        fingerprint: metrics_fingerprint(&outcomes),
     }
-    rows
 }
 
 /// FNV-1a over the `Debug` rendering of every per-seed metrics struct: an
@@ -401,6 +386,7 @@ pub const SWF_FIXTURE_SEED: u64 = 42;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hws_core::Mechanism;
     use hws_workload::JobKind;
 
     #[test]
@@ -423,10 +409,18 @@ mod tests {
 
     #[test]
     fn seeds_parse_as_positive_integers() {
-        assert_eq!(parse_seeds("1"), Some(1));
-        assert_eq!(parse_seeds("10"), Some(10));
+        assert_eq!(parse_positive::<u64>("1"), Some(1));
+        assert_eq!(parse_positive::<u64>("10"), Some(10));
         for bad in ["0", "two", "-1", "2.5", "", " 3"] {
-            assert_eq!(parse_seeds(bad), None, "{bad:?}");
+            assert_eq!(parse_positive::<u64>(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn procs_per_node_parse_as_positive_integers() {
+        assert_eq!(parse_positive::<u32>("64"), Some(64));
+        for bad in ["64x", "0", "-64", "", "4294967296"] {
+            assert_eq!(parse_positive::<u32>(bad), None, "{bad:?}");
         }
     }
 
@@ -449,12 +443,13 @@ mod tests {
 
     #[test]
     fn run_averaged_is_deterministic() {
-        let tcfg = TraceConfig::tiny();
+        let source = TraceSource::Synthetic(TraceConfig::tiny());
         let scfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
-        let a = run_averaged(&scfg, &tcfg, 2);
-        let b = run_averaged(&scfg, &tcfg, 2);
-        assert!((a.avg_turnaround_h - b.avg_turnaround_h).abs() < 1e-12);
-        assert!((a.utilization - b.utilization).abs() < 1e-12);
+        let a = run_averaged_source(&scfg, &source, 2);
+        let b = run_averaged_source(&scfg, &source, 2);
+        assert!((a.metrics.avg_turnaround_h - b.metrics.avg_turnaround_h).abs() < 1e-12);
+        assert!((a.metrics.utilization - b.metrics.utilization).abs() < 1e-12);
+        assert_eq!(a.fingerprint, b.fingerprint);
     }
 
     #[test]

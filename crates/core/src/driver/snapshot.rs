@@ -197,6 +197,17 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
             core.shard_starts.len()
         )));
     }
+    // Later steps add to these totals with a plain `+=`; the recorder's
+    // bound (the whole machine over the whole clock) keeps them from
+    // overflowing.
+    let nodes = core.cluster.total_nodes();
+    let most = u128::from(nodes) * u128::from(u64::MAX);
+    let lost = core.outage.as_ref().map_or(0, |o| o.lost_node_seconds);
+    if core.shard_occ.iter().chain([&lost]).any(|&x| x > most) {
+        return Err(r.err(format!(
+            "shard or lost node-seconds beyond {nodes} nodes over the whole clock"
+        )));
+    }
     match (&core.outage, &cfg.outages) {
         (Some(_), None) => {
             return Err(

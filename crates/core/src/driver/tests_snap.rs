@@ -282,6 +282,35 @@ fn a_hostile_length_is_refused_not_allocated() {
     assert!(restore_federated(&bad).is_err());
 }
 
+/// The per-shard occupancy and the outage's lost node-seconds, which
+/// later steps add to, are refused above the whole machine over the whole
+/// clock, and accepted at that bound.
+#[test]
+fn node_second_totals_are_bounded_on_restore() {
+    let most = u128::from(SYSTEM) * u128::from(u64::MAX);
+    let bytes = image(Mechanism::CUP_SPAA, 2);
+    let retotal = |total: u128, shard: bool| {
+        let mut svc = restore_federated(&bytes).expect("restores");
+        let core = svc.core_mut();
+        if shard {
+            core.shard_occ[1] = total;
+        } else {
+            core.outage
+                .as_mut()
+                .expect("outage state")
+                .lost_node_seconds = total;
+        }
+        restore_federated(&svc.snapshot())
+    };
+    for shard in [true, false] {
+        assert!(retotal(most, shard).is_ok(), "shard {shard}: the bound");
+        let err = retotal(most + 1, shard)
+            .err()
+            .expect("refused above the bound");
+        assert!(err.to_string().contains("node-seconds"), "{err}");
+    }
+}
+
 /// Whether a restore succeeded; a restored service must pass every
 /// invariant check (`check_paranoid` panics otherwise) and snapshot
 /// again.

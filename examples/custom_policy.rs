@@ -87,8 +87,8 @@ fn main() {
     }
     println!("{}", t.render());
     println!("ordering victims by wasted node-seconds (the paper's choice) keeps the gap");
-    println!("between raw occupancy and useful utilization small; run the ablation bench");
-    println!("(hws-bench --bin ablations) for the multi-seed comparison.");
+    println!("between raw occupancy and useful utilization small; the ablations of");
+    println!("`hws-bench --bin paper` give the multi-seed comparison.");
 
     println!("\n== a seventh mechanism via MechanismHooks ==");
     let mut t = Table::new(vec![

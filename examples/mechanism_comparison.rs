@@ -32,7 +32,7 @@ fn main() {
         push_row(&mut table, m.name(), &out.metrics);
     }
     println!("{}", table.render());
-    println!("(single trace; the fig6 bench averages ten — expect noise here)");
+    println!("(single trace; Fig. 6 of `hws-bench --bin paper` averages ten — expect noise here)");
 }
 
 fn push_row(table: &mut Table, name: &str, m: &Metrics) {

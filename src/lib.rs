@@ -51,8 +51,8 @@
 //!   tournament tuners over mechanism/knob vectors) on top of the
 //!   [`hws_core::Environment`] facade (DESIGN.md §16).
 //!
-//! Every table and figure of the paper regenerates from `hws-bench`
-//! binaries (`cargo run -p hws-bench --bin fig6 --release`), which fan
+//! Every table and figure of the paper regenerates from one `hws-bench`
+//! binary (`cargo run -p hws-bench --bin paper --release`), which fans
 //! seeds across cores via [`hws_core::Simulator::run_sweep_with`]; DESIGN.md §7
 //! describes the sweep/bench plumbing and the recorded latency baseline
 //! (`BENCH_decision_latency.json`).
