@@ -1,10 +1,16 @@
 //! Microbench of the EASY backfilling kernel (shadow computation and
 //! admission tests) at realistic queue depths — part of the §II-C "quick
 //! decision making" requirement alongside `decision_latency`.
+//!
+//! `compute_shadow/{n}_running` is the full projection (collect every
+//! release, select by `(end, nodes)`); `shadow_walk/{n}_running` is the
+//! driver's release-profile walk over the same releases, kept in an
+//! ordered set and read from the front with a per-job node lookup.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hws_core::backfill::{compute_shadow, may_backfill};
+use hws_core::backfill::{compute_shadow, may_backfill, shadow_walk};
 use hws_sim::SimTime;
+use std::collections::BTreeSet;
 use std::hint::black_box;
 
 fn releases(n: usize) -> Vec<(SimTime, u32)> {
@@ -31,6 +37,22 @@ fn bench_backfill(c: &mut Criterion) {
                 |mut r| black_box(compute_shadow(&mut r, 256, 2_048)),
                 BatchSize::SmallInput,
             )
+        });
+
+        g.bench_function(format!("shadow_walk/{n}_running"), |b| {
+            let r = releases(n);
+            let profile: BTreeSet<(SimTime, usize)> = r
+                .iter()
+                .enumerate()
+                .map(|(i, &(end, _))| (end, i))
+                .collect();
+            let mut group = Vec::new();
+            let mut walk = || {
+                let rel = profile.iter().map(|&(end, i)| (end, r[i].1));
+                shadow_walk(rel, 256, 2_048, &mut group)
+            };
+            assert_eq!(walk(), compute_shadow(&mut r.clone(), 256, 2_048));
+            b.iter(|| black_box(walk()))
         });
     }
 

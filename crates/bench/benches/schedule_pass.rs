@@ -1,6 +1,8 @@
 //! Microbench of the pass-ordering kernel: the incrementally maintained
-//! `BTreeSet<(QueueKey, JobId)>` waiting-queue index (churn a few entries
-//! per tick, copy the already-ordered index into the pass scratch) against
+//! waiting-queue index — a `BTreeSet` of `(QueueKey, JobId, size,
+//! min_size)` entries, ordered by key and id and carrying the two sizes the
+//! backfill walk filters on (churn a few entries per tick, copy the
+//! already-ordered index into the pass scratch) — against
 //! the historical full re-sort (recompute every key and `sort_unstable`
 //! the whole queue on every pass). The simulator switched to the former in
 //! DESIGN.md §15; this bench is the standing record of why — and of the
@@ -15,6 +17,13 @@ use hws_workload::job::JobSpecBuilder;
 use hws_workload::{JobId, JobSpec};
 use std::collections::BTreeSet;
 use std::hint::black_box;
+
+/// One index entry, as the driver's `WaitEntry` lays it out.
+type Entry = (QueueKey, JobId, u32, u32);
+
+fn entry(policy: PolicyKind, s: &JobSpec, epoch: SimTime) -> Entry {
+    (queue_key(policy, s, false, epoch), s.id, s.size, s.min_size)
+}
 
 /// Deterministic waiting set: spread submit instants and sizes so FCFS
 /// keys are distinct and WFP3 scores are non-trivial.
@@ -39,13 +48,13 @@ fn bench_schedule_pass(c: &mut Criterion) {
         // key and sorts from scratch — O(Q) key evaluations + O(Q log Q)
         // comparisons per pass, i.e. per event once passes coalesce.
         g.bench_function(format!("full_resort/{q}_waiting"), |b| {
-            let mut scratch: Vec<(QueueKey, JobId)> = Vec::with_capacity(specs.len());
+            let mut scratch: Vec<Entry> = Vec::with_capacity(specs.len());
             b.iter(|| {
                 scratch.clear();
                 scratch.extend(
                     specs
                         .iter()
-                        .map(|s| (queue_key(PolicyKind::Fcfs, s, false, SimTime::ZERO), s.id)),
+                        .map(|s| entry(PolicyKind::Fcfs, s, SimTime::ZERO)),
                 );
                 scratch.sort_unstable();
                 black_box(scratch.last().copied())
@@ -56,12 +65,12 @@ fn bench_schedule_pass(c: &mut Criterion) {
         // churns a handful of entries (starts out, submissions in) and the
         // pass copies the already-ordered index into scratch.
         g.bench_function(format!("incremental/{q}_waiting_8_churn"), |b| {
-            let keyed: Vec<(QueueKey, JobId)> = specs
+            let keyed: Vec<Entry> = specs
                 .iter()
-                .map(|s| (queue_key(PolicyKind::Fcfs, s, false, SimTime::ZERO), s.id))
+                .map(|s| entry(PolicyKind::Fcfs, s, SimTime::ZERO))
                 .collect();
-            let mut index: BTreeSet<(QueueKey, JobId)> = keyed.iter().copied().collect();
-            let mut scratch: Vec<(QueueKey, JobId)> = Vec::with_capacity(keyed.len());
+            let mut index: BTreeSet<Entry> = keyed.iter().copied().collect();
+            let mut scratch: Vec<Entry> = Vec::with_capacity(keyed.len());
             let mut round = 0usize;
             b.iter(|| {
                 // 8 priority-relevant transitions per tick: a started job
@@ -83,9 +92,9 @@ fn bench_schedule_pass(c: &mut Criterion) {
         // the index is re-keyed wholesale before each pass — the old
         // asymptotics, paid only by time-varying policies.
         g.bench_function(format!("wfp3_rekey/{q}_waiting"), |b| {
-            let mut index: BTreeSet<(QueueKey, JobId)> = specs
+            let mut index: BTreeSet<Entry> = specs
                 .iter()
-                .map(|s| (queue_key(PolicyKind::Wfp3, s, false, SimTime::ZERO), s.id))
+                .map(|s| entry(PolicyKind::Wfp3, s, SimTime::ZERO))
                 .collect();
             let mut ids: Vec<JobId> = Vec::with_capacity(specs.len());
             let mut now = 0u64;
@@ -93,12 +102,12 @@ fn bench_schedule_pass(c: &mut Criterion) {
                 now += 60;
                 let epoch = SimTime::from_secs(now);
                 ids.clear();
-                ids.extend(index.iter().map(|&(_, j)| j));
+                ids.extend(index.iter().map(|e| e.1));
                 index.clear();
-                index.extend(ids.iter().map(|&j| {
-                    let s = &specs[j.0 as usize];
-                    (queue_key(PolicyKind::Wfp3, s, false, epoch), j)
-                }));
+                index.extend(
+                    ids.iter()
+                        .map(|&j| entry(PolicyKind::Wfp3, &specs[j.0 as usize], epoch)),
+                );
                 black_box(index.len())
             });
         });

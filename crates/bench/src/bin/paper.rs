@@ -28,12 +28,15 @@
 //! ```
 
 use hws_bench::baseline::{Cell, Row, PAPER};
-use hws_bench::{run_averaged_source, seeds_from_env, Averaged, DecisionTimer, Scale, TraceSource};
+use hws_bench::{
+    make_traces, run_averaged, seeds_from_env, Averaged, DecisionTimer, Scale, TraceSource,
+};
 use hws_core::{Mechanism, PolicyKind, ShrinkStrategy, SimConfig, VictimOrder};
 use hws_metrics::{Metrics, Table};
 use hws_sim::SimDuration;
 use hws_workload::stats::{self, TypeShares};
 use hws_workload::{NoticeMix, Trace, TraceConfig};
+use std::collections::HashMap;
 
 /// Checkpoint-interval multipliers on the Daly optimum (Fig. 7).
 const CKPT_FACTORS: [f64; 4] = [0.25, 0.5, 1.0, 2.0];
@@ -113,7 +116,9 @@ fn main() {
     }
     let first = first.expect("three shape traces");
     table1(&first);
-    let baseline = run_averaged_source(&SimConfig::baseline(), &source, seeds);
+    let base = Workload::new(&source, seeds);
+    let mut runs = Runs::default();
+    let baseline = runs.run(&base, &SimConfig::baseline());
     rows.push(row("table2", "FCFS/EASY", seeds, Some(&baseline), None));
     table2(&baseline.metrics);
     fig3(&shape, &first);
@@ -126,25 +131,41 @@ fn main() {
         timer.install(&mut cfg);
         cfg
     };
-    let workloads = NoticeMix::TABLE3.map(|(w, mix)| {
+    let mut grid = Lines::new();
+    for (w, mix) in NoticeMix::TABLE3 {
+        // A mix equal to the base one (W5) reuses the base traces; the
+        // others are built for their line and dropped after it.
         let wsource = source.clone().with_notice_mix(mix);
-        (w.to_string(), wsource, &timed)
-    });
-    let grid = sweep(workloads, seeds);
+        let built;
+        let workload = if format!("{wsource:?}") == base.key {
+            &base
+        } else {
+            built = Workload::new(&wsource, seeds);
+            &built
+        };
+        grid.push(line(&mut runs, w.to_string(), workload, &timed));
+    }
     cell_rows("fig6", &grid, seeds, &mut rows);
     fig6(&baseline.metrics, &grid, &timer);
 
-    let intervals = CKPT_FACTORS.map(|f| {
-        let label = format!("{:.0}% of Daly", f * 100.0);
-        (label, source.clone(), move |cfg: SimConfig| {
-            cfg.ckpt_factor(f)
+    let ckpt: Lines = CKPT_FACTORS
+        .iter()
+        .map(|&f| {
+            let label = format!("{:.0}% of Daly", f * 100.0);
+            line(&mut runs, label, &base, &|cfg: SimConfig| {
+                cfg.ckpt_factor(f)
+            })
         })
-    });
-    let ckpt = sweep(intervals, seeds);
+        .collect();
     cell_rows("fig7", &ckpt, seeds, &mut rows);
     let obs13 = fig7(&ckpt);
 
-    ablations(&source, seeds, &mut rows);
+    ablations(&mut runs, &base, seeds, &mut rows);
+    eprintln!(
+        "paper: {} averaged cells from {} distinct runs",
+        rows.len(),
+        runs.0.len()
+    );
 
     let mut verdicts = observation_checks(&baseline.metrics, &grid, &timer);
     verdicts.push(obs13);
@@ -154,19 +175,53 @@ fn main() {
     PAPER.write(&rows);
 }
 
-/// Each line's `(label, source, edit)` under the six mechanisms: each
-/// mechanism's configuration, edited, averaged over `seeds` traces.
-fn sweep<E: Fn(SimConfig) -> SimConfig>(
-    lines: impl IntoIterator<Item = (String, TraceSource, E)>,
-    seeds: u64,
-) -> Lines {
-    let mut out = Lines::new();
-    for (label, source, edit) in lines {
-        let cells = Mechanism::ALL_SIX
-            .map(|m| run_averaged_source(&edit(SimConfig::with_mechanism(m)), &source, seeds));
-        out.push((label, cells.to_vec()));
+/// One workload's traces, built once, and the key its runs are cached
+/// under (the source's `Debug`).
+struct Workload {
+    key: String,
+    traces: Vec<Trace>,
+}
+
+impl Workload {
+    fn new(source: &TraceSource, seeds: u64) -> Self {
+        Workload {
+            key: format!("{source:?}"),
+            traces: make_traces(source, seeds),
+        }
     }
-    out
+}
+
+/// Averaged cells by `(workload, configuration)`: several cells repeat
+/// another's configuration (Fig. 7's 100%-of-Daly line is Fig. 6's W5
+/// line, and each "(paper)" ablation variant is a W5 cell), so each
+/// distinct one runs once. A configuration is keyed by its `Debug`
+/// without hooks: the only hooks installed here are the decision timer's,
+/// which wrap the standard composition and change no result.
+#[derive(Default)]
+struct Runs(HashMap<(String, String), Averaged>);
+
+impl Runs {
+    fn run(&mut self, workload: &Workload, cfg: &SimConfig) -> Averaged {
+        let mut plain = cfg.clone();
+        plain.hooks = None;
+        let key = (workload.key.clone(), format!("{plain:?}"));
+        self.0
+            .entry(key)
+            .or_insert_with(|| run_averaged(cfg, &workload.traces))
+            .clone()
+    }
+}
+
+/// A figure line: `edit` applied to each mechanism's configuration, each
+/// averaged over the workload's traces.
+fn line(
+    runs: &mut Runs,
+    label: String,
+    workload: &Workload,
+    edit: &dyn Fn(SimConfig) -> SimConfig,
+) -> (String, Vec<Averaged>) {
+    let cells = Mechanism::ALL_SIX.map(|m| runs.run(workload, &edit(SimConfig::with_mechanism(m))));
+    (label, cells.to_vec())
 }
 
 /// One `BENCH_paper.json` row: an averaged cell (`run`) or an observation
@@ -473,7 +528,7 @@ fn ablation_studies() -> [(&'static str, Vec<(String, SimConfig)>); 5] {
     ]
 }
 
-fn ablations(source: &TraceSource, seeds: u64, rows: &mut Vec<Row>) {
+fn ablations(runs: &mut Runs, base: &Workload, seeds: u64, rows: &mut Vec<Row>) {
     for (i, (title, variants)) in ablation_studies().into_iter().enumerate() {
         let mut t = Table::new(vec![
             "variant",
@@ -484,7 +539,7 @@ fn ablations(source: &TraceSource, seeds: u64, rows: &mut Vec<Row>) {
             "preempt r/m %",
         ]);
         for (label, cfg) in variants {
-            let run = run_averaged_source(&cfg, source, seeds);
+            let run = runs.run(base, &cfg);
             let m = &run.metrics;
             t.row(vec![
                 label.clone(),

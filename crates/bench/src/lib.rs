@@ -335,15 +335,19 @@ pub struct Averaged {
     pub fingerprint: u64,
 }
 
-/// Run `cfg` over `seeds` traces drawn from `source` in parallel and
-/// average the metrics (the paper's averaging protocol). Routed through
-/// [`Simulator::run_sweep_with`], which fans the seeds across CPU cores
-/// while keeping every per-seed result bitwise identical to a sequential
-/// run.
-pub fn run_averaged_source(sim_cfg: &SimConfig, source: &TraceSource, seeds: u64) -> Averaged {
+/// Seeds `0..seeds` of `source`, built in parallel: one workload's
+/// traces, built once for every configuration that runs on them.
+pub fn make_traces(source: &TraceSource, seeds: u64) -> Vec<Trace> {
     assert!(seeds > 0);
-    let seed_list: Vec<u64> = (0..seeds).collect();
-    let outcomes = Simulator::run_sweep_with(sim_cfg, &seed_list, |s| source.make_trace(s));
+    hws_sim::par_map(seeds as usize, |i| source.make_trace(i as u64))
+}
+
+/// Run `cfg` over `traces` in parallel and average the metrics (the
+/// paper's averaging protocol). [`hws_sim::par_map`] fans the traces
+/// across CPU cores while keeping every per-seed result bitwise identical
+/// to a sequential run.
+pub fn run_averaged(sim_cfg: &SimConfig, traces: &[Trace]) -> Averaged {
+    let outcomes = hws_sim::par_map(traces.len(), |i| Simulator::run_trace(sim_cfg, &traces[i]));
     let mut avg = MetricsAvg::new();
     for outcome in &outcomes {
         avg.push(&outcome.metrics);
@@ -445,8 +449,8 @@ mod tests {
     fn run_averaged_is_deterministic() {
         let source = TraceSource::Synthetic(TraceConfig::tiny());
         let scfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
-        let a = run_averaged_source(&scfg, &source, 2);
-        let b = run_averaged_source(&scfg, &source, 2);
+        let a = run_averaged(&scfg, &make_traces(&source, 2));
+        let b = run_averaged(&scfg, &make_traces(&source, 2));
         assert!((a.metrics.avg_turnaround_h - b.metrics.avg_turnaround_h).abs() < 1e-12);
         assert!((a.metrics.utilization - b.metrics.utilization).abs() < 1e-12);
         assert_eq!(a.fingerprint, b.fingerprint);

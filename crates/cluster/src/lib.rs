@@ -512,25 +512,40 @@ impl Cluster {
 
     /// Dispose of the squatted nodes `job` vacates, in order, and settle
     /// the squatter index: each node goes back to its holder's
-    /// reservation, or down if draining. Returns the per-holder counts of
-    /// nodes returned, in first-seen holder order.
-    fn unsquat_nodes(
-        &mut self,
-        job: JobId,
-        ids: impl IntoIterator<Item = NodeId>,
-    ) -> Vec<(JobId, u32)> {
+    /// reservation, or down if draining. Squatted nodes sit in per-holder
+    /// runs (a backfill takes them holder by holder), so each run returns
+    /// with one reservation lookup and, with no drain pending, one slice
+    /// append. Returns the per-holder counts of nodes returned, in
+    /// first-seen holder order.
+    fn unsquat_nodes(&mut self, job: JobId, ids: &[NodeId]) -> Vec<(JobId, u32)> {
         let mut returned: Vec<(JobId, u32)> = Vec::new();
         let mut vacated: Vec<(JobId, u32)> = Vec::new();
-        for id in ids {
-            let NodeState::ReservedBusy { holder, .. } = self.nodes[id.index()] else {
-                unreachable!("unsquatted node {id} is not squatted");
+        let mut rest = ids;
+        while let Some(&first) = rest.first() {
+            let holder = self.squat_holder(first);
+            let len = 1 + rest[1..]
+                .iter()
+                .take_while(|&&id| self.squat_holder(id) == holder)
+                .count();
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            tally(&mut vacated, holder, len as u32);
+            let back = if self.draining.is_empty() {
+                self.return_to_holder(holder, run);
+                run.len()
+            } else {
+                // Draining nodes leave service; the rest keep their order.
+                let mut kept = Vec::with_capacity(run.len());
+                for &id in run {
+                    if !self.take_down_if_draining(id) {
+                        kept.push(id);
+                    }
+                }
+                self.return_to_holder(holder, &kept);
+                kept.len()
             };
-            tally(&mut vacated, holder);
-            if !self.take_down_if_draining(id) {
-                self.nodes[id.index()] = NodeState::Reserved { holder };
-                self.reserved_idle.entry(holder).or_default().push(id);
-                self.reserved_idle_total += 1;
-                tally(&mut returned, holder);
+            if back > 0 {
+                tally(&mut returned, holder, back as u32);
             }
         }
         for &(holder, k) in &vacated {
@@ -539,13 +554,37 @@ impl Cluster {
         returned
     }
 
+    /// The reservation holder a squatted node belongs to.
+    fn squat_holder(&self, id: NodeId) -> JobId {
+        match self.nodes[id.index()] {
+            NodeState::ReservedBusy { holder, .. } => holder,
+            _ => unreachable!("unsquatted node {id} is not squatted"),
+        }
+    }
+
+    /// Append vacated squatted nodes, none of them draining, to `holder`'s
+    /// idle reservation in `ids` order.
+    fn return_to_holder(&mut self, holder: JobId, ids: &[NodeId]) {
+        if ids.is_empty() {
+            return;
+        }
+        for id in ids {
+            self.nodes[id.index()] = NodeState::Reserved { holder };
+        }
+        self.reserved_idle
+            .entry(holder)
+            .or_default()
+            .extend_from_slice(ids);
+        self.reserved_idle_total += ids.len() as u32;
+    }
+
     /// Release all of `job`'s nodes. Plain nodes go to the free pool;
     /// squatted nodes return to their holder's reservation. Nodes marked
     /// draining leave service instead and appear in neither bucket.
     ///
     /// Free-list order is exactly one push per plain node in allocation
-    /// order, done as one slice append; squatted nodes are the only ones
-    /// handled one at a time.
+    /// order, done as one slice append; squatted nodes return to their
+    /// holders run by run.
     pub fn release(&mut self, job: JobId) -> ReleaseOutcome {
         let mut nodes = self.alloc.remove(&job).unwrap_or_default();
         let split = self.splits.remove(&job).unwrap_or_default();
@@ -560,7 +599,7 @@ impl Cluster {
                 }
                 _ => true,
             });
-            out.to_reservations = self.unsquat_nodes(job, squatted);
+            out.to_reservations = self.unsquat_nodes(job, &squatted);
         }
         debug_assert!(nodes
             .iter()
@@ -621,7 +660,7 @@ impl Cluster {
             debug_assert!(went_down);
         }
         self.push_free(&removed[down..plain_removed]);
-        let to_reservations = self.unsquat_nodes(job, removed[plain_removed..].iter().copied());
+        let to_reservations = self.unsquat_nodes(job, &removed[plain_removed..]);
         let split = self.splits.get_mut(&job).expect("running job has a split");
         split.plain -= plain_removed as u32;
         split.squatted -= k - plain_removed as u32;
@@ -819,7 +858,7 @@ impl Cluster {
             }
             NodeState::ReservedBusy { .. } => {
                 split.squatted -= 1;
-                self.unsquat_nodes(job, [id]);
+                self.unsquat_nodes(job, &[id]);
             }
             ref st => unreachable!("allocated node in state {st:?}"),
         }
@@ -990,11 +1029,11 @@ fn move_tail(
     src.truncate(from);
 }
 
-/// Count one more node for `holder` in a short per-holder tally.
-fn tally(counts: &mut Vec<(JobId, u32)>, holder: JobId) {
+/// Count `n` more nodes for `holder` in a short per-holder tally.
+fn tally(counts: &mut Vec<(JobId, u32)>, holder: JobId, n: u32) {
     match counts.iter_mut().find(|(h, _)| *h == holder) {
-        Some((_, k)) => *k += 1,
-        None => counts.push((holder, 1)),
+        Some((_, k)) => *k += n,
+        None => counts.push((holder, n)),
     }
 }
 

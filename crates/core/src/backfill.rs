@@ -88,6 +88,59 @@ pub fn compute_shadow(releases: &mut [(SimTime, u32)], avail_now: u32, need: u32
     }
 }
 
+/// [`compute_shadow`] over releases already in ascending expected-end
+/// order, as a walk from the front: `releases` yields `(expected_end,
+/// nodes)` with non-decreasing ends, the node counts of equal ends in any
+/// order. Each run of equal ends is summed; only the run in which the
+/// count crosses `need` is sorted by node count (into `group`, a reusable
+/// buffer), which reproduces `compute_shadow`'s `(end, nodes)` order
+/// exactly. Reads releases only up to the crossing, so a shallow crossing
+/// costs O(k) however many jobs run.
+pub fn shadow_walk(
+    releases: impl IntoIterator<Item = (SimTime, u32)>,
+    avail_now: u32,
+    need: u32,
+    group: &mut Vec<u32>,
+) -> Shadow {
+    if avail_now >= need {
+        return Shadow {
+            time: SimTime::ZERO,
+            extra: avail_now - need,
+        };
+    }
+    let mut have = avail_now;
+    let mut rest = releases.into_iter().peekable();
+    let mut last = None;
+    while let Some((end, nodes)) = rest.next() {
+        debug_assert!(last < Some(end), "releases out of end order");
+        last = Some(end);
+        group.clear();
+        group.push(nodes);
+        let mut sum = nodes;
+        while let Some((_, n)) = rest.next_if(|&(e, _)| e == end) {
+            group.push(n);
+            sum += n;
+        }
+        if have + sum >= need {
+            group.sort_unstable();
+            for &n in group.iter() {
+                have += n;
+                if have >= need {
+                    return Shadow {
+                        time: end,
+                        extra: have - need,
+                    };
+                }
+            }
+        }
+        have += sum;
+    }
+    Shadow {
+        time: SimTime::MAX,
+        extra: avail_now,
+    }
+}
+
 /// Restore the min-heap property for the subtree rooted at `i` within
 /// `heap[..len]` (ordering on the whole `(end, nodes)` tuple).
 fn sift_down(heap: &mut [(SimTime, u32)], mut i: usize, len: usize) {
@@ -156,6 +209,30 @@ mod tests {
         let s = compute_shadow(&mut rel, 2, 10);
         assert_eq!(s.time, SimTime::MAX);
         assert_eq!(s.extra, 2);
+    }
+
+    #[test]
+    fn walk_matches_compute_shadow() {
+        // Seeded releases on few distinct ends (long equal-end runs with
+        // mixed node counts, zero counts included), fed to the walk in end
+        // order with each run's counts left unsorted.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut group = Vec::new();
+        for _ in 0..2_000 {
+            let len = next(24) as usize;
+            let mut rel: Vec<(SimTime, u32)> =
+                (0..len).map(|_| (t(next(6)), next(9) as u32)).collect();
+            rel.sort_by_key(|&(end, _)| end);
+            let (avail, need) = (next(10) as u32, 1 + next(48) as u32);
+            let walked = shadow_walk(rel.iter().copied(), avail, need, &mut group);
+            assert_eq!(walked, compute_shadow(&mut rel, avail, need), "{rel:?}");
+        }
     }
 
     #[test]

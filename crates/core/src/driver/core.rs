@@ -10,14 +10,14 @@ use super::alloc::Claim;
 use super::events::Ev;
 use super::hooks::{hooks_for, MechanismHooks};
 use super::outage::OutageState;
-use super::waitq::WaitQueue;
+use super::pass::ReleaseProfile;
+use super::waitq::{WaitEntry, WaitQueue};
 use crate::config::SimConfig;
 use crate::failure::time_to_failure;
 use crate::jobstate::{
     malleable_finish, malleable_progress_ns, rigid_progress, rigid_wall_time, JobState, Run, Status,
 };
 use crate::jobtable::JobTable;
-use crate::policy::QueueKey;
 use crate::timeline::{NoObserver, Observer, TimelineEvent};
 use hws_cluster::{Cluster, ClusterBackend, LeaseLedger};
 use hws_metrics::{Recorder, ShardStat};
@@ -56,10 +56,18 @@ pub struct SimCore<B: ClusterBackend = Cluster, O: Observer = NoObserver> {
     pub(super) table: JobTable,
     pub(super) cluster: B,
     /// Waiting jobs, maintained in priority order across events: a
-    /// `BTreeSet<(QueueKey, JobId)>` updated only on priority-relevant
-    /// transitions, so a scheduling pass reads the order instead of
-    /// re-sorting O(Q log Q) per pass (see [`super::waitq`]).
+    /// `BTreeSet` of `(QueueKey, JobId)` entries, each with the job's two
+    /// start sizes, updated only on priority-relevant transitions, so a
+    /// scheduling pass reads the order instead of re-sorting O(Q log Q)
+    /// per pass, and its backfill walk filters by size without reading
+    /// slots (see [`super::waitq`]).
     pub(super) queue: WaitQueue,
+    /// Running and draining jobs in `(shard, expected end, id)` order,
+    /// updated at every run transition (O(log R) each), so the blocked
+    /// head's EASY shadow is a walk from the front of its shard instead of
+    /// a scan of the machine (see [`super::pass`]). Derived from the
+    /// slots: never snapshotted, rebuilt on restore, cloned by a fork.
+    pub(super) profile: ReleaseProfile,
     /// Node collectors, kept sorted by `(phase, since, od)` on insert so
     /// [`SimCore::offer_free_nodes`] never re-sorts (see
     /// [`SimCore::insert_claim`]).
@@ -86,6 +94,9 @@ pub struct SimCore<B: ClusterBackend = Cluster, O: Observer = NoObserver> {
     /// node-seconds and job starts, indexed by shard.
     pub(super) shard_occ: Vec<u128>,
     pub(super) shard_starts: Vec<u64>,
+    /// Whether the backend is sharded. Besides the accumulation above it
+    /// tells the pass that an unplaced head's shadow spans shards and that
+    /// backfill availability depends on the candidate.
     pub(super) track_shards: bool,
     /// Outage-injection bookkeeping; `Some` exactly when the config
     /// carries an [`hws_workload::OutageSchedule`] (see [`super::outage`]).
@@ -95,16 +106,18 @@ pub struct SimCore<B: ClusterBackend = Cluster, O: Observer = NoObserver> {
 }
 
 /// Scratch buffers recycled across scheduling passes so the hot path does
-/// not allocate per event: the ordered queue snapshot, the shadow release
-/// profile, and the victim/candidate snapshots of notice handling.
+/// not allocate per event: the ordered queue snapshot, the shadow's
+/// re-projected releases and its equal-end group, and the
+/// victim/candidate snapshots of notice handling.
 /// Callers `mem::take` a buffer, use it, clear it, and put it back via
 /// [`Scratch::stow`] (the buffers are empty between passes). A clone is
 /// only taken between events, so it copies empty buffers: a reset.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Scratch {
     pub(super) ordered: Vec<JobId>,
-    pub(super) keys: Vec<(QueueKey, JobId)>,
+    pub(super) keys: Vec<WaitEntry>,
     pub(super) releases: Vec<(SimTime, u32)>,
+    pub(super) group: Vec<u32>,
     pub(super) victim_ids: Vec<JobId>,
     pub(super) candidates: Vec<crate::mechanism::CupCandidate>,
 }
@@ -150,6 +163,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
             cfg,
             table: JobTable::new(),
             queue,
+            profile: ReleaseProfile::default(),
             claims: Vec::new(),
             leases: LeaseLedger::new(),
             pass_pending: false,
@@ -551,6 +565,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
             delta,
             work_at_start: remaining_work,
         });
+        self.track_release(j);
         self.note(now, j, TimelineEvent::Started { size });
         self.note_outage_recovery(evicted, now);
 
@@ -632,6 +647,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// back to their last checkpoint and resubmit; malleable jobs lose only
     /// their setup (finished tasks survive) and resubmit immediately.
     pub(super) fn fail_job(&mut self, j: JobId, now: SimTime, _q: &mut EventQueue<Ev>) {
+        self.untrack_release(j);
         let spec = self.spec(j).clone();
         let size = self.st(j).run.as_ref().expect("running").size;
         self.accrue_occupancy(j, now);
@@ -690,6 +706,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
         killed: bool,
         q: &mut EventQueue<Ev>,
     ) {
+        self.untrack_release(j);
         self.accrue_occupancy(j, now);
         self.note_run_stopped(j);
         let spec_kind = self.spec(j).kind;

@@ -229,6 +229,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
         let cap = self.derive_from_slots().expect("job slots are consistent");
         assert_eq!(cap, self.cap_running, "cap_running drifted from the scan");
         self.check_waitq_invariant();
+        self.check_profile_invariant();
         // Down capacity must never be visible to scheduling queries.
         let live = self.cluster.live_nodes();
         assert!(

@@ -67,6 +67,76 @@ pub(super) struct OutageState {
     pub(super) recovery_latency_total: u64,
 }
 
+impl OutageState {
+    /// Restore-side bounds on the decoded counters. Each is an invariant
+    /// of every state a run reaches, so a valid image passes, and each
+    /// caps what a later `+=` starts from:
+    ///
+    /// * `applied` is at most the restore schedule's length;
+    /// * the node counters (`downs`, `drains`, `rejoins`, and
+    ///   `interrupted_jobs`, `shrunk_jobs`, `recoveries`, each at most
+    ///   `downs`) are at most `applied × nodes` — one per node of an
+    ///   applied event — so they end at most `len × nodes < 2⁶⁴`;
+    /// * `infeasible_killed` is at most the jobs ever admitted, one kill
+    ///   per job;
+    /// * `last_accrual` is not past the clock, `degraded_wall_seconds` is
+    ///   at most `last_accrual` (disjoint spans before it, so it ends
+    ///   within the clock), and `recovery_latency_total` is at most
+    ///   `recoveries × last_accrual` (each recovery adds at most the
+    ///   clock).
+    pub(super) fn check_counts(
+        &self,
+        schedule_len: usize,
+        nodes: u32,
+        admitted: u64,
+        now: SimTime,
+    ) -> Result<(), String> {
+        if self.applied as usize > schedule_len {
+            return Err(format!(
+                "{} outage events applied of a {schedule_len}-event schedule",
+                self.applied
+            ));
+        }
+        let per_node = u128::from(self.applied) * u128::from(nodes);
+        let node_counts = [
+            self.downs,
+            self.drains,
+            self.rejoins,
+            self.interrupted_jobs,
+            self.shrunk_jobs,
+            self.recoveries,
+        ];
+        if node_counts.iter().any(|&n| u128::from(n) > per_node) {
+            return Err(format!(
+                "outage node counters {node_counts:?} exceed {} events over {nodes} nodes",
+                self.applied
+            ));
+        }
+        if self.infeasible_killed > admitted {
+            return Err(format!(
+                "{} infeasible kills of {admitted} admitted jobs",
+                self.infeasible_killed
+            ));
+        }
+        let last = self.last_accrual.as_secs();
+        if self.last_accrual > now
+            || self.degraded_wall_seconds > last
+            || u128::from(self.recovery_latency_total)
+                > u128::from(self.recoveries) * u128::from(last)
+        {
+            return Err(format!(
+                "outage clock totals past the clock: last accrual {last} s at {}, \
+                 {} degraded s, {} s over {} recoveries",
+                now.as_secs(),
+                self.degraded_wall_seconds,
+                self.recovery_latency_total,
+                self.recoveries
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Validate the configured schedule against the backend's shape and queue
 /// the first injection event. Called once per fresh engine (batch run or
 /// service session) — never on restore, where the pending chain rides the
@@ -307,6 +377,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// Targeted malleable shrink: drop exactly the failing node and keep
     /// running — [`SimCore::shrink_job`] with node-precise release.
     fn shrink_away(&mut self, j: JobId, id: NodeId, now: SimTime, q: &mut EventQueue<Ev>) {
+        self.untrack_release(j);
         self.accrue_occupancy(j, now);
         self.accrue_malleable(j, now);
         self.cluster.release_single_node(j, id);
@@ -319,6 +390,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
         run.size -= 1;
         let at = crate::jobstate::malleable_finish(run, remaining_ns);
         let (from, to) = (run.size + 1, run.size);
+        self.track_release(j);
         q.schedule(at.max(now), Ev::Finish { job: j, epoch });
         self.note(now, j, TimelineEvent::Shrunk { from, to });
         self.schedule_failure(j, now, q);
@@ -330,6 +402,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// resubmits immediately instead of at drain end. Its pending
     /// `DrainEnd` dies against the epoch bump.
     fn interrupt_drain(&mut self, j: JobId, now: SimTime) {
+        self.untrack_release(j);
         let full_size = self.spec(j).size;
         self.accrue_occupancy(j, now);
         self.note(now, j, TimelineEvent::Failed);

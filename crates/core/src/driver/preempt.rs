@@ -42,6 +42,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// at drain end).
     pub(super) fn preempt_job(&mut self, j: JobId, now: SimTime, q: &mut EventQueue<Ev>) -> u32 {
         debug_assert_eq!(self.st(j).status, Status::Running);
+        self.untrack_release(j);
         let spec = self.spec(j).clone();
         let size = self.st(j).run.as_ref().expect("running").size;
         self.accrue_occupancy(j, now);
@@ -59,6 +60,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
                 st.preempt_count += 1;
                 let epoch = st.bump_epoch();
                 st.drain_until = Some(now + warning);
+                self.track_release(j);
                 q.schedule(now + warning, Ev::DrainEnd { job: j, epoch });
                 self.note(now, j, TimelineEvent::DrainStarted);
                 // The spent setup is wasted (it will be repeated).
@@ -97,6 +99,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
 
     /// Drain window expired: the malleable job's nodes release now.
     pub(super) fn finish_drain(&mut self, j: JobId, _now: SimTime) {
+        self.untrack_release(j);
         let full_size = self.spec(j).size;
         let st = self.st_mut(j);
         debug_assert_eq!(st.status, Status::Draining);
@@ -116,10 +119,13 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// Grow a running malleable job by up to `k` nodes.
     pub(super) fn expand_job(&mut self, j: JobId, k: u32, now: SimTime, q: &mut EventQueue<Ev>) {
         debug_assert_eq!(self.spec(j).kind, JobKind::Malleable);
+        self.untrack_release(j);
         self.accrue_occupancy(j, now);
         self.accrue_malleable(j, now);
         let granted = self.cluster.expand(j, k);
         if granted == 0 {
+            // The accrual alone can move a run past its estimate.
+            self.track_release(j);
             return;
         }
         let st = self.st_mut(j);
@@ -131,6 +137,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
         run.size += granted;
         let at = crate::jobstate::malleable_finish(run, remaining_ns);
         let (from, to) = (run.size - granted, run.size);
+        self.track_release(j);
         q.schedule(at.max(now), Ev::Finish { job: j, epoch });
         self.note(now, j, TimelineEvent::Expanded { from, to });
         self.schedule_failure(j, now, q);
@@ -139,6 +146,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// Shrink a running malleable job by `k` nodes (free, instantaneous).
     pub(super) fn shrink_job(&mut self, j: JobId, k: u32, now: SimTime, q: &mut EventQueue<Ev>) {
         debug_assert_eq!(self.spec(j).kind, JobKind::Malleable);
+        self.untrack_release(j);
         self.accrue_occupancy(j, now);
         self.accrue_malleable(j, now);
         self.cluster.shrink(j, k);
@@ -151,6 +159,7 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
         run.size -= k;
         let at = crate::jobstate::malleable_finish(run, remaining_ns);
         let (from, to) = (run.size + k, run.size);
+        self.track_release(j);
         q.schedule(at.max(now), Ev::Finish { job: j, epoch });
         self.note(now, j, TimelineEvent::Shrunk { from, to });
         self.schedule_failure(j, now, q);

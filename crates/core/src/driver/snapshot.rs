@@ -23,7 +23,8 @@
 //! * the observer — code, not data; a restored engine runs with
 //!   [`NoObserver`];
 //! * state derivable from the slots — the running-capability count,
-//!   rebuilt by [`SimCore::derive_from_slots`], and the waiting-queue keys.
+//!   rebuilt by [`SimCore::derive_from_slots`], the waiting-queue keys,
+//!   and the release profile, rebuilt by [`SimCore::derive_profile`].
 //!
 //! The contract tested here and in the service layer: restore followed by
 //! draining the simulation is bitwise-identical (metrics fingerprint) to
@@ -107,6 +108,7 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
         core.scratch.ordered.is_empty()
             && core.scratch.keys.is_empty()
             && core.scratch.releases.is_empty()
+            && core.scratch.group.is_empty()
             && core.scratch.victim_ids.is_empty()
             && core.scratch.candidates.is_empty(),
         "snapshot taken mid-dispatch (scratch buffers in use)"
@@ -121,7 +123,7 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
     // key epoch. The keys themselves are derivable — restore recomputes
     // them — so only the membership and the epoch go into the stream.
     core.queue.len().put(w);
-    core.queue.iter().for_each(|(_, j)| j.put(w));
+    core.queue.iter().for_each(|e| e.job.put(w));
     core.queue.epoch().put(w);
     core.claims.put(w);
     core.leases.put(w);
@@ -140,10 +142,11 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
 /// and `ctx` is the backend's reconstruction context
 /// ([`SnapshotBackend::Ctx`]). Every section is read through its codec;
 /// then the whole state is checked: shard accumulators against the
-/// backend, outage state against the config, live records against the
-/// job table, claims and reservations against the live jobs, the slots'
-/// notice phases against their specs, and the waiting queue against the
-/// job statuses. Malformed or truncated bytes error cleanly; this
+/// backend, outage state against the config and its counters against
+/// their bounds, live records against the job table, claims and
+/// reservations against the live jobs, the slots' notice phases against
+/// their specs, every run's expected end against the clock, and the
+/// waiting queue against the job statuses. Malformed or truncated bytes error cleanly; this
 /// function never panics on bad input.
 pub(super) fn restore_engine<B: SnapshotBackend>(
     bytes: &[u8],
@@ -175,6 +178,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         table,
         cluster,
         queue: super::waitq::WaitQueue::new(),
+        profile: Default::default(),
         claims: Snap::get(r)?,
         leases: Snap::get(r)?,
         pass_pending: Snap::get(r)?,
@@ -219,10 +223,14 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
                 "restore config carries an outage schedule but the snapshot has no outage state",
             ))
         }
+        (Some(o), Some(s)) => o
+            .check_counts(s.len(), nodes, core.table.admitted(), now)
+            .map_err(|e| r.err(e))?,
         _ => {}
     }
     core.check_records_match_jobs().map_err(|e| r.err(e))?;
     core.cap_running = core.derive_from_slots().map_err(|e| r.err(e))?;
+    core.profile = core.derive_profile().map_err(|e| r.err(e))?;
     // Rebuild the waiting-queue index: recompute each key from the
     // restored spec, front-class flag, and the recorded epoch. Every
     // collection the keys derive from is restored above, so the rebuilt
@@ -240,8 +248,8 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
                 "waiting queue lists {j}, which is not a live waiting job"
             )));
         }
-        let key = core.wait_key(j);
-        if !core.queue.insert(key, j) {
+        let e = core.wait_entry(j);
+        if !core.queue.insert(e) {
             return Err(r.err(format!("waiting queue lists {j} twice")));
         }
     }

@@ -867,3 +867,87 @@ mod what_if_oracle {
         assert!(absent.is_empty(), "an unplaceable probe has no forecast");
     }
 }
+
+// ---------------------------------------------------------------------
+// Release-profile shadow vs. the full-scan oracle
+// ---------------------------------------------------------------------
+
+mod shadow_profile {
+    use super::*;
+    use hws_cluster::FederationConfig;
+    use proptest::prelude::*;
+
+    const SYSTEM: u32 = 32;
+
+    /// One generated job: kind (rigid, malleable twice over, noticed or
+    /// unnoticed on-demand), submit slot, size, work units and estimate
+    /// mode.
+    type Arb = (u8, u64, u32, u64, u8);
+
+    /// Jobs on a coarse grid, so that many runs share an expected end
+    /// with different node counts. A malleable job with a nonzero
+    /// estimate mode underestimates its work (a spec the trace validator
+    /// refuses, built here on purpose): once a shrink or expansion
+    /// reschedules it to its actual finish it runs past its estimate,
+    /// where its expected end clamps to the clock. Noticed on-demand jobs
+    /// open reservations that backfill squats on, some runs entirely
+    /// (plain count 0).
+    fn build(jobs: &[Arb]) -> Trace {
+        let specs = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, slot, size, units, est))| {
+                let submit = t(slot * 600);
+                let work = d(units * 1_200);
+                let kind = [0, 1, 1, 2, 3][kind as usize];
+                let b = match kind {
+                    0 => JobSpecBuilder::rigid(i as u64),
+                    1 => JobSpecBuilder::malleable(i as u64),
+                    _ => JobSpecBuilder::on_demand(i as u64),
+                }
+                .submit_at(submit)
+                .size(size)
+                .work(work);
+                let b = match (kind, est) {
+                    (1, 1 | 2) => b.estimate(d(units * 600)),
+                    (_, 0) => b,
+                    _ => b.estimate(work + work),
+                };
+                match kind {
+                    1 => b.min_size((size / 4).max(1)).setup(d(60)),
+                    2 => b.notice(submit.saturating_sub(d(1_800)), submit),
+                    _ => b,
+                }
+                .build()
+            })
+            .collect();
+        trace(SYSTEM, specs)
+    }
+
+    fn arb_job() -> impl Strategy<Value = Arb> {
+        (0..5u8, 0..12u64, 1..=14u32, 1..=4u64, 0..3u8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Under `paranoid_checks` every head projection walks the
+        /// release profile and asserts it equals `compute_shadow` over the
+        /// full split scan, and every event checks that the profile holds
+        /// exactly the live running and draining jobs under their keys:
+        /// on one cluster and on a 2-shard federation, under each
+        /// mechanism.
+        #[test]
+        fn profile_shadow_matches_the_scan(
+            jobs in proptest::collection::vec(arb_job(), 8..48),
+            m in 0..6usize,
+        ) {
+            let tr = build(&jobs);
+            let cfg = SimConfig::with_mechanism(Mechanism::ALL_SIX[m]);
+            let single = run(cfg.clone(), &tr);
+            let fed = run(cfg.federated(FederationConfig::even_split(2, SYSTEM)), &tr);
+            prop_assert_eq!(single.metrics.completed_jobs + single.metrics.killed_jobs, tr.len());
+            prop_assert_eq!(fed.metrics.completed_jobs + fed.metrics.killed_jobs, tr.len());
+        }
+    }
+}

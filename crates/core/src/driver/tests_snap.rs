@@ -2,6 +2,7 @@
 //! of `SchedulerService::snapshot`, and a seeded mutation run that feeds
 //! damaged images to `restore`.
 
+use super::outage::OutageState;
 use super::*;
 use crate::config::{Mechanism, NoticeStrategy, SimConfig};
 use crate::jobstate::JobState;
@@ -309,6 +310,74 @@ fn node_second_totals_are_bounded_on_restore() {
             .expect("refused above the bound");
         assert!(err.to_string().contains("node-seconds"), "{err}");
     }
+}
+
+/// The outage counters later steps increment are refused above bounds no
+/// increment can pass (see `OutageState::check_counts`); at its bound a
+/// counter restores and the session drains to the end without overflow.
+#[test]
+fn outage_counters_are_bounded_on_restore() {
+    let bytes = image(Mechanism::CUP_SPAA, 1);
+    type Edit<'a> = &'a dyn Fn(&mut OutageState);
+    let recount = |edit: Edit| {
+        let mut svc = restore_single(&bytes).expect("restores");
+        edit(svc.core_mut().outage.as_mut().expect("outage state"));
+        restore_single(&svc.snapshot())
+    };
+    let applied = {
+        let mut svc = restore_single(&bytes).expect("restores");
+        let o = svc.core_mut().outage.clone().expect("outage state");
+        assert!(o.applied > 0, "the image is cut mid-outage");
+        o.applied
+    };
+    let at_bound = u64::from(applied) * u64::from(SYSTEM);
+    let mut svc = recount(&|o| o.rejoins = at_bound).expect("accepted at the bound");
+    svc.step_until(SimTime::MAX);
+    let rejoins = svc
+        .core_mut()
+        .outage
+        .as_ref()
+        .expect("outage state")
+        .rejoins;
+    assert!(rejoins >= at_bound, "rejoins kept counting");
+
+    let over: [(&str, Edit); 11] = [
+        ("applied", &|o| o.applied = u32::MAX),
+        ("downs", &|o| o.downs = u64::MAX),
+        ("drains", &|o| o.drains = u64::MAX),
+        ("rejoins", &|o| o.rejoins = at_bound + 1),
+        ("interrupted", &|o| o.interrupted_jobs = u64::MAX),
+        ("shrunk", &|o| o.shrunk_jobs = u64::MAX),
+        ("infeasible", &|o| o.infeasible_killed = u64::MAX),
+        ("recoveries", &|o| o.recoveries = u64::MAX),
+        ("latency", &|o| o.recovery_latency_total = u64::MAX),
+        ("degraded", &|o| o.degraded_wall_seconds = u64::MAX),
+        ("last accrual", &|o| o.last_accrual = SimTime::MAX),
+    ];
+    for (what, edit) in over {
+        assert!(recount(edit).is_err(), "{what}: refused above its bound");
+    }
+}
+
+/// Restore rebuilds the release profile with checked clock arithmetic: an
+/// image with a running job whose expected end lies past the clock is
+/// refused rather than accepted to panic at its first shadow.
+#[test]
+fn a_run_ending_past_the_clock_is_refused() {
+    let bytes = image(Mechanism::CUP_SPAA, 1);
+    let mut svc = restore_single(&bytes).expect("restores");
+    let core = svc.core_mut();
+    let mut running = None;
+    core.table.for_each_live(|spec, st| {
+        if st.status == crate::jobstate::Status::Running {
+            running.get_or_insert(spec.id);
+        }
+    });
+    let job = running.expect("a running job");
+    let run = core.table.state_mut(job).run.as_mut().expect("running");
+    (run.start, run.setup_end, run.work_anchor) = (SimTime::MAX, SimTime::MAX, SimTime::MAX);
+    let err = restore_single(&svc.snapshot()).err().expect("refused");
+    assert!(err.to_string().contains("overflows the clock"), "{err}");
 }
 
 /// Whether a restore succeeded; a restored service must pass every

@@ -3,8 +3,10 @@
 //! Historically every scheduling pass re-sorted the waiting set from
 //! scratch — O(Q log Q) key computations and comparisons *per event* once
 //! passes coalesce to one per tick. [`WaitQueue`] keeps the waiting jobs
-//! in a `BTreeSet<(QueueKey, JobId)>` that is updated only on the
-//! priority-relevant transitions:
+//! in a `BTreeSet<WaitEntry>` ordered by `(QueueKey, JobId)`; each entry
+//! also carries the job's two start sizes, so the backfill walk filters
+//! candidates without reading their slots. The index is updated only on
+//! the priority-relevant transitions:
 //!
 //! * **submit / resubmit** (failure, preemption, drain expiry, outage
 //!   interrupt) — insert;
@@ -29,7 +31,8 @@
 //! ## Invariant
 //!
 //! The index holds exactly the live jobs with [`Status::Waiting`], each
-//! under `queue_key(policy, spec, at_front, epoch)`. Under
+//! under `queue_key(policy, spec, at_front, epoch)` with its spec's sizes.
+//! Under
 //! `paranoid_checks` this is cross-validated after every event against a
 //! from-scratch re-sort oracle ([`SimCore::check_waitq_invariant`]).
 //!
@@ -41,13 +44,53 @@ use crate::policy::{queue_key, QueueKey};
 use crate::timeline::Observer;
 use hws_cluster::ClusterBackend;
 use hws_sim::SimTime;
-use hws_workload::JobId;
+use hws_workload::{JobId, JobKind, JobSpec};
 use std::collections::BTreeSet;
+
+/// One waiting job's index entry. The derived order is the pass order:
+/// `(key, job)` is unique, so the sizes never decide a comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) struct WaitEntry {
+    pub(super) key: QueueKey,
+    pub(super) job: JobId,
+    /// The job's full size.
+    pub(super) size: u32,
+    /// Its malleable minimum; the full size for every other kind.
+    pub(super) min_size: u32,
+}
+
+impl WaitEntry {
+    fn new(key: QueueKey, spec: &JobSpec) -> Self {
+        let min_size = if spec.kind == JobKind::Malleable {
+            spec.min_size
+        } else {
+            spec.size
+        };
+        WaitEntry {
+            key,
+            job: spec.id,
+            size: spec.size,
+            min_size,
+        }
+    }
+
+    /// Minimum nodes the job needs to start: its malleable minimum in
+    /// hybrid mode, its full size otherwise (as
+    /// [`SimCore::start_need`]).
+    #[inline]
+    pub(super) fn need(&self, hybrid: bool) -> u32 {
+        if hybrid {
+            self.min_size
+        } else {
+            self.size
+        }
+    }
+}
 
 /// Ordered index over the waiting jobs; see the module docs.
 #[derive(Debug, Clone)]
 pub(super) struct WaitQueue {
-    index: BTreeSet<(QueueKey, JobId)>,
+    index: BTreeSet<WaitEntry>,
     /// Instant the time-varying score components were evaluated at.
     /// Meaningless (and never advanced) for static policies. The policy
     /// itself lives in `SimConfig`; every key is computed there.
@@ -74,14 +117,14 @@ impl WaitQueue {
 
     /// Entries in priority order (the pass order).
     #[inline]
-    pub(super) fn iter(&self) -> impl Iterator<Item = &(QueueKey, JobId)> {
+    pub(super) fn iter(&self) -> impl Iterator<Item = &WaitEntry> {
         self.index.iter()
     }
 
     /// Waiting job ids in priority order.
     #[inline]
     pub(super) fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.index.iter().map(|&(_, j)| j)
+        self.index.iter().map(|e| e.job)
     }
 
     /// The instant the current keys were evaluated at.
@@ -98,11 +141,11 @@ impl WaitQueue {
     /// Insert an entry; returns false if it was already present (callers
     /// treat that as corruption — see [`SimCore::enqueue_waiting`]).
     #[inline]
-    pub(super) fn insert(&mut self, key: QueueKey, j: JobId) -> bool {
-        self.index.insert((key, j))
+    pub(super) fn insert(&mut self, e: WaitEntry) -> bool {
+        self.index.insert(e)
     }
 
-    /// Remove the entry `(key, j)`.
+    /// Remove the entry `e`.
     ///
     /// # Panics
     ///
@@ -110,10 +153,11 @@ impl WaitQueue {
     /// not match what the job was inserted under, which would silently
     /// leave a stale entry behind — corruption, not a recoverable state.
     #[inline]
-    pub(super) fn remove(&mut self, key: QueueKey, j: JobId) {
+    pub(super) fn remove(&mut self, e: &WaitEntry) {
         assert!(
-            self.index.remove(&(key, j)),
-            "waiting-queue index out of sync: {j} not found under its computed key"
+            self.index.remove(e),
+            "waiting-queue index out of sync: {} not found under its computed key",
+            e.job
         );
     }
 
@@ -124,29 +168,30 @@ impl WaitQueue {
 }
 
 impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
-    /// The key waiting job `j` is (or would be) indexed under *right now*:
-    /// current front-class flag, current epoch. Every insert and remove
-    /// goes through this, so entries are always found.
+    /// The entry waiting job `j` is (or would be) indexed under *right
+    /// now*: current front-class flag, current epoch. Every insert and
+    /// remove goes through this, so entries are always found.
     #[inline]
-    pub(super) fn wait_key(&self, j: JobId) -> QueueKey {
+    pub(super) fn wait_entry(&self, j: JobId) -> WaitEntry {
         let (st, spec) = self.table.state_spec(j);
-        queue_key(self.cfg.policy, spec, st.at_front, self.queue.epoch())
+        let key = queue_key(self.cfg.policy, spec, st.at_front, self.queue.epoch());
+        WaitEntry::new(key, spec)
     }
 
     /// Index a job that just became [`Status::Waiting`]. Its front-class
     /// flag must already be final.
     pub(super) fn enqueue_waiting(&mut self, j: JobId) {
         debug_assert_eq!(self.st(j).status, Status::Waiting);
-        let key = self.wait_key(j);
-        let fresh = self.queue.insert(key, j);
+        let e = self.wait_entry(j);
+        let fresh = self.queue.insert(e);
         debug_assert!(fresh, "{j} enqueued twice");
     }
 
     /// Unindex a waiting job (cancel, infeasibility sweep). Must run
     /// *before* its front-class flag or status changes.
     pub(super) fn dequeue_waiting(&mut self, j: JobId) {
-        let key = self.wait_key(j);
-        self.queue.remove(key, j);
+        let e = self.wait_entry(j);
+        self.queue.remove(&e);
     }
 
     /// Re-key the index at `now` for aging policies; a no-op for static
@@ -169,8 +214,8 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
         ids.extend(self.queue.ids());
         self.queue.clear();
         for &j in &ids {
-            let key = self.wait_key(j);
-            self.queue.insert(key, j);
+            let e = self.wait_entry(j);
+            self.queue.insert(e);
         }
         Scratch::stow(&mut self.scratch.ordered, ids);
     }
@@ -180,11 +225,11 @@ impl<B: ClusterBackend, O: Observer> SimCore<B, O> {
     /// implementation, kept as the oracle the incremental structure is
     /// proptested against.
     pub(super) fn check_waitq_invariant(&self) {
-        let mut oracle: Vec<(QueueKey, JobId)> = Vec::new();
+        let mut oracle: Vec<WaitEntry> = Vec::new();
         self.table.for_each_live(|spec, st| {
             if st.status == Status::Waiting {
                 let key = queue_key(self.cfg.policy, spec, st.at_front, self.queue.epoch());
-                oracle.push((key, spec.id));
+                oracle.push(WaitEntry::new(key, spec));
             }
         });
         oracle.sort_unstable();
